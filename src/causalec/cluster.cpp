@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "obs/flight_recorder.h"
-
 namespace causalec {
 
 /// Adapts one server's outbound traffic onto the simulator.
@@ -12,7 +10,6 @@ class Cluster::SimTransport final : public Transport {
   SimTransport(sim::Simulation* sim, NodeId self) : sim_(sim), self_(self) {}
 
   void send(NodeId to, sim::MessagePtr message) override {
-    if (muted_) return;
     sim_->send(self_, to, std::move(message));
   }
 
@@ -22,14 +19,9 @@ class Cluster::SimTransport final : public Transport {
 
   SimTime now() const override { return sim_->now(); }
 
-  /// Drop outbound sends during WAL replay: the replayed handlers re-run
-  /// their multicasts, which already reached the network before the crash.
-  void set_muted(bool muted) { muted_ = muted; }
-
  private:
   sim::Simulation* sim_;
   NodeId self_;
-  bool muted_ = false;
 };
 
 Cluster::Cluster(erasure::CodePtr code,
@@ -104,15 +96,7 @@ void Cluster::recover_server(NodeId id) {
                                                             << " is not down");
   sim_->restart(id);
   Server& server = *servers_[id];
-  // Dump the flight-recorder tail before journal replay reuses the ring:
-  // the last protocol events the server saw before its crash.
-  log_flight_tail(id, server.flight_recorder());
-  transports_[id]->set_muted(true);
-  server.restore_from_journal(journals_[id]->load());
-  // Checkpoint the replayed state so a second crash before the next
-  // snapshot timer does not replay the whole WAL again.
-  journals_[id]->save_snapshot(server.capture_image());
-  transports_[id]->set_muted(false);
+  server.restore_from_journal();
   // Refresh liveness views: the rejoiner learns who is still down (its
   // symbol-repair helper set must avoid them); survivors mark it back up.
   for (NodeId s = 0; s < servers_.size(); ++s) {
@@ -196,14 +180,11 @@ void Cluster::arm_snapshot_timers() {
   snapshot_timer_ids_.clear();
   for (NodeId s = 0; s < servers_.size(); ++s) {
     Server* server = servers_[s].get();
-    persist::Journal* journal = journals_[s].get();
     auto* simulation = sim_.get();
     snapshot_timer_ids_.push_back(sim_->schedule_periodic(
         sim_->now() + config_.snapshot_period + s * config_.gc_stagger,
-        config_.snapshot_period, [server, journal, simulation, s] {
-          if (!simulation->halted(s)) {
-            journal->save_snapshot(server->capture_image());
-          }
+        config_.snapshot_period, [server, simulation, s] {
+          if (!simulation->halted(s)) server->checkpoint();
         }));
   }
 }

@@ -85,9 +85,9 @@ class Cluster {
   void halt_server(NodeId id);
 
   /// Crash-recover a halted server from its durable state (requires
-  /// ClusterConfig::persistence): un-halt the simulated node, reload
-  /// snapshot + WAL with the transport muted, checkpoint the replayed
-  /// state, then start the anti-entropy rejoin round (DESIGN.md §9).
+  /// ClusterConfig::persistence): un-halt the simulated node,
+  /// Server::restore_from_journal, then start the anti-entropy rejoin
+  /// round (DESIGN.md §9).
   void recover_server(NodeId id);
 
   /// Transient network partition: every channel between `side` and its

@@ -208,7 +208,7 @@ Tag Server::client_write(ClientId client, OpId opid, ObjectId object,
 
   // Alg. 1 line 6: propagate to every other node. Every AppMessage shares
   // the one payload buffer, and serializing runtimes encode it once.
-  transport_->multicast(others_, [&] {
+  multicast(others_, [&] {
     auto msg = std::make_unique<AppMessage>(object, value, tag, wire_);
     stamp_trace(*msg, active_trace_);
     return msg;
@@ -349,7 +349,7 @@ void Server::handle_del(NodeId from, const DelMessage& msg) {
     for (NodeId j : others_) {
       if (j != msg.origin) targets.push_back(j);
     }
-    transport_->multicast(targets, [&] {
+    multicast(targets, [&] {
       auto fwd = std::make_unique<DelMessage>(msg.object, msg.tag, msg.origin,
                                               /*forward=*/false, wire_);
       stamp_trace(*fwd, active_trace_);
@@ -369,7 +369,7 @@ void Server::handle_val_inq(NodeId from, const ValInqMessage& msg) {
     auto resp = std::make_unique<ValRespMessage>(msg.client, msg.opid, object,
                                                  *value, msg.wanted, wire_);
     stamp_trace(*resp, active_trace_);
-    transport_->send(from, std::move(resp));
+    send(from, std::move(resp));
     if (tracer_ != nullptr) {
       tracer_->complete("val_inq", id_, obs_t0, transport_->now() - obs_t0,
                         {{"object", std::uint64_t{object}},
@@ -411,7 +411,7 @@ void Server::handle_val_inq(NodeId from, const ValInqMessage& msg) {
       msg.client, msg.opid, object, std::move(resp_val), std::move(resp_tags),
       msg.wanted, wire_);
   stamp_trace(*enc, active_trace_);
-  transport_->send(from, std::move(enc));
+  send(from, std::move(enc));
   if (tracer_ != nullptr) {
     tracer_->complete("val_inq", id_, obs_t0, transport_->now() - obs_t0,
                       {{"object", std::uint64_t{object}},
@@ -773,15 +773,27 @@ void Server::restore_image(const persist::ServerImage* image) {
       inqueue_.insert(InQueue::Entry{e.origin, e.object, e.value, e.tag});
     }
   }
-  internal_opid_counter_ = counter_base + kOpidRecoverySkip;
+  // restore_from_journal adds the recovery skip after replay: replayed
+  // internal reads must get their pre-crash opids, or the journaled
+  // replies to them miss ReadL.
+  internal_opid_counter_ = counter_base;
 }
 
-void Server::restore_from_journal(const persist::RecoveredState& recovered) {
+bool Server::restore_from_journal() {
+  CEC_CHECK_MSG(journal_ != nullptr, "restore_from_journal: no journal");
+  const persist::RecoveredState recovered = journal_->load();
   CEC_CHECK_MSG(recovered.error.empty(),
                 "restore_from_journal: " << recovered.error);
+  if (!recovered.image.has_value() && recovered.wal.empty()) return false;
+  // Post-mortem: the last protocol events before the crash, logged before
+  // replay starts reusing the ring (a fresh process has none).
+  if (flight_.recorded() > 0) {
+    obs::log_flight_tail(static_cast<int>(id_), flight_);
+  }
   restore_image(recovered.image ? &*recovered.image : nullptr);
-  const bool was_recording = journal_ == nullptr || journal_->recording();
-  if (journal_ != nullptr) journal_->set_recording(false);
+  const bool was_recording = journal_->recording();
+  journal_->set_recording(false);
+  muted_ = true;
   for (const auto& record : recovered.wal) {
     if (record.kind == persist::WalRecord::Kind::kMessage) {
       on_message(record.from,
@@ -791,11 +803,19 @@ void Server::restore_from_journal(const persist::RecoveredState& recovered) {
                    erasure::Value(record.payload));
     }
   }
-  if (journal_ != nullptr && was_recording) journal_->set_recording(true);
+  muted_ = false;
+  journal_->set_recording(was_recording);
   end_restore();
+  internal_opid_counter_ += kOpidRecoverySkip;
+  checkpoint();
+  return true;
 }
 
 void Server::end_restore() { reads_ = ReadList{}; }
+
+void Server::checkpoint() {
+  if (journal_ != nullptr) journal_->save_snapshot(capture_image());
+}
 
 void Server::set_peer_down(NodeId peer, bool down) {
   CEC_CHECK(peer < n_);
@@ -854,7 +874,7 @@ void Server::begin_rejoin() {
   // The digest still goes to everyone: every reply reports a peer clock
   // (input to the straggler chase) and triggers the symmetric push to
   // behind peers. Only the pulls are narrowed to the helper set.
-  transport_->multicast(others_, [&] {
+  multicast(others_, [&] {
     auto msg = std::make_unique<RecoverDigestMessage>(epoch, vc_, wire_);
     stamp_trace(*msg, active_trace_);
     return msg;
@@ -878,7 +898,7 @@ void Server::handle_recover_digest(NodeId from,
   auto reply = std::make_unique<RecoverDigestReplyMessage>(msg.epoch, vc_,
                                                            wire_);
   stamp_trace(*reply, active_trace_);
-  transport_->send(from, std::move(reply));
+  send(from, std::move(reply));
 }
 
 void Server::handle_recover_digest_reply(NodeId from,
@@ -919,7 +939,7 @@ void Server::send_recover_pull(NodeId to) {
   auto pull = std::make_unique<RecoverPullMessage>(recovery_epoch_, vc_,
                                                    wire_);
   stamp_trace(*pull, active_trace_);
-  transport_->send(to, std::move(pull));
+  send(to, std::move(pull));
 }
 
 void Server::handle_recover_pull(NodeId from, const RecoverPullMessage& msg) {
@@ -952,7 +972,7 @@ void Server::send_recover_push(NodeId to, std::uint64_t epoch,
   auto push = std::make_unique<RecoverPushMessage>(
       epoch, vc_, std::move(history), std::move(inq), std::move(dels), wire_);
   stamp_trace(*push, active_trace_);
-  transport_->send(to, std::move(push));
+  send(to, std::move(push));
 }
 
 void Server::handle_recover_push(NodeId from, const RecoverPushMessage& msg) {
@@ -1223,7 +1243,7 @@ void Server::send_val_inq_to(const std::vector<NodeId>& targets,
                              const PendingRead& read) {
   if (targets.empty()) return;
   for ([[maybe_unused]] NodeId j : targets) CEC_DCHECK(j != id_);
-  transport_->multicast(targets, [&] {
+  multicast(targets, [&] {
     auto msg = std::make_unique<ValInqMessage>(read.client, read.opid,
                                                read.object, read.requested,
                                                wire_);
@@ -1311,14 +1331,14 @@ void Server::send_del_to_containing(ObjectId object, const Tag& tag) {
     auto msg = std::make_unique<DelMessage>(object, tag, id_,
                                             /*forward=*/true, wire_);
     stamp_trace(*msg, active_trace_);
-    transport_->send(config_.del_leader, std::move(msg));
+    send(config_.del_leader, std::move(msg));
     return;
   }
   std::vector<NodeId> targets;
   for (NodeId j : containing_servers(object)) {
     if (j != id_) targets.push_back(j);
   }
-  transport_->multicast(targets, [&] {
+  multicast(targets, [&] {
     auto msg = std::make_unique<DelMessage>(object, tag, id_,
                                             /*forward=*/false, wire_);
     stamp_trace(*msg, active_trace_);
@@ -1334,10 +1354,10 @@ void Server::broadcast_del(ObjectId object, const Tag& tag, bool dedupe) {
     auto msg = std::make_unique<DelMessage>(object, tag, id_,
                                             /*forward=*/true, wire_);
     stamp_trace(*msg, active_trace_);
-    transport_->send(config_.del_leader, std::move(msg));
+    send(config_.del_leader, std::move(msg));
     return;
   }
-  transport_->multicast(others_, [&] {
+  multicast(others_, [&] {
     auto msg = std::make_unique<DelMessage>(object, tag, id_,
                                             /*forward=*/false, wire_);
     stamp_trace(*msg, active_trace_);

@@ -146,23 +146,25 @@ class Server final : public sim::Actor {
   /// pending-read callbacks cannot survive a restart).
   persist::ServerImage capture_image() const;
 
-  /// Reset to initial state, then (when `image` is non-null) load the
-  /// snapshot. Must describe this same (node, n, k, value_bytes). Arms the
-  /// stale-app guard so duplicate deliveries after recovery are dropped.
-  void restore_image(const persist::ServerImage* image);
+  /// The restart step shared by every runtime: reset to the attached
+  /// journal's snapshot and replay its WAL with this server's own sends
+  /// suppressed (they reached the network before the crash), so the
+  /// pre-crash state is reproduced exactly. Then move the internal-read
+  /// opids past any pre-crash read whose replies are still in flight, and
+  /// checkpoint so a second crash does not replay the WAL again. Returns
+  /// false, changing nothing, when the journal holds no state (the server
+  /// never accepted an input). Call while no other thread drives the
+  /// server; follow with begin_rejoin().
+  bool restore_from_journal();
 
-  /// restore_image + deterministic WAL replay + end_restore. The caller
-  /// must mute the transport around this call: replayed handlers re-run
-  /// their sends, which must not reach the network a second time.
-  void restore_from_journal(const persist::RecoveredState& recovered);
-
-  /// Closes the replay window: drops reads registered during replay (their
-  /// inquiries were muted; the Encoding action re-issues what it needs).
-  void end_restore();
+  /// Saves capture_image() into the attached journal (no-op without one);
+  /// runtimes call it on their snapshot cadence.
+  void checkpoint();
 
   /// Journal to record accepted writes and dispatched messages into; null
   /// (the default) disables durability. Not owned.
   void attach_journal(persist::Journal* journal) { journal_ = journal; }
+  bool durable() const { return journal_ != nullptr; }
 
   /// Start an anti-entropy rejoin round: broadcast a state digest, pull
   /// missed writes from every live peer, and converge without replaying
@@ -198,6 +200,26 @@ class Server final : public sim::Actor {
   const obs::FlightRecorder& flight_recorder() const { return flight_; }
 
  private:
+  // Restart halves (restore_from_journal runs them around the WAL replay).
+  /// Reset to initial state, then (when `image` is non-null) load the
+  /// snapshot. Must describe this same (node, n, k, value_bytes). Arms the
+  /// stale-app guard so duplicate deliveries after recovery are dropped.
+  void restore_image(const persist::ServerImage* image);
+  /// Closes the replay window: drops reads registered during replay (their
+  /// inquiries were never sent; the Encoding action re-issues what it
+  /// needs).
+  void end_restore();
+
+  /// Every outbound message leaves through these two, which drop it while
+  /// the WAL replays (the pre-crash run already sent it).
+  void send(NodeId to, sim::MessagePtr message) {
+    if (!muted_) transport_->send(to, std::move(message));
+  }
+  void multicast(std::span<const NodeId> targets,
+                 const std::function<sim::MessagePtr()>& make) {
+    if (!muted_) transport_->multicast(targets, make);
+  }
+
   // Message handlers (Alg. 1 line 44, Alg. 2).
   void handle_app(NodeId from, const AppMessage& msg);
   void handle_del(NodeId from, const DelMessage& msg);
@@ -324,6 +346,7 @@ class Server final : public sim::Actor {
 
   // -- Crash-recovery state (DESIGN.md §9) ---------------------------------
   persist::Journal* journal_ = nullptr;  // not owned; null = no durability
+  bool muted_ = false;  // true while restore_from_journal replays the WAL
   bool recovering_ = false;
   /// Counts rejoin rounds; nonzero also arms the stale-app guard (a server
   /// that has ever restored may see duplicate deliveries).

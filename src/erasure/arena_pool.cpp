@@ -1,8 +1,6 @@
 #include "erasure/arena_pool.h"
 
 #include <bit>
-#include <cstdlib>
-#include <string_view>
 
 #include "common/expect.h"
 
@@ -47,15 +45,12 @@ void Arena::unref() {
     // try the origin lock without blocking, and when it is contended adopt
     // the arena into the releasing thread's own pool instead -- both sides
     // stay on uncontended locks and arenas circulate with the message
-    // flow. CAUSALEC_NUMA keeps strict (blocking) origin-return, so
-    // first-touch page placement stays meaningful.
-    if (!pool_detail::numa_prefault_enabled()) {
-      if (origin_pool->try_release(this)) return;
-      const std::shared_ptr<PoolCore>& local = *pool_detail::tls_pool();
-      if (local != nullptr && local != origin_pool) {
-        local->release(this);
-        return;
-      }
+    // flow.
+    if (origin_pool->try_release(this)) return;
+    const std::shared_ptr<PoolCore>& local = *pool_detail::tls_pool();
+    if (local != nullptr && local != origin_pool) {
+      local->release(this);
+      return;
     }
     origin_pool->release(this);
     return;
@@ -100,13 +95,6 @@ Arena* PoolCore::acquire(std::size_t n, std::shared_ptr<PoolCore> self) {
   const std::size_t capacity = std::size_t{1}
                                << (kMinClassLog2 + static_cast<std::size_t>(cls));
   a->bytes.reserve(capacity);
-  if (pool_detail::numa_prefault_enabled()) {
-    // First-touch the full class capacity on this (the owning) thread so
-    // the arena's pages land on its NUMA node before any recycled use can
-    // touch them from elsewhere. Portable best-effort: a no-op placement
-    // hint on UMA machines.
-    a->bytes.assign(capacity, 0);
-  }
   a->bytes.resize(n);
   fresh_.fetch_add(1, std::memory_order_relaxed);
   fresh_bytes_.fetch_add(n, std::memory_order_relaxed);
@@ -234,15 +222,6 @@ void folded_reset() {
   Registry& reg = registry();
   std::lock_guard<std::mutex> lock(reg.mu);
   reg.folded = PoolCounters{};
-}
-
-bool numa_prefault_enabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("CAUSALEC_NUMA");
-    return env != nullptr &&
-           (std::string_view(env) == "1" || std::string_view(env) == "on");
-  }();
-  return enabled;
 }
 
 }  // namespace pool_detail

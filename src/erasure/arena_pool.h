@@ -23,11 +23,6 @@
 //     weak registry (Buffer::alloc_stats()); a closing pool folds its
 //     counters into the process-wide totals so before/after deltas survive
 //     pool churn.
-//   * CAUSALEC_NUMA=1 pre-faults each fresh pooled arena to its full
-//     size-class capacity on the acquiring thread, so first-touch page
-//     placement pins the arena's pages to that thread's NUMA node. This is
-//     portable best-effort locality (no libnuma dependency); on UMA
-//     machines it degrades to a harmless pre-touch.
 #pragma once
 
 #include <atomic>
@@ -85,7 +80,7 @@ class PoolCore {
   /// n is outside the pooled range. Recycles when the class bucket has an
   /// arena, otherwise mallocs a fresh one reserved to the class capacity.
   /// Must be called via the owning BufferPool's thread (any thread works,
-  /// but counters and NUMA placement assume the caller owns the pool).
+  /// but the counters assume the caller owns the pool).
   Arena* acquire(std::size_t n, std::shared_ptr<PoolCore> self);
 
   /// Takes back a dead arena (refs == 0): pushed onto its class bucket, or
@@ -172,9 +167,6 @@ void registry_reset();
 /// (Buffer's own globals only count non-pooled arenas).
 PoolCounters folded_totals();
 void folded_reset();
-
-/// CAUSALEC_NUMA=1/on enables first-touch pre-faulting (read once).
-bool numa_prefault_enabled();
 
 }  // namespace pool_detail
 

@@ -607,7 +607,7 @@ class LinearCodeT final : public Code {
     return repair_mode_.load(std::memory_order_relaxed);
   }
 
-  /// Test seam: override the CAUSALEC_REPAIR_PLAN env mode per instance.
+  /// Test seam: switch the repair-plan mode of this instance.
   void set_repair_mode_for_testing(RepairPlanMode mode) const {
     repair_mode_.store(mode, std::memory_order_relaxed);
   }
@@ -914,7 +914,7 @@ class LinearCodeT final : public Code {
   mutable DecodePlanCache<Elem> plan_cache_;
   mutable RepairPlanCache<Elem> repair_cache_;
   mutable std::atomic<RepairPlanMode> repair_mode_{
-      repair_plan_mode_from_env()};
+      RepairPlanMode::kMinimalFetch};
 };
 
 }  // namespace causalec::erasure

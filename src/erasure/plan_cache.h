@@ -15,18 +15,16 @@
 // plan twice and the first insert wins -- plans for the same key are
 // identical, so this is only a little wasted work, never wrong data.
 //
-// Set CAUSALEC_DECODE_PLAN_CACHE=0 to disable caching (every decode then
-// runs a fresh elimination); the differential tests use this to pin the
-// cached plans against freshly computed ones.
+// LinearCodeT::set_plan_cache_enabled(false) disables caching (every
+// decode then runs a fresh elimination); the differential tests use it to
+// pin the cached plans against freshly computed ones.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -56,8 +54,6 @@ class DecodePlanCache {
  public:
   using Plan = DecodePlan<Elem>;
   using PlanPtr = std::shared_ptr<const Plan>;
-
-  DecodePlanCache() : enabled_(default_enabled()) {}
 
   /// nullptr on miss. Counts a hit or a miss (only while enabled).
   PlanPtr find(ObjectId object, std::uint32_t provided_mask) const {
@@ -102,12 +98,6 @@ class DecodePlanCache {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
 
-  /// Env gate: CAUSALEC_DECODE_PLAN_CACHE=0 disables new caches.
-  static bool default_enabled() {
-    const char* env = std::getenv("CAUSALEC_DECODE_PLAN_CACHE");
-    return env == nullptr || std::string_view(env) != "0";
-  }
-
  private:
   static std::uint64_t key(ObjectId object, std::uint32_t mask) {
     return (static_cast<std::uint64_t>(object) << 32) | mask;
@@ -117,7 +107,7 @@ class DecodePlanCache {
   mutable std::unordered_map<std::uint64_t, PlanPtr> map_;
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
-  mutable std::atomic<bool> enabled_;
+  mutable std::atomic<bool> enabled_{true};
 };
 
 }  // namespace causalec::erasure

@@ -17,8 +17,7 @@
 //     ops (one program per row of the failed symbol), executed through the
 //     runtime-dispatched gf kernels exactly like decode.
 //
-// Strategies are pluggable per Code instance (and via the CAUSALEC_REPAIR_PLAN
-// env override):
+// Strategies are pluggable per Code instance:
 //
 //   * kMinimalFetch (default) -- minimize fetched rows. For an Azure-LRC
 //     data failure this finds the local group (l+1 rows instead of k); for
@@ -29,19 +28,17 @@
 //
 // Like decode plans, repair plans are immutable once computed, so they are
 // memoized in a shared-mutex cache keyed by (kind, strategy, target,
-// erased-mask, local). CAUSALEC_REPAIR_PLAN_CACHE=0 disables memoization
-// (every lookup replans); the differential tests use this to pin cached
-// plans against fresh eliminations.
+// erased-mask, local). set_repair_plan_cache_enabled(false) disables
+// memoization (every lookup replans); the differential tests use it to pin
+// cached plans against fresh eliminations.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -56,19 +53,10 @@ enum class RepairStrategy : std::uint8_t {
   kFullDecode = 1,    // decode-all-then-reencode baseline
 };
 
-/// Env override: CAUSALEC_REPAIR_PLAN=full forces the full-decode baseline;
-/// CAUSALEC_REPAIR_PLAN=0/off disables repair planning entirely (consumers
-/// fall back to their pre-repair behavior). Anything else: minimal fetch.
+/// Repair planning per Code instance: kMinimalFetch (the default), the
+/// kFullDecode baseline, or kOff (consumers fall back to their pre-repair
+/// behavior). Tests switch it with set_repair_mode_for_testing.
 enum class RepairPlanMode : std::uint8_t { kOff, kFullDecode, kMinimalFetch };
-
-inline RepairPlanMode repair_plan_mode_from_env() {
-  const char* env = std::getenv("CAUSALEC_REPAIR_PLAN");
-  if (env == nullptr) return RepairPlanMode::kMinimalFetch;
-  const std::string_view v(env);
-  if (v == "0" || v == "off") return RepairPlanMode::kOff;
-  if (v == "full") return RepairPlanMode::kFullDecode;
-  return RepairPlanMode::kMinimalFetch;
-}
 
 /// One fetch node of the repair DAG: row `row` of server `server`'s symbol
 /// moves to the repairing node.
@@ -99,8 +87,6 @@ class RepairPlanCache {
  public:
   using Plan = RepairPlan<Elem>;
   using PlanPtr = std::shared_ptr<const Plan>;
-
-  RepairPlanCache() : enabled_(default_enabled()) {}
 
   /// nullopt on miss; the cached plan on a hit (which may itself be a null
   /// PlanPtr -- "no repair exists for this pattern" is a cacheable answer).
@@ -147,12 +133,6 @@ class RepairPlanCache {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
 
-  /// Env gate: CAUSALEC_REPAIR_PLAN_CACHE=0 disables new caches.
-  static bool default_enabled() {
-    const char* env = std::getenv("CAUSALEC_REPAIR_PLAN_CACHE");
-    return env == nullptr || std::string_view(env) != "0";
-  }
-
   /// Cache key layout, shared by object and symbol lookups:
   ///   kind(1) | strategy(1) | target(8) | local(8) | erased_mask(16).
   static std::uint64_t key(bool symbol_kind, RepairStrategy strategy,
@@ -170,7 +150,7 @@ class RepairPlanCache {
   mutable std::unordered_map<std::uint64_t, PlanPtr> map_;
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
-  mutable std::atomic<bool> enabled_;
+  mutable std::atomic<bool> enabled_{true};
 };
 
 }  // namespace causalec::erasure

@@ -1,4 +1,4 @@
-// Scalar and 64-bit-sliced kernel tiers, CPU detection, and the dispatcher.
+// The scalar kernel tier, CPU detection, and the dispatcher.
 #include "gf/kernels.h"
 
 #include <array>
@@ -78,88 +78,6 @@ constexpr KernelTable kScalarTable = {scalar_xor, scalar_mul, scalar_axpy,
                                       scalar_scale, scalar_axpy_batch};
 
 // ---------------------------------------------------------------------------
-// Sliced tier: portable SWAR over 64-bit words. Multiplication by repeated
-// doubling -- the packed xtime step shifts every byte left one bit and
-// folds the overflow back with the 0x11D reduction polynomial's low byte
-// (0x1D), eight bytes at a time, no table lookups in the inner loop.
-// ---------------------------------------------------------------------------
-
-constexpr std::uint64_t kLow7 = 0x7F7F7F7F7F7F7F7FULL;
-constexpr std::uint64_t kHighBit = 0x8080808080808080ULL;
-
-inline std::uint64_t gf256_mul_word(std::uint64_t x, std::uint8_t a) {
-  std::uint64_t r = 0;
-  while (a != 0) {
-    if (a & 1) r ^= x;
-    a >>= 1;
-    // xtime on eight packed bytes: (hi >> 7) has one bit per overflowing
-    // byte; * 0x1D expands it to the reduction constant in that byte.
-    const std::uint64_t hi = x & kHighBit;
-    x = ((x & kLow7) << 1) ^ ((hi >> 7) * 0x1D);
-  }
-  return r;
-}
-
-inline std::uint64_t load_word(const std::uint8_t* p) {
-  std::uint64_t w;
-  std::memcpy(&w, p, sizeof(w));
-  return w;
-}
-
-inline void store_word(std::uint8_t* p, std::uint64_t w) {
-  std::memcpy(p, &w, sizeof(w));
-}
-
-void sliced_xor(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    store_word(dst + i, load_word(dst + i) ^ load_word(src + i));
-  }
-  for (; i < n; ++i) dst[i] ^= src[i];
-}
-
-void sliced_mul(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t a,
-                std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    store_word(dst + i, gf256_mul_word(load_word(src + i), a));
-  }
-  for (; i < n; ++i) dst[i] = GF256::mul(a, src[i]);
-}
-
-void sliced_axpy(std::uint8_t* dst, std::uint8_t a, const std::uint8_t* src,
-                 std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    store_word(dst + i,
-               load_word(dst + i) ^ gf256_mul_word(load_word(src + i), a));
-  }
-  for (; i < n; ++i) dst[i] ^= GF256::mul(a, src[i]);
-}
-
-void sliced_scale(std::uint8_t* dst, std::uint8_t a, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    store_word(dst + i, gf256_mul_word(load_word(dst + i), a));
-  }
-  for (; i < n; ++i) dst[i] = GF256::mul(a, dst[i]);
-}
-
-void sliced_axpy_batch(std::uint8_t* dst, const BatchTerm* terms,
-                       std::size_t num_terms, std::size_t n) {
-  // Sequential per term: the bit-sliced multiply is a dependent 8-step
-  // chain, so a fused per-word inner loop over terms serializes on the
-  // accumulator and measures slower than one pass per term (which the
-  // compiler can software-pipeline across words).
-  for (std::size_t t = 0; t < num_terms; ++t) {
-    sliced_axpy(dst, terms[t].coeff, terms[t].src, n);
-  }
-}
-
-constexpr KernelTable kSlicedTable = {sliced_xor, sliced_mul, sliced_axpy,
-                                      sliced_scale, sliced_axpy_batch};
-
-// ---------------------------------------------------------------------------
 // Dispatch.
 // ---------------------------------------------------------------------------
 
@@ -167,8 +85,6 @@ const KernelTable* table_for(Tier tier) {
   switch (tier) {
     case Tier::kScalar:
       return &kScalarTable;
-    case Tier::kSliced:
-      return &kSlicedTable;
     case Tier::kSsse3:
       return detail::ssse3_kernel_table();
     case Tier::kAvx2:
@@ -230,7 +146,6 @@ const CpuFeatures& cpu_features() {
 bool tier_available(Tier tier) {
   switch (tier) {
     case Tier::kScalar:
-    case Tier::kSliced:
       return true;
     case Tier::kSsse3:
       return cpu_features().ssse3 && detail::ssse3_kernel_table() != nullptr;
@@ -247,15 +162,13 @@ Tier best_available_tier() {
   if (tier_available(Tier::kGfni)) return Tier::kGfni;
   if (tier_available(Tier::kAvx2)) return Tier::kAvx2;
   if (tier_available(Tier::kSsse3)) return Tier::kSsse3;
-  return Tier::kSliced;
+  return Tier::kScalar;
 }
 
 const char* tier_name(Tier tier) {
   switch (tier) {
     case Tier::kScalar:
       return "scalar";
-    case Tier::kSliced:
-      return "sliced";
     case Tier::kSsse3:
       return "ssse3";
     case Tier::kAvx2:
@@ -268,7 +181,6 @@ const char* tier_name(Tier tier) {
 
 std::optional<Tier> parse_tier(std::string_view name) {
   if (name == "scalar") return Tier::kScalar;
-  if (name == "sliced") return Tier::kSliced;
   if (name == "ssse3") return Tier::kSsse3;
   if (name == "avx2") return Tier::kAvx2;
   if (name == "gfni") return Tier::kGfni;

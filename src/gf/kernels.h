@@ -2,12 +2,11 @@
 //
 // Encode / re-encode (Gamma_{i,k}) / decode (Psi_S) all reduce to
 // axpy/scale over byte vectors; these kernels are the innermost loop of
-// every one of those paths. Five implementation tiers exist:
+// every one of those paths. Four implementation tiers exist:
 //
 //   kScalar  -- the log/exp (short vectors) or product-table (long vectors)
-//               reference; always present, byte-identical ground truth.
-//   kSliced  -- portable 64-bit SWAR: eight bytes per word, multiply by
-//               repeated doubling with a packed xtime step. No intrinsics.
+//               reference; always present, byte-identical ground truth, and
+//               the fallback on CPUs without SSSE3.
 //   kSsse3   -- split-nibble PSHUFB: per-coefficient 16-entry low/high
 //               product tables, one shuffle pair per 16 bytes.
 //   kAvx2    -- the same split-nibble scheme on 32-byte lanes.
@@ -20,7 +19,7 @@
 //
 // The tier is selected once on first use from the CPU's capabilities
 // (gf::kernels::cpu_features()), can be pinned via the CAUSALEC_GF_KERNEL
-// environment variable ("scalar", "sliced", "ssse3", "avx2", "gfni", or
+// environment variable ("scalar", "ssse3", "avx2", "gfni", or
 // "auto"), and can be switched programmatically (set_active_tier) so tests
 // can run every tier against the scalar reference on one machine. An
 // unknown or unavailable CAUSALEC_GF_KERNEL value fails fast at first
@@ -45,13 +44,12 @@ namespace causalec::gf::kernels {
 
 enum class Tier : int {
   kScalar = 0,
-  kSliced = 1,
-  kSsse3 = 2,
-  kAvx2 = 3,
-  kGfni = 4,
+  kSsse3 = 1,
+  kAvx2 = 2,
+  kGfni = 3,
 };
 
-inline constexpr int kNumTiers = 5;
+inline constexpr int kNumTiers = 4;
 
 struct CpuFeatures {
   bool ssse3 = false;
@@ -65,13 +63,13 @@ struct CpuFeatures {
 const CpuFeatures& cpu_features();
 
 /// True iff the tier's code is compiled in AND the CPU can run it.
-/// kScalar and kSliced are always available.
+/// kScalar is always available.
 bool tier_available(Tier tier);
 
 /// Highest-throughput available tier.
 Tier best_available_tier();
 
-/// "scalar" / "sliced" / "ssse3" / "avx2" / "gfni".
+/// "scalar" / "ssse3" / "avx2" / "gfni".
 const char* tier_name(Tier tier);
 
 /// Inverse of tier_name; nullopt for unknown names (including "auto").

@@ -5,7 +5,7 @@
 // encode / re-encode / decode.
 //
 // Characteristic-2 fields route through the runtime-dispatched region
-// kernels in gf/kernels.h (scalar / 64-bit-sliced / SSSE3 / AVX2); odd-
+// kernels in gf/kernels.h (scalar / SSSE3 / AVX2 / GFNI); odd-
 // characteristic fields use the elementwise loops below. All tiers are
 // byte-identical to the scalar reference (pinned by tests/gf_kernel_test).
 //

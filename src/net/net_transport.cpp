@@ -4,7 +4,6 @@
 
 #include <chrono>
 
-#include "causalec/codec.h"
 #include "common/expect.h"
 #include "common/logging.h"
 #include "net/client_proto.h"
@@ -132,25 +131,22 @@ void PeerLink::retry_later() {
   loop_->schedule_after(kReconnectDelay, [this] { dial(); });
 }
 
-NetTransport::NetTransport(
-    std::vector<PeerLink*> links,
-    std::function<void(SimTime, std::function<void()>)> post_timer)
-    : links_(std::move(links)), post_timer_(std::move(post_timer)) {}
+NetTransport::NetTransport(std::vector<PeerLink*> links,
+                           runtime::AutomatonLoop* loop)
+    : links_(std::move(links)), loop_(loop) {}
 
 void NetTransport::send(NodeId to, sim::MessagePtr message) {
-  if (muted_) return;
   CEC_CHECK(to < links_.size() && links_[to] != nullptr);
-  links_[to]->send_frame(
-      encode_frame(causalec::serialize_message_frame(*message).span()));
+  links_[to]->send_frame(encode_frame(loop_->serialize(*message).span()));
 }
 
 void NetTransport::multicast(std::span<const NodeId> targets,
                              const std::function<sim::MessagePtr()>& make) {
-  if (muted_ || targets.empty()) return;
+  if (targets.empty()) return;
   // Serialize once; every destination link queues the same frame arena.
   const sim::MessagePtr message = make();
   const erasure::Buffer frame =
-      encode_frame(causalec::serialize_message_frame(*message).span());
+      encode_frame(loop_->serialize(*message).span());
   for (NodeId to : targets) {
     CEC_CHECK(to < links_.size() && links_[to] != nullptr);
     links_[to]->send_frame(frame);
@@ -158,13 +154,9 @@ void NetTransport::multicast(std::span<const NodeId> targets,
 }
 
 void NetTransport::schedule_after(SimTime delta, std::function<void()> fn) {
-  post_timer_(delta, std::move(fn));
+  loop_->schedule_after(delta, std::move(fn));
 }
 
-SimTime NetTransport::now() const {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+SimTime NetTransport::now() const { return runtime::AutomatonLoop::now(); }
 
 }  // namespace causalec::net

@@ -29,6 +29,7 @@
 #include "erasure/buffer.h"
 #include "net/connection.h"
 #include "net/event_loop.h"
+#include "runtime/automaton_loop.h"
 
 namespace causalec::net {
 
@@ -83,15 +84,14 @@ class PeerLink {
 /// Transport implementation handed to the Server automaton. send/multicast
 /// serialize through the codec, wrap the bytes in one frame arena
 /// (serialize once, share everywhere), and queue on the per-peer links.
-/// schedule_after/now are delegated to the automaton thread's timer queue
-/// (the Server only ever calls them from its own thread).
+/// Serialization timing and the timers behind schedule_after/now belong to
+/// the automaton loop hosting the server (the Server only ever calls them
+/// from that loop's thread).
 class NetTransport final : public causalec::Transport {
  public:
-  /// `links[j]` is the link to node j (null at the self index).
-  /// `post_timer` must enqueue the callback on the automaton thread.
-  NetTransport(
-      std::vector<PeerLink*> links,
-      std::function<void(SimTime delta_ns, std::function<void()>)> post_timer);
+  /// `links[j]` is the link to node j (null at the self index). `loop`
+  /// must outlive the transport.
+  NetTransport(std::vector<PeerLink*> links, runtime::AutomatonLoop* loop);
 
   void send(NodeId to, sim::MessagePtr message) override;
   void multicast(std::span<const NodeId> targets,
@@ -99,14 +99,9 @@ class NetTransport final : public causalec::Transport {
   void schedule_after(SimTime delta, std::function<void()> fn) override;
   SimTime now() const override;
 
-  /// Muted during WAL replay (restore_from_journal re-runs handlers whose
-  /// sends already reached the network before the crash).
-  void set_muted(bool muted) { muted_ = muted; }
-
  private:
   std::vector<PeerLink*> links_;
-  std::function<void(SimTime, std::function<void()>)> post_timer_;
-  bool muted_ = false;
+  runtime::AutomatonLoop* loop_;
 };
 
 }  // namespace causalec::net

@@ -1,9 +1,7 @@
 #include "net/node_daemon.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "causalec/codec.h"
 #include "common/expect.h"
 #include "common/logging.h"
 #include "net/frame.h"
@@ -18,7 +16,10 @@ using Clock = std::chrono::steady_clock;
 }  // namespace
 
 NodeDaemon::NodeDaemon(erasure::CodePtr code, NodeDaemonConfig config)
-    : code_(std::move(code)), config_(std::move(config)) {
+    : code_(std::move(code)),
+      config_(std::move(config)),
+      loop_(config_.node, config_.server.obs, config_.gc_period,
+            config_.snapshot_period) {
   const std::size_t n = code_->num_servers();
   CEC_CHECK(config_.node < n);
   CEC_CHECK(config_.shards >= 1);
@@ -40,18 +41,18 @@ NodeDaemon::NodeDaemon(erasure::CodePtr code, NodeDaemonConfig config)
     links_.push_back(std::make_unique<PeerLink>(
         loop, config_.node, peer, addr->first, addr->second,
         [this](NodeId who, bool down) {
-          // Loop thread -> automaton thread.
-          post_task([this, who, down] { server_->set_peer_down(who, down); });
+          // Shard thread -> automaton thread.
+          loop_.post([this, who, down] { server_->set_peer_down(who, down); });
         }));
     link_ptrs_[peer] = links_.back().get();
   }
-  transport_ = std::make_unique<NetTransport>(
-      link_ptrs_, [this](SimTime delta_ns, std::function<void()> fn) {
-        post_timer(delta_ns, std::move(fn));
-      });
+  transport_ = std::make_unique<NetTransport>(link_ptrs_, &loop_);
   server_ = std::make_unique<causalec::Server>(config_.node, code_,
                                                config_.server,
                                                transport_.get());
+  // A batch may have advanced the clock (applied writes, anti-entropy), so
+  // parked routed requests get one retry after each.
+  loop_.set_post_batch([this] { retry_parked(); });
   // Seed the opid counter from wall-clock seconds (see header); the mask
   // keeps bit 63 clear past 2038.
   const auto secs = std::chrono::duration_cast<std::chrono::seconds>(
@@ -82,27 +83,21 @@ void NodeDaemon::start() {
                   "cannot bind shard " << i << " listener on port "
                                        << listen_port_);
   }
-  // Restore durable state before any IO thread exists: the replay runs on
-  // this thread with the transport muted (replayed handlers re-run sends
-  // that already reached the network before the crash).
+  // Restore durable state before any other thread exists: the replay runs
+  // on this thread.
   if (!config_.data_dir.empty()) {
     backend_ = std::make_unique<persist::DirBackend>(config_.data_dir);
     journal_ = std::make_unique<persist::Journal>(
         backend_.get(), "s" + std::to_string(config_.node));
     server_->attach_journal(journal_.get());
-    const persist::RecoveredState recovered = journal_->load();
-    if (recovered.image.has_value() || !recovered.wal.empty()) {
-      recovered_ = true;
-      transport_->set_muted(true);
-      server_->restore_from_journal(recovered);
-      // Checkpoint the replayed state so a second crash before the next
-      // snapshot timer does not replay the whole WAL again.
-      journal_->save_snapshot(server_->capture_image());
-      transport_->set_muted(false);
+    recovered_ = server_->restore_from_journal();
+    if (recovered_) {
       CEC_LOG(kInfo) << "net: node " << config_.node
                      << " restored durable state from " << config_.data_dir;
     }
   }
+  // The automaton loop runs before the shards can hand it work.
+  loop_.start(*server_);
   for (auto& shard : shards_) shard->loop->start();
   for (auto& shard : shards_) {
     Shard* s = shard.get();
@@ -116,12 +111,11 @@ void NodeDaemon::start() {
                      [this, s](std::uint32_t) { accept_ready(s); });
     });
   }
-  automaton_ = std::thread([this] { run_automaton(); });
   for (auto& link : links_) link->start();
   // The rejoin digest goes out as the automaton's first real work; frames
   // to still-dialing peers queue in the PeerLink start-up grace window.
   if (recovered_) {
-    post_task([this] { server_->begin_rejoin(); });
+    loop_.post([this] { server_->begin_rejoin(); });
   }
   ready_.store(true, std::memory_order_release);
 }
@@ -133,12 +127,7 @@ void NodeDaemon::stop() {
   // automaton sends to dead loops become no-op posts.
   for (auto& link : links_) link->shutdown();
   for (auto& shard : shards_) shard->loop->stop();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (automaton_.joinable()) automaton_.join();
+  loop_.stop();
   started_ = false;
 }
 
@@ -192,7 +181,7 @@ void NodeDaemon::handle_inbound_frame(
       // A CausalEC protocol frame: attribute it to the channel's node and
       // hand the still-serialized bytes to the automaton (deserialization
       // happens there, aliasing this frame's arena).
-      enqueue_frame(state->peer_node, std::move(payload));
+      loop_.deliver_frame(state->peer_node, std::move(payload));
       return;
     }
     CEC_LOG(kWarn) << "net: peer " << state->peer_node
@@ -219,7 +208,7 @@ void NodeDaemon::handle_inbound_frame(
         break;
       }
       state->shard->client_ops.fetch_add(1, std::memory_order_relaxed);
-      post_task([this, req = std::move(*req), conn]() mutable {
+      loop_.post([this, req = std::move(*req), conn]() mutable {
         handle_write_req(std::move(req), conn);
       });
       return;
@@ -229,12 +218,12 @@ void NodeDaemon::handle_inbound_frame(
       if (!req.has_value()) break;
       if (req->object >= code_->num_objects()) break;
       state->shard->client_ops.fetch_add(1, std::memory_order_relaxed);
-      post_task([this, req = *req, conn] { handle_read_req(req, conn); });
+      loop_.post([this, req = *req, conn] { handle_read_req(req, conn); });
       return;
     }
     case ClientMsgType::kStatsReq: {
       if (!decode_stats_req(std::move(payload))) break;
-      post_task([this, conn] { handle_stats_req(conn); });
+      loop_.post([this, conn] { handle_stats_req(conn); });
       return;
     }
     case ClientMsgType::kRoutedWriteReq: {
@@ -256,7 +245,7 @@ void NodeDaemon::handle_inbound_frame(
       op.frontier = std::move(req->frontier);
       op.value = std::move(req->value);
       op.conn = conn;
-      post_task([this, op = std::move(op)]() mutable {
+      loop_.post([this, op = std::move(op)]() mutable {
         handle_routed_op(std::move(op));
       });
       return;
@@ -278,7 +267,7 @@ void NodeDaemon::handle_inbound_frame(
       op.object = req->object;
       op.frontier = std::move(req->frontier);
       op.conn = conn;
-      post_task([this, op = std::move(op)]() mutable {
+      loop_.post([this, op = std::move(op)]() mutable {
         handle_routed_op(std::move(op));
       });
       return;
@@ -290,35 +279,6 @@ void NodeDaemon::handle_inbound_frame(
                     "(type "
                  << static_cast<int>(*type) << ")";
   conn->close();
-}
-
-void NodeDaemon::post_task(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return;
-    tasks_.push_back(std::move(task));
-  }
-  cv_.notify_all();
-}
-
-void NodeDaemon::enqueue_frame(NodeId from, erasure::Buffer frame) {
-  {
-    std::lock_guard<std::mutex> lock(inbox_mu_);
-    inbox_.push_back(Inbound{from, std::move(frame)});
-    inbox_ready_.store(true, std::memory_order_release);
-  }
-  // Empty lock_guard fences against the lost-wakeup race (see
-  // runtime/threaded_cluster.cpp).
-  { std::lock_guard<std::mutex> lock(mu_); }
-  cv_.notify_all();
-}
-
-void NodeDaemon::post_timer(SimTime delta_ns, std::function<void()> fn) {
-  // Only ever called from the automaton thread (all server execution is
-  // marshalled there) or from start() while it is not yet running, so the
-  // timer list needs no locking.
-  timers_.push_back(
-      {Clock::now() + std::chrono::nanoseconds(delta_ns), std::move(fn)});
 }
 
 OpId NodeDaemon::next_daemon_opid() { return opid_counter_++; }
@@ -436,81 +396,6 @@ void NodeDaemon::handle_stats_req(std::shared_ptr<Connection> conn) {
     s.shard_ops.push_back(shard->client_ops.load(std::memory_order_relaxed));
   }
   conn->send(encode_frame(encode_stats_resp(s)));
-}
-
-void NodeDaemon::run_automaton() {
-  set_log_thread_node(static_cast<int>(config_.node));
-  // Automaton-local arena recycling: deserialized payloads and re-encode
-  // scratch all allocate on this thread, so one pool captures the daemon's
-  // entire data-path allocation traffic.
-  erasure::BufferPool buffer_pool;
-  erasure::BufferPool::ScopedInstall pool_installed(buffer_pool);
-  auto next_gc = Clock::now() + config_.gc_period;
-  auto next_snapshot = Clock::now() + config_.snapshot_period;
-  while (true) {
-    std::deque<std::function<void()>> batch;
-    std::vector<Inbound> inbound;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      auto deadline = next_gc;
-      if (journal_ != nullptr) deadline = std::min(deadline, next_snapshot);
-      for (const auto& timer : timers_) {
-        deadline = std::min(deadline, timer.at);
-      }
-      cv_.wait_until(lock, deadline, [this] {
-        return stop_ || !tasks_.empty() ||
-               inbox_ready_.load(std::memory_order_acquire);
-      });
-      if (stop_) return;
-      batch.swap(tasks_);
-    }
-    {
-      std::lock_guard<std::mutex> lock(inbox_mu_);
-      inbound.swap(inbox_);
-      inbox_ready_.store(false, std::memory_order_release);
-    }
-    for (auto& task : batch) task();
-    if (!inbound.empty()) {
-      for (Inbound& in : inbound) {
-        std::string error;
-        sim::MessagePtr message =
-            try_deserialize_message(std::move(in.frame), &error);
-        if (message == nullptr) {
-          // Remote bytes are untrusted: malformed protocol frames are
-          // dropped, never fatal.
-          CEC_LOG(kWarn) << "net: dropping malformed frame from node "
-                         << in.from << ": " << error;
-          continue;
-        }
-        server_->dispatch_message(in.from, std::move(message));
-      }
-      // One Apply/Encoding fixpoint for the whole batch.
-      server_->run_internal_actions();
-    }
-    // The batch may have advanced the clock (applied writes, anti-entropy):
-    // parked routed requests get one retry per loop iteration, and the
-    // cv wait above never sleeps longer than gc_period, so the serve
-    // latency after the frontier is reached is bounded by that period.
-    retry_parked();
-    const auto now = Clock::now();
-    for (std::size_t i = 0; i < timers_.size();) {
-      if (timers_[i].at <= now) {
-        auto fn = std::move(timers_[i].fn);
-        timers_.erase(timers_.begin() + static_cast<std::ptrdiff_t>(i));
-        fn();
-      } else {
-        ++i;
-      }
-    }
-    if (now >= next_gc) {
-      server_->run_garbage_collection();
-      next_gc = now + config_.gc_period;
-    }
-    if (journal_ != nullptr && now >= next_snapshot) {
-      journal_->save_snapshot(server_->capture_image());
-      next_snapshot = now + config_.snapshot_period;
-    }
-  }
 }
 
 }  // namespace causalec::net

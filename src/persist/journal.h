@@ -3,8 +3,9 @@
 // server absorbed since that snapshot -- protocol frames it dispatched and
 // client writes it accepted. On restart, load() returns the snapshot plus
 // the WAL suffix; the server restores the image and re-dispatches the
-// records with its transport muted, which deterministically reproduces the
-// pre-crash state (modulo GC, which only shrinks state and re-runs anyway).
+// records with its own sends suppressed, which deterministically reproduces
+// the pre-crash state (modulo GC, which only shrinks state and re-runs
+// anyway).
 //
 // WAL records are individually checksummed and the tail is allowed to be
 // torn: a crash mid-append loses at most the record being written, which the

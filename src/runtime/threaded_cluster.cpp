@@ -1,119 +1,47 @@
 #include "runtime/threaded_cluster.h"
 
 #include <atomic>
-#include <deque>
 #include <future>
 
-#include "causalec/codec.h"
 #include "common/expect.h"
-#include "erasure/buffer.h"
-#include "common/logging.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "runtime/automaton_loop.h"
 
 namespace causalec::runtime {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-SimTime to_ns(Clock::time_point tp) {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             tp.time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
-/// One server node: an OS thread draining a FIFO mailbox of tasks and a
-/// separate inbound-message inbox, firing wall-clock timers, and running
-/// periodic garbage collection.
-///
-/// The inbox is a two-lock swap-and-drain MPSC queue: producers append raw
-/// frames under `inbox_mu_` (no closure allocation, no contention with the
-/// consumer's wait mutex), the node thread swaps the whole batch out under
-/// one lock acquisition, dispatches every message, and runs the
-/// Apply/Encoding fixpoint once per batch instead of once per message.
+/// One server node: its Server automaton driven by an AutomatonLoop thread.
 class ThreadedCluster::Node {
  public:
   Node(NodeId id, erasure::CodePtr code, const ThreadedClusterConfig& config,
        ThreadedCluster* cluster)
       : id_(id),
-        config_(&config),
         cluster_(cluster),
         transport_(this),
-        server_(id, std::move(code), config.server, &transport_) {
-    if (obs::MetricsRegistry* metrics = config.obs.metrics) {
-      m_queue_wait_ = &metrics->histogram("phase.queue_wait_ns");
-      m_deserialize_ = &metrics->histogram("phase.deserialize_ns");
-      m_mailbox_depth_ =
-          &metrics->gauge("runtime.mailbox_depth.s" + std::to_string(id));
-    }
-  }
+        server_(id, std::move(code), config.server, &transport_),
+        loop_(id, config.server.obs, config.gc_period,
+              config.snapshot_period) {}
 
-  void start() { thread_ = std::thread([this] { run(); }); }
+  void start() { loop_.start(server_); }
 
   void stop() {
     accepting_.store(false, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    if (thread_.joinable()) thread_.join();
-  }
-
-  void attach_journal(persist::Journal* journal) {
-    journal_ = journal;
-    server_.attach_journal(journal);
+    loop_.stop();
   }
 
   bool accepting() const {
     return accepting_.load(std::memory_order_acquire);
   }
 
-  /// Recover the node from its journal and restart its thread. Only legal
-  /// while the thread is stopped: the snapshot + WAL replay runs on the
-  /// caller's thread (safe -- the automaton has no other thread), the
-  /// pre-crash mailbox/tasks/timers are discarded, and the rejoin round is
-  /// posted as the restarted thread's first task.
+  /// Recover the node from its journal and restart its loop. Only legal
+  /// while the loop is stopped: the restore runs on the caller's thread
+  /// (safe -- the automaton has no other thread), and the rejoin round is
+  /// the restarted loop's first task.
   void recover_and_restart() {
-    CEC_CHECK(!thread_.joinable());
-    CEC_CHECK(journal_ != nullptr);
-    {
-      std::lock_guard<std::mutex> lock(inbox_mu_);
-      inbox_.clear();
-      inbox_ready_.store(false, std::memory_order_release);
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      tasks_.clear();
-      stop_ = false;
-    }
-    timers_.clear();
-    muted_ = true;
-    // Post-mortem: dump the last protocol events the node recorded before
-    // its crash, before journal replay starts reusing the ring.
-    obs::log_flight_tail(static_cast<int>(id_), server_.flight_recorder());
-    server_.restore_from_journal(journal_->load());
-    // Checkpoint the replayed state so a second crash before the next
-    // snapshot timer does not replay the whole WAL again.
-    journal_->save_snapshot(server_.capture_image());
-    muted_ = false;
+    server_.restore_from_journal();
     accepting_.store(true, std::memory_order_release);
-    thread_ = std::thread([this] { run(); });
-    post([this] { server_.begin_rejoin(); });
-  }
-
-  /// Enqueue a task for the node thread (any thread may call).
-  void post(std::function<void()> task) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stop_) return;
-      tasks_.push_back(std::move(task));
-    }
-    cv_.notify_all();
+    loop_.start(server_);
+    loop_.post([this] { server_.begin_rejoin(); });
   }
 
   /// Run `fn` on the node thread and wait for its result.
@@ -122,218 +50,48 @@ class ThreadedCluster::Node {
     using Result = decltype(fn());
     std::promise<Result> promise;
     auto future = promise.get_future();
-    post([&promise, fn = std::forward<Fn>(fn)]() mutable {
+    loop_.post([&promise, fn = std::forward<Fn>(fn)]() mutable {
       promise.set_value(fn());
     });
     return future.get();
   }
 
   Server& server() { return server_; }
-
-  /// Called by peers' transports: deliver a serialized frame from `from`.
-  /// A broadcast passes the same Buffer to every destination, sharing the
-  /// arena; deserialization happens on the node thread and its payloads
-  /// alias the frame.
-  void deliver_frame(NodeId from, erasure::Buffer frame) {
-    enqueue(Inbound{from, std::move(frame), nullptr, Clock::now()});
-  }
-
-  void deliver_direct(NodeId from, sim::MessagePtr message) {
-    enqueue(Inbound{from, {}, std::move(message), Clock::now()});
-  }
+  AutomatonLoop& loop() { return loop_; }
 
  private:
-  /// One inbound network message, either still-serialized (`frame`) or an
-  /// in-memory object (`message`, when serialize_messages = false).
-  struct Inbound {
-    NodeId from;
-    erasure::Buffer frame;
-    sim::MessagePtr message;
-    Clock::time_point enqueued_at;  // mailbox queue-wait measurement
-  };
-
   class NodeTransport final : public Transport {
    public:
     explicit NodeTransport(Node* node) : node_(node) {}
 
     void send(NodeId to, sim::MessagePtr message) override {
-      // Muted during WAL replay: the replayed handlers re-run their sends,
-      // which already reached the network before the crash.
-      if (node_->muted_) return;
       node_->cluster_->route(node_->id_, to, std::move(message));
     }
 
     void multicast(std::span<const NodeId> targets,
                    const std::function<sim::MessagePtr()>& make) override {
-      if (node_->muted_) return;
       node_->cluster_->multicast_route(node_->id_, targets, make);
     }
 
     void schedule_after(SimTime delta_ns,
                         std::function<void()> fn) override {
-      // Only ever called from the node's own thread (all server execution
-      // is marshalled there) or from recover_and_restart() while the
-      // thread is down, so the timer list needs no locking.
-      node_->timers_.push_back(
-          {Clock::now() + std::chrono::nanoseconds(delta_ns),
-           std::move(fn)});
+      node_->loop_.schedule_after(delta_ns, std::move(fn));
     }
 
-    SimTime now() const override { return to_ns(Clock::now()); }
+    SimTime now() const override { return AutomatonLoop::now(); }
 
    private:
     Node* node_;
   };
 
-  /// Producer side of the inbox. The data lock (`inbox_mu_`) is disjoint
-  /// from the consumer's wait lock (`mu_`); the empty lock_guard on `mu_`
-  /// fences against the lost-wakeup race (the consumer either sees
-  /// `inbox_ready_` in its predicate or is already waiting when we
-  /// notify).
-  void enqueue(Inbound in) {
-    {
-      std::lock_guard<std::mutex> lock(inbox_mu_);
-      inbox_.push_back(std::move(in));
-      inbox_ready_.store(true, std::memory_order_release);
-    }
-    { std::lock_guard<std::mutex> lock(mu_); }
-    cv_.notify_all();
-  }
-
-  void trace_deliver(NodeId from, const sim::Message& message) {
-    if (obs::Tracer* tracer = config_->obs.tracer) {
-      const SimTime now_ns = to_ns(Clock::now());
-      tracer->instant("msg.deliver", id_, now_ns,
-                      {{"from", std::uint64_t{from}},
-                       {"type", message.type_name()},
-                       {"bytes", std::uint64_t{message.wire_bytes()}}});
-      if (message.trace.traced()) {
-        tracer->flow_finish(std::string("flow.") + message.type_name(), id_,
-                            now_ns, message.trace.span_id,
-                            {{"trace", message.trace.trace_id}});
-      }
-    }
-  }
-
-  void run() {
-    set_log_thread_node(static_cast<int>(id_));
-    // Node-local arena recycling: payload buffers allocated while handling
-    // this node's messages come from (and return to) this pool, so the
-    // steady-state data path stops malloc'ing. A restarted node gets a
-    // fresh pool; the old one folds its counters on close.
-    erasure::BufferPool buffer_pool;
-    erasure::BufferPool::ScopedInstall pool_installed(buffer_pool);
-    auto next_gc = Clock::now() + config_->gc_period;
-    auto next_snapshot = Clock::now() + config_->snapshot_period;
-    while (true) {
-      std::deque<std::function<void()>> batch;
-      std::vector<Inbound> inbound;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        auto deadline = next_gc;
-        if (journal_ != nullptr) deadline = std::min(deadline, next_snapshot);
-        for (const auto& timer : timers_) {
-          deadline = std::min(deadline, timer.at);
-        }
-        cv_.wait_until(lock, deadline, [this] {
-          return stop_ || !tasks_.empty() ||
-                 inbox_ready_.load(std::memory_order_acquire);
-        });
-        if (stop_) return;
-        batch.swap(tasks_);
-      }
-      {
-        std::lock_guard<std::mutex> lock(inbox_mu_);
-        inbound.swap(inbox_);
-        inbox_ready_.store(false, std::memory_order_release);
-      }
-      for (auto& task : batch) task();
-      if (!inbound.empty()) {
-        if (m_mailbox_depth_ != nullptr) {
-          // Depth the drain found waiting: queue buildup shows here before
-          // it becomes tail latency.
-          m_mailbox_depth_->set(static_cast<std::int64_t>(inbound.size()));
-        }
-        for (Inbound& in : inbound) {
-          if (m_queue_wait_ != nullptr) {
-            m_queue_wait_->observe(static_cast<std::uint64_t>(
-                to_ns(Clock::now()) - to_ns(in.enqueued_at)));
-          }
-          sim::MessagePtr message;
-          if (in.message != nullptr) {
-            message = std::move(in.message);
-          } else if (m_deserialize_ != nullptr) {
-            const SimTime t0 = to_ns(Clock::now());
-            message = deserialize_message(std::move(in.frame));
-            m_deserialize_->observe(
-                static_cast<std::uint64_t>(to_ns(Clock::now()) - t0));
-          } else {
-            message = deserialize_message(std::move(in.frame));
-          }
-          trace_deliver(in.from, *message);
-          server_.dispatch_message(in.from, std::move(message));
-        }
-        // One Apply/Encoding fixpoint for the whole batch.
-        server_.run_internal_actions();
-      }
-      // Due timers (fan-out timeouts etc.).
-      const auto now = Clock::now();
-      for (std::size_t i = 0; i < timers_.size();) {
-        if (timers_[i].at <= now) {
-          auto fn = std::move(timers_[i].fn);
-          timers_.erase(timers_.begin() + static_cast<std::ptrdiff_t>(i));
-          fn();
-        } else {
-          ++i;
-        }
-      }
-      if (now >= next_gc) {
-        server_.run_garbage_collection();
-        next_gc = now + config_->gc_period;
-      }
-      if (journal_ != nullptr && now >= next_snapshot) {
-        journal_->save_snapshot(server_.capture_image());
-        next_snapshot = now + config_->snapshot_period;
-      }
-    }
-  }
-
-  struct Timer {
-    Clock::time_point at;
-    std::function<void()> fn;
-  };
-
   NodeId id_;
-  const ThreadedClusterConfig* config_;
   ThreadedCluster* cluster_;
   NodeTransport transport_;
   Server server_;
-
-  std::thread thread_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> tasks_;
-  bool stop_ = false;
-  std::vector<Timer> timers_;  // node-thread only
-
-  // Phase-decomposition handles (null when metrics are off).
-  obs::Histogram* m_queue_wait_ = nullptr;
-  obs::Histogram* m_deserialize_ = nullptr;
-  obs::Gauge* m_mailbox_depth_ = nullptr;
-
-  persist::Journal* journal_ = nullptr;
+  AutomatonLoop loop_;  // declared last: joins before server_ dies
   /// False between stop() and recover_and_restart(): peers' frames for
   /// this node are dropped at the router, like a dead NIC.
   std::atomic<bool> accepting_{true};
-  /// Caller-thread only, and only while the node thread is down.
-  bool muted_ = false;
-
-  // Inbound-message inbox (see class comment).
-  std::mutex inbox_mu_;
-  std::vector<Inbound> inbox_;
-  std::atomic<bool> inbox_ready_{false};
-
-  friend class ThreadedCluster;
 };
 
 ThreadedCluster::ThreadedCluster(erasure::CodePtr code,
@@ -344,7 +102,6 @@ ThreadedCluster::ThreadedCluster(erasure::CodePtr code,
   }
   if (config_.obs.metrics != nullptr) {
     config_.server.obs.metrics = config_.obs.metrics;
-    m_serialize_ = &config_.obs.metrics->histogram("phase.serialize_ns");
   }
   const std::size_t n = code_->num_servers();
   nodes_.reserve(n);
@@ -358,7 +115,7 @@ ThreadedCluster::ThreadedCluster(erasure::CodePtr code,
       key += std::to_string(s);
       journals_.push_back(std::make_unique<persist::Journal>(
           config_.persistence, std::move(key)));
-      nodes_[s]->attach_journal(journals_[s].get());
+      nodes_[s]->server().attach_journal(journals_[s].get());
     }
   }
   for (auto& node : nodes_) node->start();
@@ -381,7 +138,7 @@ void ThreadedCluster::note_send(NodeId from, NodeId to,
     metrics->counter(std::string("net.bytes.") + type).inc(bytes);
   }
   if (obs::Tracer* tracer = config_.obs.tracer) {
-    const SimTime now_ns = to_ns(Clock::now());
+    const SimTime now_ns = AutomatonLoop::now();
     tracer->instant("msg.send", from, now_ns,
                     {{"to", std::uint64_t{to}},
                      {"type", message.type_name()},
@@ -400,15 +157,10 @@ void ThreadedCluster::route(NodeId from, NodeId to, sim::MessagePtr message) {
   note_send(from, to, *message);
   if (!nodes_[to]->accepting()) return;  // crashed node: frame is lost
   if (config_.serialize_messages) {
-    const SimTime t0 = m_serialize_ != nullptr ? to_ns(Clock::now()) : 0;
-    auto frame = serialize_message_frame(*message);
-    if (m_serialize_ != nullptr) {
-      m_serialize_->observe(
-          static_cast<std::uint64_t>(to_ns(Clock::now()) - t0));
-    }
-    nodes_[to]->deliver_frame(from, std::move(frame));
+    nodes_[to]->loop().deliver_frame(from,
+                                     nodes_[from]->loop().serialize(*message));
   } else {
-    nodes_[to]->deliver_direct(from, std::move(message));
+    nodes_[to]->loop().deliver_message(from, std::move(message));
   }
 }
 
@@ -422,17 +174,12 @@ void ThreadedCluster::multicast_route(
   }
   // Serialize once; every destination mailbox shares the frame's arena.
   const sim::MessagePtr message = make();
-  const SimTime t0 = m_serialize_ != nullptr ? to_ns(Clock::now()) : 0;
-  const erasure::Buffer frame = serialize_message_frame(*message);
-  if (m_serialize_ != nullptr) {
-    m_serialize_->observe(
-        static_cast<std::uint64_t>(to_ns(Clock::now()) - t0));
-  }
+  const erasure::Buffer frame = nodes_[from]->loop().serialize(*message);
   for (NodeId to : targets) {
     CEC_CHECK(to < nodes_.size());
     note_send(from, to, *message);
     if (!nodes_[to]->accepting()) continue;  // crashed node: frame is lost
-    nodes_[to]->deliver_frame(from, frame);
+    nodes_[to]->loop().deliver_frame(from, frame);
   }
 }
 
@@ -489,7 +236,7 @@ void ThreadedCluster::read_async(
                 "read: node " << at << " is stopped");
   const OpId opid = next_opid_.fetch_add(1);
   Node* node = nodes_[at].get();
-  node->post([node, client, opid, object, done = std::move(done)] {
+  node->loop().post([node, client, opid, object, done = std::move(done)] {
     node->server().client_read(
         client, opid, object,
         [done](const erasure::Value& value, const Tag& tag,
@@ -517,6 +264,7 @@ std::uint64_t ThreadedCluster::total_error_events() {
 }
 
 bool ThreadedCluster::await_convergence(std::chrono::milliseconds timeout) {
+  using Clock = std::chrono::steady_clock;
   const auto deadline = Clock::now() + timeout;
   int stable_polls = 0;
   while (Clock::now() < deadline) {

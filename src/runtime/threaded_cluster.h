@@ -1,10 +1,10 @@
 // ThreadedCluster: CausalEC on real threads.
 //
 // The same Server automaton that runs on the discrete-event simulator,
-// deployed with one OS thread per server node: mutex-guarded FIFO
-// mailboxes as channels, wall-clock garbage-collection timers, and
-// (optionally) every message passed through the binary codec so real bytes
-// cross the node boundary.
+// deployed with one AutomatonLoop thread per server node (the driver
+// NodeDaemon shares): batched mailboxes as channels, wall-clock GC and
+// snapshot timers, and (optionally) every message passed through the
+// binary codec so real bytes cross the node boundary.
 //
 // The client API is thread-safe and marshals every operation onto the
 // owning node's thread (the automaton itself is single-threaded by
@@ -13,10 +13,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <thread>
 #include <vector>
@@ -92,9 +90,9 @@ class ThreadedCluster {
   void stop_node(NodeId id);
 
   /// Restart a stopped node from its durable state (requires
-  /// ThreadedClusterConfig::persistence): reload snapshot + WAL with the
-  /// transport muted, checkpoint the replayed state, restart the thread,
-  /// then run the anti-entropy rejoin round on it (DESIGN.md §9).
+  /// ThreadedClusterConfig::persistence): Server::restore_from_journal,
+  /// restart the thread, then run the anti-entropy rejoin round on it
+  /// (DESIGN.md §9).
   void start_node(NodeId id);
 
   /// True while the node's thread is accepting traffic.
@@ -119,8 +117,6 @@ class ThreadedCluster {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<persist::Journal>> journals_;
   std::atomic<OpId> next_opid_{1};
-  /// Broadcast-serialize phase histogram (null when metrics are off).
-  obs::Histogram* m_serialize_ = nullptr;
 };
 
 }  // namespace causalec::runtime

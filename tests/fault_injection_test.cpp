@@ -252,12 +252,12 @@ INSTANTIATE_TEST_SUITE_P(
                       PlanParams{103, 6, 3, {0, 1, 2}, false},
                       PlanParams{104, 7, 4, {6, 0}, true},
                       PlanParams{105, 6, 4, {3}, true}),
-    [](const auto& info) {
-      return "seed" + std::to_string(info.param.seed) + "_n" +
-             std::to_string(info.param.n) + "k" +
-             std::to_string(info.param.k) + "c" +
-             std::to_string(info.param.crash_nodes.size()) +
-             (info.param.nearest_fanout ? "_nearest" : "_broadcast");
+    [](const auto& test_info) {
+      const PlanParams& p = test_info.param;
+      return "seed" + std::to_string(p.seed) + "_n" + std::to_string(p.n) +
+             "k" + std::to_string(p.k) + "c" +
+             std::to_string(p.crash_nodes.size()) +
+             (p.nearest_fanout ? "_nearest" : "_broadcast");
     });
 
 TEST(FaultInjectionTest, CrashedRecoverySetMemberTriggersBroadcastFallback) {

@@ -92,7 +92,9 @@ TEST(DelListPropertyTest, MatchesBruteForceUnderRandomInserts) {
         const auto got = del.floor_of(subset);
         const auto want = mirror.floor_of(subset);
         EXPECT_EQ(got.has_value(), want.has_value());
-        if (got) EXPECT_TRUE(*got == *want);
+        if (got) {
+          EXPECT_TRUE(*got == *want);
+        }
       }
       // Sbar: exact membership at every server.
       const Tag& probe = universe[rng.next_below(universe.size())];
@@ -159,7 +161,9 @@ TEST(DelListPropertyTest, CompactionPreservesEveryLiveQuery) {
         const auto got = del.floor_of(subset);
         const auto want = mirror.floor_of(subset);
         ASSERT_EQ(got.has_value(), want.has_value());
-        if (got) EXPECT_TRUE(*got == *want);
+        if (got) {
+          EXPECT_TRUE(*got == *want);
+        }
       }
     }
     // Exact membership is preserved for every tag >= tmax.
@@ -235,7 +239,9 @@ TEST(HistoryListPropertyTest, MatchesBruteForceUnderInsertsAndPrunes) {
           if (m <= tag) want = m;
         }
         ASSERT_EQ(got.has_value(), want.has_value());
-        if (got) EXPECT_TRUE(*got == *want);
+        if (got) {
+          EXPECT_TRUE(*got == *want);
+        }
       }
     }
   }

@@ -1,5 +1,5 @@
 // Differential property tests for the dispatched GF kernel tiers: every
-// available tier (scalar / sliced / SSSE3 / AVX2) must produce output
+// available tier (scalar / SSSE3 / AVX2 / GFNI) must produce output
 // byte-identical to the scalar reference for add_into / sub_into / axpy /
 // scale over GF(2^8), GF(2^16), and F_257, across random coefficients,
 // adversarial lengths (0, 1, SIMD-block boundaries, the scalar
@@ -34,9 +34,9 @@ std::vector<Tier> available_tiers() {
   return tiers;
 }
 
-/// Adversarial lengths: 0/1, every SIMD block boundary +-1 (8 for the
-/// sliced tier, 16 for SSSE3, 32 for AVX2), the scalar product-table
-/// threshold +-1, and a 64 KiB block.
+/// Adversarial lengths: 0/1, word and SIMD block boundaries +-1 (8, 16 for
+/// SSSE3, 32 for AVX2, 64 for GFNI), the scalar product-table threshold
+/// +-1, and a 64 KiB block.
 const std::size_t kLengths[] = {0,    1,    7,    8,    9,    15,   16,
                                 17,   31,   32,   33,   63,   64,   65,
                                 1023, 1024, 1025, 4096, 65536};
@@ -254,9 +254,8 @@ TEST(GfKernelDifferentialTest, AxpyBatchMatchesSequentialAxpy) {
 // Dispatch plumbing.
 // ---------------------------------------------------------------------------
 
-TEST(GfKernelDispatchTest, ScalarAndSlicedAlwaysAvailable) {
+TEST(GfKernelDispatchTest, ScalarAlwaysAvailable) {
   EXPECT_TRUE(kernels::tier_available(Tier::kScalar));
-  EXPECT_TRUE(kernels::tier_available(Tier::kSliced));
   EXPECT_TRUE(kernels::tier_available(kernels::best_available_tier()));
   EXPECT_TRUE(kernels::tier_available(kernels::active_tier()));
 }
@@ -293,7 +292,7 @@ TEST(GfKernelDispatchTest, CpuFeaturesGateSimdTiers) {
   if (!cpu.gfni_avx512) {
     EXPECT_FALSE(kernels::tier_available(Tier::kGfni));
   }
-  // The tier order is gfni > avx2 > ssse3 > sliced; the best tier must be
+  // The tier order is gfni > avx2 > ssse3 > scalar; the best tier must be
   // the highest one the CPU (and build) can run.
   if (kernels::tier_available(Tier::kGfni)) {
     EXPECT_EQ(kernels::best_available_tier(), Tier::kGfni);

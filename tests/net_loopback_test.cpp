@@ -4,6 +4,7 @@
 // under all three sanitizers); tests/net_cluster_test.cpp is the separate
 // multi-process battery.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -12,12 +13,16 @@
 #include <thread>
 #include <vector>
 
+#include "causalec/codec.h"
 #include "consistency/causal_checker.h"
 #include "consistency/history.h"
 #include "erasure/codes.h"
+#include "net/frame.h"
 #include "net/net_client.h"
 #include "net/node_daemon.h"
 #include "net/process_cluster.h"
+#include "net/socket.h"
+#include "obs/metrics.h"
 
 namespace causalec::net {
 namespace {
@@ -119,6 +124,7 @@ class NetLoopbackTest : public ::testing::Test {
       config.listen_port = ports[i];
       config.peers = peers;
       config.shards = 2;
+      config.server.obs.metrics = &metrics_;
       daemons_.push_back(std::make_unique<NodeDaemon>(
           erasure::make_systematic_rs(kServers, kObjects, kValueBytes),
           std::move(config)));
@@ -225,6 +231,8 @@ class NetLoopbackTest : public ::testing::Test {
   }
 
   std::vector<std::string> endpoints_;
+  /// Shared by every daemon (the registry is thread-safe).
+  obs::MetricsRegistry metrics_;
   std::vector<std::unique_ptr<NodeDaemon>> daemons_;
 };
 
@@ -296,6 +304,58 @@ TEST_F(NetLoopbackTest, ConcurrentClientsSatisfyTheCheckers) {
   }
   EXPECT_EQ(history.size(), kThreads * 40);
   run_checkers(history, final_reads());
+  EXPECT_EQ(total_error_events(), 0u);
+}
+
+TEST_F(NetLoopbackTest, DaemonsRecordTheRuntimePhases) {
+  // The daemons drive their servers through the same AutomatonLoop as
+  // ThreadedCluster, so they fill the same runtime metrics that
+  // ObsFlowTest.ThreadedClusterFlowsPhasesAndMailboxGauge checks there.
+  Session writer(300, 0, endpoints_[0]);
+  ASSERT_TRUE(writer.connected);
+  for (ObjectId x = 0; x < kObjects; ++x) ASSERT_TRUE(writer.write_op(x));
+  ASSERT_TRUE(await_convergence(15s));
+
+  const obs::MetricsSnapshot snap = metrics_.snapshot();
+  EXPECT_GT(snap.histograms.at("phase.queue_wait_ns").count, 0u);
+  EXPECT_GT(snap.histograms.at("phase.deserialize_ns").count, 0u);
+  EXPECT_GT(snap.histograms.at("phase.serialize_ns").count, 0u);
+  // Every server drained at least one peer frame (apps or dels).
+  for (std::size_t s = 0; s < kServers; ++s) {
+    const auto gauge =
+        snap.gauges.find("runtime.mailbox_depth.s" + std::to_string(s));
+    ASSERT_NE(gauge, snap.gauges.end()) << "server " << s;
+    EXPECT_GT(gauge->second, 0) << "server " << s;
+  }
+}
+
+TEST_F(NetLoopbackTest, MalformedPeerFrameIsDroppedNotFatal) {
+  // A connection that said Hello as server 1 sends a protocol frame (type
+  // < 64) cut short: server 0 must log and drop it, then keep serving.
+  const auto addr = parse_host_port(endpoints_[0]);
+  ASSERT_TRUE(addr.has_value());
+  ScopedFd fd = connect_tcp_blocking(addr->first, addr->second, 2000);
+  ASSERT_TRUE(fd.valid());
+  Hello hello;
+  hello.role = PeerRole::kServer;
+  hello.node = 1;
+  const std::vector<std::uint8_t> app = serialize_message(
+      AppMessage(0, erasure::Value(kValueBytes, 7),
+                 Tag(VectorClock(kServers), 1), WireModel{}));
+  const std::vector<std::uint8_t> truncated(app.begin(),
+                                            app.begin() + app.size() / 2);
+  ASSERT_LT(truncated.front(), kClientProtoBase);
+  for (const erasure::Buffer& frame :
+       {encode_frame(encode_hello(hello)), encode_frame(truncated)}) {
+    ASSERT_EQ(::send(fd.get(), frame.data(), frame.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(frame.size()));
+  }
+
+  Session session(400, 0, endpoints_[0]);
+  ASSERT_TRUE(session.connected);
+  ASSERT_TRUE(session.write_op(1));
+  ASSERT_TRUE(session.read_op(1));
+  ASSERT_TRUE(await_convergence(15s));
   EXPECT_EQ(total_error_events(), 0u);
 }
 

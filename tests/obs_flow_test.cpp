@@ -72,7 +72,9 @@ ParsedTrace parse_chrome_flows(const std::string& json) {
       // viewer attaches the arrow to the wrong span.
       const auto* bp = e.find("bp");
       EXPECT_NE(bp, nullptr);
-      if (bp) EXPECT_EQ(bp->as_string(), "e");
+      if (bp) {
+        EXPECT_EQ(bp->as_string(), "e");
+      }
     }
   }
   return parsed;

@@ -369,6 +369,46 @@ TEST(RecoveryTest, RepeatedRecoveriesOfTheSameServer) {
   EXPECT_EQ(cluster.server(4).counters().error2_events, 0u);
 }
 
+// WAL replay must reproduce the pre-crash state exactly (DESIGN.md §9). A
+// parity server that re-encoded past its last snapshot through an internal
+// read must restore to the re-encoded tag: the replayed internal read gets
+// its pre-crash opid, so the journaled val_resp_encoded replies complete
+// it. Offsetting the opid counter before replay made those replies miss
+// ReadL, left the older M.tag in place, and the next internal read raised
+// Error2 because the peers had already collected that version.
+TEST(RecoveryTest, ReplayReproducesReencodeThroughInternalRead) {
+  persist::MemoryBackend backend;
+  ClusterConfig config;
+  config.gc_period = 20 * kMillisecond;
+  config.persistence = &backend;
+  config.snapshot_period = kSecond;
+  Cluster cluster(erasure::make_systematic_rs(5, 3, 8),
+                  std::make_unique<sim::ConstantLatency>(5 * kMillisecond),
+                  config);
+  auto& writer = cluster.make_client(0);
+  writer.write(0, Value(8, 1));
+  cluster.run_for(1100 * kMillisecond);  // converged; a snapshot at ~1 s
+  ASSERT_TRUE(cluster.storage_converged());
+
+  // Server 3 (parity) no longer holds the encoded X0 version in L[X0], so
+  // re-encoding to the new write goes through an internal read.
+  const Server& parity = cluster.server(3);
+  const std::uint64_t internal_reads = parity.counters().internal_reads_started;
+  const Tag written = writer.write(0, Value(8, 2));
+  cluster.run_for(300 * kMillisecond);  // peers collect; no snapshot yet
+  ASSERT_GT(parity.counters().internal_reads_started, internal_reads)
+      << "scenario setup failed: server 3 re-encoded without an internal read";
+  ASSERT_EQ(parity.codeword_tag(0), written);
+
+  cluster.halt_server(3);
+  cluster.recover_server(3);
+  EXPECT_EQ(parity.codeword_tag(0), written)
+      << "replay restored an older codeword version";
+  cluster.settle();
+  EXPECT_EQ(parity.counters().error2_events, 0u);
+  EXPECT_EQ(parity.codeword_tag(0), written);
+}
+
 // Satellite: the obs wiring. server.recoveries / server.catchup_bytes /
 // server.recovery_duration_ns must land in the shared registry.
 TEST(RecoveryTest, RecoveryMetricsAreRecorded) {
