@@ -1,18 +1,25 @@
 // One established TCP connection on an event loop: owns the fd, the
-// FrameReader (connection-owned read arenas feeding the zero-copy codec),
-// and the outbound write queue.
+// FrameReader (read-sized arenas feeding the zero-copy codec), and the
+// outbound write backlog.
 //
-// All state lives on the owning loop's thread. send() may be called from
-// any thread (it posts); everything else is loop-thread-only. Lifetime is
-// shared_ptr-based: the loop's fd handler closure keeps the connection
-// alive until close, and response routing across threads holds weak_ptrs
-// so a dead connection drops its responses instead of dangling.
+// Thread model: reads, the close handler and the EPOLLOUT backlog drain run
+// on the owning loop's thread. send() may be called from any thread and
+// writes through: the calling thread puts the frame on the socket itself,
+// under the per-connection write mutex, whenever nothing is queued ahead of
+// it. Only a send that meets a full socket buffer queues the rest and arms
+// EPOLLOUT; the loop thread then drains that backlog under the same mutex,
+// so frames from every sender go out whole and in the order their send()
+// calls took the mutex. Lifetime is shared_ptr-based: the loop's fd handler
+// closure keeps the connection alive until close, and response routing
+// across threads holds weak_ptrs so a dead connection drops its responses
+// instead of dangling.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 
 #include "erasure/buffer.h"
 #include "net/event_loop.h"
@@ -37,45 +44,53 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// Registers with the loop and starts reading. Loop thread only.
   void open(FrameHandler on_frame, CloseHandler on_close);
 
-  /// Queue a ready-made frame (header + payload, see encode_frame) for
-  /// writing. Any thread; the Buffer's arena is shared, not copied, so a
-  /// multicast frame queued on n connections costs one allocation total.
+  /// Write a ready-made frame (header + payload, see encode_frame). Any
+  /// thread; the frame is written on the calling thread unless a backlog
+  /// is queued. The Buffer's arena is shared, not copied, so a multicast
+  /// frame sent on n connections costs one allocation total. A write
+  /// error posts the close to the loop; frames sent to a closed
+  /// connection are dropped.
   void send(erasure::Buffer frame);
 
   /// Any thread. Drops the fd and fires the close handler (on the loop
   /// thread) if the connection is still alive.
   void close();
 
-  int fd() const { return fd_.get(); }
   EventLoop* loop() const { return loop_; }
-  bool closed() const { return closed_; }
 
-  /// Bytes queued but not yet written (loop thread only; tests).
+  /// Bytes queued behind a full socket buffer and not yet written. Any
+  /// thread.
   std::size_t write_backlog() const;
 
  private:
-  void send_on_loop(erasure::Buffer frame);
+  /// On EPOLLOUT: writes queued frames until the socket would block again,
+  /// and unsubscribes once the backlog is empty. False on a hard write
+  /// error. Loop thread only.
+  bool drain_backlog();
+  /// Subscribes EPOLLOUT while a backlog is queued. Loop thread only.
+  void arm_backlog();
   void handle_events(std::uint32_t events);
   void handle_readable();
-  bool flush_writes();  // false when the connection died mid-write
   void close_on_loop();
+  void post_close();
 
   EventLoop* loop_;
-  ScopedFd fd_;
   FrameHandler on_frame_;
   CloseHandler on_close_;
   FrameReader reader_;
+  bool closed_ = false;  // loop thread only
 
-  /// Outbound frames; front_written_ bytes of the front one already went
-  /// out (partial-write bookkeeping).
+  /// Guards the write side and the fd's teardown: a sending thread holds
+  /// it across its send(2), so close_on_loop cannot release the fd (and
+  /// let the kernel reuse its number) under a write.
+  mutable std::mutex write_mu_;
+  ScopedFd fd_;
+  /// Outbound frames behind a full socket buffer; front_written_ bytes of
+  /// the front one already went out (partial-write bookkeeping).
   std::deque<erasure::Buffer> write_queue_;
   std::size_t front_written_ = 0;
-  bool want_write_ = false;  // EPOLLOUT currently subscribed
-  bool closed_ = false;
-
-  /// Socket read chunk size: big enough that the common protocol frame
-  /// (4 KiB value + tags) lands in one chunk and is delivered zero-copy.
-  static constexpr std::size_t kReadChunkBytes = 64 * 1024;
+  bool want_write_ = false;    // EPOLLOUT currently subscribed
+  bool write_failed_ = false;  // a write hit a hard error; close is posted
 };
 
 }  // namespace causalec::net

@@ -94,9 +94,10 @@ void EventLoop::schedule_after(std::chrono::nanoseconds delta,
 }
 
 void EventLoop::drain_wakeup() {
+  // A non-semaphore eventfd read returns and zeroes the whole counter, so
+  // one read consumes every post since the last wakeup.
   std::uint64_t count = 0;
-  while (::read(wakeup_.get(), &count, sizeof(count)) > 0) {
-  }
+  [[maybe_unused]] const auto n = ::read(wakeup_.get(), &count, sizeof(count));
 }
 
 int EventLoop::next_timeout_ms() const {
@@ -118,8 +119,14 @@ void EventLoop::run() {
     const int n =
         ::epoll_wait(epoll_.get(), events, kMaxEvents, next_timeout_ms());
     if (n < 0 && errno != EINTR) break;
-    // Posted tasks first: they include connection sends that should hit
-    // the socket before we go back to sleep.
+    // Consume the wakeup before taking the posted tasks: a post that lands
+    // after the swap below then leaves the eventfd readable for the next
+    // wait instead of sleeping until a timeout.
+    for (int i = 0; i < n; ++i) {
+      if (events[i].data.fd == wakeup_.get()) drain_wakeup();
+    }
+    // Posted tasks first: a close or an EPOLLOUT arm should take effect
+    // before this round's socket events.
     std::deque<std::function<void()>> tasks;
     {
       std::lock_guard<std::mutex> lock(post_mu_);
@@ -128,10 +135,7 @@ void EventLoop::run() {
     for (auto& task : tasks) task();
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
-      if (fd == wakeup_.get()) {
-        drain_wakeup();
-        continue;
-      }
+      if (fd == wakeup_.get()) continue;
       // A handler may unwatch (or close) any fd, including its own --
       // re-look-up per event so a stale fd is skipped.
       const auto it = handlers_.find(fd);

@@ -1,6 +1,10 @@
 #include "net/frame.h"
 
+#include <sys/socket.h>
+
+#include <cerrno>
 #include <cstring>
+#include <memory>
 
 namespace causalec::net {
 
@@ -101,6 +105,22 @@ std::optional<erasure::Buffer> FrameReader::next() {
   assembling_ = false;
   header_have_ = 0;
   return erasure::Buffer::adopt(std::move(assembly_));
+}
+
+ssize_t recv_into(int fd, FrameReader& reader) {
+  // Allocated on a thread's first read and never zero-filled: recv
+  // overwrites what is copied out.
+  thread_local const std::unique_ptr<std::uint8_t[]> scratch(
+      new std::uint8_t[kReadChunkBytes]);
+  ssize_t n = 0;
+  do {
+    n = ::recv(fd, scratch.get(), kReadChunkBytes, 0);
+  } while (n < 0 && errno == EINTR);
+  if (n > 0) {
+    reader.feed(erasure::Buffer::copy_of(
+        {scratch.get(), static_cast<std::size_t>(n)}));
+  }
+  return n;
 }
 
 }  // namespace causalec::net

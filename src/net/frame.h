@@ -13,10 +13,15 @@
 // inside one chunk's arena is returned as a Buffer slice of that arena (no
 // copy -- the refcount keeps the arena alive while the decoded message's
 // payload views do); only a frame that spans chunks is assembled, exactly
-// once, into an exact-size arena. The codec's zero-copy decode then slices
+// once, into an exact-size arena. recv_into() makes those chunks: each
+// socket read lands in a per-thread scratch buffer and is copied once into
+// an arena of the read's size, so a slice pins only that read, not a
+// fixed-size read buffer. The codec's zero-copy decode then slices
 // whichever arena the frame ended up in, so a completed in-arena frame
-// flows from the socket to HistoryList without a single payload copy.
+// flows from the read arena to HistoryList without another payload copy.
 #pragma once
+
+#include <sys/types.h>
 
 #include <cstdint>
 #include <deque>
@@ -38,6 +43,10 @@ inline constexpr std::size_t kFrameHeaderBytes = 4;
 
 /// One arena holding `header + payload`, ready to write to a socket.
 erasure::Buffer encode_frame(std::span<const std::uint8_t> payload);
+
+/// Largest single socket read: big enough that the common protocol frame
+/// (4 KiB value + tags) lands in one read and is delivered zero-copy.
+inline constexpr std::size_t kReadChunkBytes = std::size_t{64} << 10;
 
 class FrameReader {
  public:
@@ -84,5 +93,12 @@ class FrameReader {
 
   std::string error_;
 };
+
+/// One recv(2) of up to kReadChunkBytes from `fd` into this thread's
+/// scratch buffer. The bytes read are copied into an arena of exactly
+/// their size (recycled through the thread's BufferPool when one is
+/// installed) and fed to `reader`. Returns recv's result; EINTR is
+/// retried.
+ssize_t recv_into(int fd, FrameReader& reader);
 
 }  // namespace causalec::net

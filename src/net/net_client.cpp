@@ -111,15 +111,10 @@ std::optional<erasure::Buffer> NetClient::next_frame() {
       fail();  // timeout or poll error
       return std::nullopt;
     }
-    std::vector<std::uint8_t> chunk(64 * 1024);
-    const auto n = ::recv(fd_.get(), chunk.data(), chunk.size(), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
+    if (recv_into(fd_.get(), reader_) <= 0) {
       fail();  // peer closed or error
       return std::nullopt;
     }
-    chunk.resize(static_cast<std::size_t>(n));
-    reader_.feed(erasure::Buffer::adopt(std::move(chunk)));
   }
   return std::nullopt;
 }

@@ -32,32 +32,24 @@ void PeerLink::start() {
 }
 
 void PeerLink::shutdown() {
-  loop_->post([this] {
+  std::shared_ptr<Connection> conn;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
+    conn.swap(conn_);
+    pending_.clear();
+  }
+  if (conn != nullptr) conn->close();
+  loop_->post([this] {
     if (connecting_.valid()) {
       loop_->unwatch(connecting_.get());
       connecting_.reset();
     }
-    if (conn_ != nullptr) {
-      auto conn = std::move(conn_);
-      conn_ = nullptr;
-      conn->close();
-    }
-    pending_.clear();
   });
 }
 
 void PeerLink::send_frame(erasure::Buffer frame) {
-  if (loop_->on_loop_thread()) {
-    send_on_loop(std::move(frame));
-    return;
-  }
-  loop_->post([this, frame = std::move(frame)]() mutable {
-    send_on_loop(std::move(frame));
-  });
-}
-
-void PeerLink::send_on_loop(erasure::Buffer frame) {
+  std::lock_guard<std::mutex> lock(mu_);
   if (shutdown_) return;
   if (conn_ != nullptr) {
     conn_->send(std::move(frame));
@@ -69,8 +61,17 @@ void PeerLink::send_on_loop(erasure::Buffer frame) {
   pending_.push_back(std::move(frame));
 }
 
+bool PeerLink::is_shut_down() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return shutdown_;
+}
+
 void PeerLink::dial() {
-  if (shutdown_ || conn_ != nullptr || connecting_.valid()) return;
+  if (connecting_.valid()) return;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (shutdown_ || conn_ != nullptr) return;
+  }
   connecting_ = connect_tcp_nonblocking(host_, port_);
   if (!connecting_.valid()) {
     retry_later();
@@ -83,42 +84,51 @@ void PeerLink::dial() {
 void PeerLink::on_connect_ready(std::uint32_t events) {
   loop_->unwatch(connecting_.get());
   ScopedFd fd = std::move(connecting_);
-  if (shutdown_) return;
+  if (is_shut_down()) return;
   if ((events & (EPOLLERR | EPOLLHUP)) != 0 ||
       take_socket_error(fd.get()) != 0) {
     retry_later();
     return;
   }
-  conn_ = std::make_shared<Connection>(loop_, std::move(fd));
-  conn_->open(
+  auto conn = std::make_shared<Connection>(loop_, std::move(fd));
+  conn->open(
       // Outbound protocol links are send-only; anything the peer writes
       // back on one is a protocol violation we simply ignore.
       [](const std::shared_ptr<Connection>&, erasure::Buffer) {},
-      [this](const std::shared_ptr<Connection>& dead) {
-        if (conn_ == dead) on_lost();
-      });
-  on_established();
-}
-
-void PeerLink::on_established() {
-  // Identify ourselves so the acceptor attributes our frames to node
-  // self_ (the codec's frames carry no sender field; the channel does).
-  Hello hello;
-  hello.role = PeerRole::kServer;
-  hello.node = self_;
-  conn_->send(encode_frame(encode_hello(hello)));
-  for (auto& frame : pending_) conn_->send(std::move(frame));
-  pending_.clear();
-  ever_established_ = true;
+      [this](const std::shared_ptr<Connection>& dead) { on_lost(dead); });
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!shutdown_) {
+      // Identify ourselves so the acceptor attributes our frames to node
+      // self_ (the codec's frames carry no sender field; the channel
+      // does).
+      Hello hello;
+      hello.role = PeerRole::kServer;
+      hello.node = self_;
+      conn->send(encode_frame(encode_hello(hello)));
+      for (auto& frame : pending_) conn->send(std::move(frame));
+      pending_.clear();
+      ever_established_ = true;
+      conn_ = std::move(conn);
+    }
+  }
+  if (conn != nullptr) {  // shut down while connecting
+    conn->close();
+    return;
+  }
   if (down_reported_) {
     down_reported_ = false;
     on_liveness_(peer_, /*down=*/false);
   }
 }
 
-void PeerLink::on_lost() {
-  conn_ = nullptr;
-  if (shutdown_) return;
+void PeerLink::on_lost(const std::shared_ptr<Connection>& dead) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // A shut-down link already dropped its connection.
+    if (conn_ != dead) return;
+    conn_ = nullptr;
+  }
   if (!down_reported_) {
     down_reported_ = true;
     on_liveness_(peer_, /*down=*/true);
@@ -127,7 +137,7 @@ void PeerLink::on_lost() {
 }
 
 void PeerLink::retry_later() {
-  if (shutdown_) return;
+  if (is_shut_down()) return;
   loop_->schedule_after(kReconnectDelay, [this] { dial(); });
 }
 
@@ -136,20 +146,33 @@ NetTransport::NetTransport(std::vector<PeerLink*> links,
     : links_(std::move(links)), loop_(loop) {}
 
 void NetTransport::send(NodeId to, sim::MessagePtr message) {
-  CEC_CHECK(to < links_.size() && links_[to] != nullptr);
-  links_[to]->send_frame(encode_frame(loop_->serialize(*message).span()));
+  send_frame(to, encode_frame(loop_->serialize(*message).span()));
 }
 
 void NetTransport::multicast(std::span<const NodeId> targets,
                              const std::function<sim::MessagePtr()>& make) {
   if (targets.empty()) return;
-  // Serialize once; every destination link queues the same frame arena.
+  // Serialize once; every destination link sends the same frame arena.
   const sim::MessagePtr message = make();
   const erasure::Buffer frame =
       encode_frame(loop_->serialize(*message).span());
-  for (NodeId to : targets) {
-    CEC_CHECK(to < links_.size() && links_[to] != nullptr);
-    links_[to]->send_frame(frame);
+  for (NodeId to : targets) send_frame(to, frame);
+}
+
+void NetTransport::hold() { holding_ = true; }
+
+void NetTransport::release_held() {
+  holding_ = false;
+  for (auto& [link, frame] : held_) link->send_frame(std::move(frame));
+  held_.clear();
+}
+
+void NetTransport::send_frame(NodeId to, erasure::Buffer frame) {
+  CEC_CHECK(to < links_.size() && links_[to] != nullptr);
+  if (holding_) {
+    held_.emplace_back(links_[to], std::move(frame));
+  } else {
+    links_[to]->send_frame(std::move(frame));
   }
 }
 

@@ -6,9 +6,10 @@
 // single writer and makes "who is connected to whom" trivial to reason
 // about after crashes.
 //
-// PeerLink is one such outbound link, owned by one event-loop shard. Its
-// delivery semantics match the crash-stop channel model of the in-process
-// runtimes:
+// PeerLink is one such outbound link. Its shard's event loop dials,
+// re-dials and watches it; frames are written by the sending thread (the
+// automaton) straight through Connection::send. Its delivery semantics
+// match the crash-stop channel model of the in-process runtimes:
 //   * before the link is first established (cluster start-up), frames are
 //     queued (bounded) so no protocol traffic is lost to boot-order races;
 //   * after an established link is lost, frames are dropped -- exactly the
@@ -21,8 +22,10 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "causalec/server.h"
@@ -43,12 +46,14 @@ class PeerLink {
 
   /// Begin dialing (posts to the loop; any thread).
   void start();
-  /// Drop the connection and stop reconnecting (posts to the loop).
+  /// Drop the connection and stop reconnecting. Any thread: later frames
+  /// are dropped at once; the close and the cancelling of a dial in
+  /// progress are posted to the loop.
   void shutdown();
 
-  /// Queue one ready-made frame (see delivery semantics above). Any
-  /// thread; multicast callers pass the same Buffer to every link, so the
-  /// arena is shared across all n-1 destinations.
+  /// Send one ready-made frame on the calling thread (see delivery
+  /// semantics above). Any thread; multicast callers pass the same Buffer
+  /// to every link, so the arena is shared across all n-1 destinations.
   void send_frame(erasure::Buffer frame);
 
   NodeId peer() const { return peer_; }
@@ -61,10 +66,9 @@ class PeerLink {
   // All of the below runs on the loop thread.
   void dial();
   void on_connect_ready(std::uint32_t events);
-  void on_established();
-  void on_lost();
+  void on_lost(const std::shared_ptr<Connection>& dead);
   void retry_later();
-  void send_on_loop(erasure::Buffer frame);
+  bool is_shut_down();
 
   EventLoop* loop_;
   NodeId self_;
@@ -73,20 +77,25 @@ class PeerLink {
   std::uint16_t port_;
   std::function<void(NodeId, bool)> on_liveness_;
 
-  ScopedFd connecting_;  // fd mid-connect (watched for EPOLLOUT)
+  ScopedFd connecting_;  // fd mid-connect (watched for EPOLLOUT); loop only
+  bool down_reported_ = false;  // loop thread only
+
+  /// Guards the send-side state below. Held across the Hello and the
+  /// start-up flush, so no frame can overtake them on a new connection.
+  std::mutex mu_;
   std::shared_ptr<Connection> conn_;
   std::deque<erasure::Buffer> pending_;  // pre-first-establishment queue
   bool ever_established_ = false;
-  bool down_reported_ = false;
   bool shutdown_ = false;
 };
 
 /// Transport implementation handed to the Server automaton. send/multicast
 /// serialize through the codec, wrap the bytes in one frame arena
-/// (serialize once, share everywhere), and queue on the per-peer links.
-/// Serialization timing and the timers behind schedule_after/now belong to
-/// the automaton loop hosting the server (the Server only ever calls them
-/// from that loop's thread).
+/// (serialize once, share everywhere), and send on the per-peer links from
+/// the calling thread. Serialization timing and the timers behind
+/// schedule_after/now belong to the automaton loop hosting the server (the
+/// Server only ever calls them from that loop's thread, so the automaton
+/// thread is the only sender of protocol frames and every link is FIFO).
 class NetTransport final : public causalec::Transport {
  public:
   /// `links[j]` is the link to node j (null at the self index). `loop`
@@ -99,9 +108,20 @@ class NetTransport final : public causalec::Transport {
   void schedule_after(SimTime delta, std::function<void()> fn) override;
   SimTime now() const override;
 
+  /// Automaton thread: frames sent from here on are held until
+  /// release_held(), which sends them in order. NodeDaemon brackets a
+  /// client write with the pair so the client's ack goes out before the
+  /// write's fan-out.
+  void hold();
+  void release_held();
+
  private:
+  void send_frame(NodeId to, erasure::Buffer frame);
+
   std::vector<PeerLink*> links_;
   runtime::AutomatonLoop* loop_;
+  bool holding_ = false;
+  std::vector<std::pair<PeerLink*, erasure::Buffer>> held_;
 };
 
 }  // namespace causalec::net

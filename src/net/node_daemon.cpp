@@ -87,8 +87,10 @@ void NodeDaemon::start() {
   // on this thread.
   if (!config_.data_dir.empty()) {
     backend_ = std::make_unique<persist::DirBackend>(config_.data_dir);
-    journal_ = std::make_unique<persist::Journal>(
-        backend_.get(), "s" + std::to_string(config_.node));
+    std::string key = "s";
+    key += std::to_string(config_.node);
+    journal_ =
+        std::make_unique<persist::Journal>(backend_.get(), std::move(key));
     server_->attach_journal(journal_.get());
     recovered_ = server_->restore_from_journal();
     if (recovered_) {
@@ -123,8 +125,8 @@ void NodeDaemon::start() {
 void NodeDaemon::stop() {
   if (!started_) return;
   ready_.store(false, std::memory_order_release);
-  // IO first: once the loops are joined no new frames or tasks can arrive;
-  // automaton sends to dead loops become no-op posts.
+  // IO first: shut-down links drop the automaton's protocol frames at
+  // once, and once the loops are joined no new client tasks can arrive.
   for (auto& link : links_) link->shutdown();
   for (auto& shard : shards_) shard->loop->stop();
   loop_.stop();
@@ -286,6 +288,12 @@ OpId NodeDaemon::next_daemon_opid() { return opid_counter_++; }
 void NodeDaemon::handle_write_req(WriteReq req,
                                   std::shared_ptr<Connection> conn) {
   const OpId opid = next_daemon_opid();
+  // Alg. 1 answers the client in the step that sends the write's app
+  // messages, so the ack goes out first and the n-1 peer frames leave the
+  // client's critical path. They are released whatever became of the ack.
+  // Each peer channel stays FIFO: this thread is the only sender of
+  // protocol frames, and the held ones go out before its next send.
+  transport_->hold();
   const Tag tag =
       server_->client_write(req.client, opid, req.object,
                             std::move(req.value));
@@ -294,6 +302,7 @@ void NodeDaemon::handle_write_req(WriteReq req,
   resp.tag = tag;
   resp.vc = server_->clock();
   conn->send(encode_frame(encode_write_resp(resp)));
+  transport_->release_held();
 }
 
 void NodeDaemon::handle_read_req(ReadReq req,

@@ -6,8 +6,10 @@
 //   * `shards` event-loop threads, each owning a SO_REUSEPORT listener on
 //     the same port (the kernel load-balances accepted connections across
 //     shards) plus the outbound peer links assigned to it. Shard threads
-//     do all socket IO and all frame reassembly/deserialization-adjacent
-//     work that can happen off the automaton;
+//     do all socket reads, frame reassembly and client-request validation,
+//     and drain write backlogs; frames are written by the thread that
+//     sends them, so the automaton's acks and protocol frames reach the
+//     sockets without a handoff;
 //   * one runtime::AutomatonLoop thread hosting the single-threaded Server
 //     -- the same driver as runtime/threaded_cluster: batched inbox, one
 //     Apply/Encoding fixpoint per batch, wall-clock GC and snapshot
@@ -130,6 +132,7 @@ class NodeDaemon {
                             erasure::Buffer payload);
 
   // Automaton-side plumbing (runs on the loop thread).
+  /// Acks the write before its peer fan-out (DESIGN.md §11).
   void handle_write_req(WriteReq req, std::shared_ptr<Connection> conn);
   void handle_read_req(ReadReq req, std::shared_ptr<Connection> conn);
   void handle_stats_req(std::shared_ptr<Connection> conn);

@@ -359,5 +359,46 @@ TEST_F(NetLoopbackTest, MalformedPeerFrameIsDroppedNotFatal) {
   EXPECT_EQ(total_error_events(), 0u);
 }
 
+TEST_F(NetLoopbackTest, FanOutDoesNotDependOnTheAck) {
+  // Raw clients send Hello and one WriteReq each, then close without
+  // reading the reply, so the daemon's ack meets a closing socket or a
+  // closed connection. The write's peer frames, held back until the ack is
+  // sent, must go out all the same.
+  for (NodeId s = 0; s < kObjects; ++s) {
+    const auto addr = parse_host_port(endpoints_[s]);
+    ASSERT_TRUE(addr.has_value());
+    ScopedFd fd = connect_tcp_blocking(addr->first, addr->second, 2000);
+    ASSERT_TRUE(fd.valid());
+    Hello hello;
+    hello.role = PeerRole::kClient;
+    WriteReq req;
+    req.opid = 1;
+    req.client = 600 + s;
+    req.object = s;  // server s writes object s
+    req.value = value_for(req.client, 0);
+    for (const erasure::Buffer& frame :
+         {encode_frame(encode_hello(hello)),
+          encode_frame(encode_write_req(req))}) {
+      ASSERT_EQ(::send(fd.get(), frame.data(), frame.size(), MSG_NOSIGNAL),
+                static_cast<ssize_t>(frame.size()));
+    }
+  }
+  ASSERT_TRUE(await_convergence(15s));
+
+  for (std::size_t i = 0; i < kServers; ++i) {
+    Session reader(700 + static_cast<ClientId>(i), static_cast<NodeId>(i),
+                   endpoints_[i]);
+    ASSERT_TRUE(reader.connected);
+    for (ObjectId g = 0; g < kObjects; ++g) {
+      ASSERT_TRUE(reader.read_op(g));
+      const erasure::Value want = value_for(600 + g, 0);
+      EXPECT_EQ(reader.ops.back().value_hash,
+                consistency::hash_value_bytes({want.data(), want.size()}))
+          << "server " << i << " object " << g;
+    }
+  }
+  EXPECT_EQ(total_error_events(), 0u);
+}
+
 }  // namespace
 }  // namespace causalec::net

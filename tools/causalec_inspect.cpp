@@ -202,8 +202,9 @@ int run_demo(const Options& opt) {
 
 int run_snapshot(const Options& opt) {
   persist::DirBackend backend(opt.snapshot_dir);
-  persist::Journal journal(&backend,
-                           "s" + std::to_string(opt.node));
+  std::string key = "s";
+  key += std::to_string(opt.node);
+  persist::Journal journal(&backend, std::move(key));
   const persist::RecoveredState recovered = journal.load();
   if (!recovered.error.empty()) {
     std::fprintf(stderr, "snapshot decode failed: %s\n",
