@@ -10,24 +10,16 @@
 // network and report measured ops/s. With closed loops, throughput is
 // sessions / avg-latency, so the measured ratios reproduce the claim
 // directly from live executions.
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <memory>
-#include <thread>
-#include <vector>
 
 #include "baselines/intra_object_store.h"
 #include "baselines/replicated_store.h"
 #include "causalec/cluster.h"
-#include "erasure/buffer.h"
 #include "erasure/codes.h"
 #include "obs/bench_report.h"
 #include "placement/rtt_matrix.h"
-#include "runtime/threaded_cluster.h"
 #include "sim/latency.h"
 #include "workload/driver.h"
 
@@ -142,158 +134,9 @@ Throughput run_causalec() {
   return result;
 }
 
-// ---------------------------------------------------------------------------
-// --saturate: the threaded runtime under a multi-client closed loop.
-//
-// Unlike the simulated Little's-law runs above, this drives the real
-// ThreadedCluster (one OS thread per server, codec bytes on every hop) with
-// blocking clients on external threads, so the measured ops/s reflects the
-// actual per-hop serialization / copy / mailbox cost of the data path.
-// ---------------------------------------------------------------------------
-
-constexpr std::size_t kSatValueBytes = 4096;
-
-struct SaturateResult {
-  double ops_per_s = 0;
-  double writes_per_s = 0;
-  double reads_per_s = 0;
-  double seconds = 0;
-  int clients = 0;
-  double payload_allocs_per_op = 0;  // fresh Buffer arenas per operation
-  double payload_alloc_mib_per_s = 0;
-  double payload_recycle_rate = 0;  // pool hits / (pool hits + fresh arenas)
-  // Headroom below the 1-malloc-per-op line (higher is better, so the
-  // baseline gate can pin a floor on it): 1 - allocs/op, clamped at 0.
-  double alloc_headroom = 0;
-};
-
-SaturateResult run_saturate(bool smoke) {
-  using namespace std::chrono_literals;
-  runtime::ThreadedClusterConfig config;
-  config.gc_period = 10ms;
-  config.serialize_messages = true;
-  runtime::ThreadedCluster cluster(
-      erasure::make_six_dc_cross_object(kSatValueBytes), config);
-  const std::size_t n = cluster.num_servers();
-  const auto num_objects = static_cast<ObjectId>(kGroups);
-  const int clients = static_cast<int>(2 * n);
-  const auto warmup = smoke ? 200ms : 500ms;
-  const auto measure = smoke ? 1000ms : 4000ms;
-
-  // Seed every object so reads never race an empty store.
-  for (ObjectId g = 0; g < num_objects; ++g) {
-    cluster.write(static_cast<NodeId>(g % n), /*client=*/1, g,
-                  Value(kSatValueBytes, static_cast<std::uint8_t>(g + 1)));
-  }
-  cluster.await_convergence(5000ms);
-
-  std::atomic<bool> counting{false};
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> writes{0};
-  std::atomic<std::uint64_t> reads{0};
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(clients));
-  for (int t = 0; t < clients; ++t) {
-    threads.emplace_back([&, t] {
-      const NodeId at = static_cast<NodeId>(t % n);
-      const ClientId client = 100 + static_cast<ClientId>(t);
-      const auto object = static_cast<ObjectId>(t % num_objects);
-      const Value payload(kSatValueBytes, static_cast<std::uint8_t>(t + 1));
-      bool do_write = (t % 2) == 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        if (do_write) {
-          cluster.write(at, client, object, payload);
-          if (counting.load(std::memory_order_relaxed)) {
-            writes.fetch_add(1, std::memory_order_relaxed);
-          }
-        } else {
-          (void)cluster.read(at, client, object);
-          if (counting.load(std::memory_order_relaxed)) {
-            reads.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        do_write = !do_write;
-      }
-    });
-  }
-  std::this_thread::sleep_for(warmup);
-  const auto alloc_before = erasure::Buffer::alloc_stats();
-  const auto start = std::chrono::steady_clock::now();
-  counting.store(true);
-  std::this_thread::sleep_for(measure);
-  counting.store(false);
-  const auto end = std::chrono::steady_clock::now();
-  const auto alloc_after = erasure::Buffer::alloc_stats();
-  stop.store(true);
-  for (auto& th : threads) th.join();
-
-  SaturateResult out;
-  out.seconds = std::chrono::duration<double>(end - start).count();
-  out.clients = clients;
-  out.writes_per_s = static_cast<double>(writes.load()) / out.seconds;
-  out.reads_per_s = static_cast<double>(reads.load()) / out.seconds;
-  out.ops_per_s = out.writes_per_s + out.reads_per_s;
-  const double ops = static_cast<double>(writes.load() + reads.load());
-  if (ops > 0) {
-    out.payload_allocs_per_op =
-        static_cast<double>(alloc_after.allocations -
-                            alloc_before.allocations) / ops;
-  }
-  out.alloc_headroom = std::max(0.0, 1.0 - out.payload_allocs_per_op);
-  const double fresh = static_cast<double>(alloc_after.allocations -
-                                           alloc_before.allocations);
-  const double recycled =
-      static_cast<double>(alloc_after.recycled - alloc_before.recycled);
-  if (fresh + recycled > 0) {
-    out.payload_recycle_rate = recycled / (fresh + recycled);
-  }
-  out.payload_alloc_mib_per_s =
-      static_cast<double>(alloc_after.bytes - alloc_before.bytes) /
-      (1024.0 * 1024.0) / out.seconds;
-  return out;
-}
-
-int main_saturate(bool smoke) {
-  std::printf("E2b --saturate: threaded runtime, %zu-byte values, "
-              "closed-loop blocking clients (50/50 write/read)\n\n",
-              kSatValueBytes);
-  const SaturateResult r = run_saturate(smoke);
-  std::printf("%-24s %12s %12s %12s %14s %14s %14s\n", "row", "ops/s",
-              "writes/s", "reads/s", "allocs/op", "alloc MiB/s",
-              "recycle rate");
-  std::printf("%-24s %12.1f %12.1f %12.1f %14.2f %14.1f %14.3f\n", "saturate",
-              r.ops_per_s, r.writes_per_s, r.reads_per_s,
-              r.payload_allocs_per_op, r.payload_alloc_mib_per_s,
-              r.payload_recycle_rate);
-
-  obs::BenchReport report("throughput");
-  report.set_config("mode", "saturate");
-  report.set_config("smoke", smoke);
-  report.set_config("value_bytes", kSatValueBytes);
-  report.set_config("clients", r.clients);
-  report.set_config("measured_s", r.seconds);
-  report.add_row("saturate")
-      .metric("ops_per_s", r.ops_per_s)
-      .metric("writes_per_s", r.writes_per_s)
-      .metric("reads_per_s", r.reads_per_s)
-      .metric("payload_allocs_per_op", r.payload_allocs_per_op)
-      .metric("payload_alloc_mib_per_s", r.payload_alloc_mib_per_s)
-      .metric("payload_recycle_rate", r.payload_recycle_rate)
-      .metric("alloc_headroom", r.alloc_headroom);
-  report.write_default();
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool saturate = false;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--saturate") == 0) saturate = true;
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
-  if (saturate) return main_saturate(smoke);
+int main() {
   std::printf("E2b: Little's-law throughput (Sec. 1.1) -- %d closed-loop "
               "read sessions per DC, 60 s\n\n", kSessionsPerDc);
   std::printf("%-24s %12s %12s %14s\n", "scheme", "ops/s", "avg ms",

@@ -1,7 +1,8 @@
 # Runs a bench binary with CAUSALEC_BENCH_DIR pointed at a scratch
 # directory, then validates the BENCH_*.json it wrote with
-# tools/check_bench_json.py. Invoked by the bench_json_smoke and
-# kernel_bench_smoke CTest entries:
+# tools/check_bench_json.py. Invoked by the bench_json_smoke,
+# recovery_bench_smoke, kernel_bench_smoke, obs_bench_smoke and
+# repair_bench_smoke CTest entries (bench/CMakeLists.txt):
 #   cmake -DBENCH_EXE=... -DBENCH_ARGS=... -DBENCH_JSON=... -DPYTHON=...
 #         -DVALIDATOR=... -DWORK_DIR=... -P RunBenchJsonSmoke.cmake
 # Optional: -DBASELINE=<floors json> [-DMAX_REGRESSION=<frac>] forwards

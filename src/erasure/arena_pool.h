@@ -5,9 +5,10 @@
 // With a BufferPool installed on the current thread (NodeDaemon and
 // ThreadedCluster install one per shard/node thread), arenas whose last
 // reference dies return to size-class free lists in their *origin* pool and
-// are handed out again on the next alloc -- the steady-state write path
-// performs zero mallocs for payload-sized buffers (< 1 malloc/op in
-// bench_throughput --saturate is the committed floor).
+// are handed out again on the next alloc, so the warm data path takes far
+// fewer than one fresh payload arena per operation
+// (ThreadedRuntimeTest.WarmDataPathRecyclesPayloadArenas pins the bound;
+// perfbench's erasure.payload_allocs_per_op measures it, EXPERIMENTS.md E15).
 //
 // Design notes:
 //   * The refcount is intrusive (one atomic in the Arena header), not a

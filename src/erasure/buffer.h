@@ -26,7 +26,8 @@
 // Every fresh arena (alloc / copy_of / adopt) counts toward alloc_stats();
 // pool-recycled arenas count under `recycled` instead of `allocations`, so
 // "allocations per op" measures true mallocs on the data path
-// (tests/copy_count_test.cpp, bench_throughput --saturate).
+// (tests/copy_count_test.cpp,
+// ThreadedRuntimeTest.WarmDataPathRecyclesPayloadArenas).
 #pragma once
 
 #include <atomic>

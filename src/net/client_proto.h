@@ -147,7 +147,7 @@ struct RoutedReadResp {
   Tag tag;
   VectorClock vc;
   /// True when the router answered from its edge cache without touching a
-  /// backend (per-tier latency attribution in bench_frontdoor).
+  /// backend (per-tier latency attribution in perfbench's router-zipf).
   bool cached = false;
   erasure::Value value;
 };

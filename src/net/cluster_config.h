@@ -1,5 +1,5 @@
 // Cluster config file: the single deployment descriptor shared by
-// causalec_server, causalec_client, and causalec_router (replacing the
+// causalec_server, causalec_router and perfbench (replacing the
 // per-flag `--peers` csv of the first real-socket deployment, so the same
 // file can describe a multi-machine cluster once and be handed to every
 // process).

@@ -1,7 +1,6 @@
 // NetClient: a blocking, one-request-at-a-time client connection to a
-// causalec_server daemon. Each bench/test client thread owns one (the
-// closed-loop driver model of bench_throughput --saturate); nothing here is
-// thread-safe.
+// causalec_server daemon. Each bench/test client thread owns one (as
+// perfbench's net workloads do); nothing here is thread-safe.
 //
 // Responses carry the serving node's vector clock at the response point, so
 // a caller can record consistency-checkable OpRecords (see client_proto.h).

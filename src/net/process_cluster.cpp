@@ -32,6 +32,15 @@ std::string make_temp_dir() {
   return std::string(buf.data());
 }
 
+/// One stats round-trip to a daemon ("host:port") over a fresh connection;
+/// nullopt when it cannot be reached or does not answer.
+std::optional<StatsResp> fetch_stats(const std::string& endpoint) {
+  NetClient client(/*client=*/0);
+  if (!client.connect(endpoint, /*timeout_ms=*/1000)) return std::nullopt;
+  client.set_io_timeout_ms(2000);
+  return client.stats();
+}
+
 }  // namespace
 
 std::vector<std::uint16_t> reserve_loopback_ports(std::size_t n) {
@@ -46,6 +55,76 @@ std::vector<std::uint16_t> reserve_loopback_ports(std::size_t n) {
     holders.push_back(std::move(fd));
   }
   return ports;  // holders close here, releasing every port at once
+}
+
+bool await_ready(const std::vector<std::string>& endpoints,
+                 std::chrono::milliseconds timeout) {
+  const auto deadline = Clock::now() + timeout;
+  for (std::size_t i = 0; i < endpoints.size(); ++i) {
+    bool up = false;
+    while (Clock::now() < deadline) {
+      NetClient probe(/*client=*/0);
+      if (probe.connect(endpoints[i], /*timeout_ms=*/250)) {
+        probe.set_io_timeout_ms(1000);
+        const auto pong = probe.ping(static_cast<std::uint64_t>(i) + 1);
+        if (pong.has_value() && pong->ready) {
+          up = true;
+          break;
+        }
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    if (!up) {
+      CEC_LOG(kError) << "net: server at " << endpoints[i]
+                      << " never became ready";
+      return false;
+    }
+  }
+  return true;
+}
+
+bool await_convergence(const std::vector<std::string>& endpoints,
+                       std::chrono::milliseconds timeout) {
+  const auto deadline = Clock::now() + timeout;
+  int stable_polls = 0;
+  while (Clock::now() < deadline) {
+    bool converged = true;
+    std::optional<VectorClock> reference;
+    for (const std::string& endpoint : endpoints) {
+      const auto s = fetch_stats(endpoint);
+      if (!s.has_value() || s->history_entries != 0 ||
+          s->inqueue_entries != 0 || s->readl_entries != 0) {
+        converged = false;
+        break;
+      }
+      if (!reference.has_value()) {
+        reference = s->vc;
+      } else if (!(*reference == s->vc)) {
+        // Convergence oracle: every server settles on the same vector
+        // clock once all writes have been applied everywhere.
+        converged = false;
+        break;
+      }
+    }
+    if (converged) {
+      if (++stable_polls >= 2) return true;
+    } else {
+      stable_polls = 0;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return false;
+}
+
+std::optional<std::uint64_t> total_error_events(
+    const std::vector<std::string>& endpoints) {
+  std::uint64_t total = 0;
+  for (const std::string& endpoint : endpoints) {
+    const auto s = fetch_stats(endpoint);
+    if (!s.has_value()) return std::nullopt;
+    total += s->error_events;
+  }
+  return total;
 }
 
 ProcessCluster::ProcessCluster(ProcessClusterConfig config)
@@ -148,29 +227,23 @@ bool ProcessCluster::spawn(std::size_t i) {
 }
 
 bool ProcessCluster::await_ready(std::chrono::milliseconds timeout) {
-  const auto deadline = Clock::now() + timeout;
-  for (std::size_t i = 0; i < config_.num_servers; ++i) {
-    if (pids_[i] <= 0) continue;
-    bool up = false;
-    while (Clock::now() < deadline) {
-      NetClient probe(/*client=*/0);
-      if (probe.connect(endpoints_[i], /*timeout_ms=*/250)) {
-        probe.set_io_timeout_ms(1000);
-        const auto pong = probe.ping(static_cast<std::uint64_t>(i) + 1);
-        if (pong.has_value() && pong->ready) {
-          up = true;
-          break;
-        }
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    if (!up) {
-      CEC_LOG(kError) << "net: server " << i << " at " << endpoints_[i]
-                      << " never became ready";
-      return false;
-    }
+  return net::await_ready(live_endpoints(), timeout);
+}
+
+bool ProcessCluster::await_convergence(std::chrono::milliseconds timeout) {
+  return net::await_convergence(live_endpoints(), timeout);
+}
+
+std::optional<std::uint64_t> ProcessCluster::total_error_events() {
+  return net::total_error_events(live_endpoints());
+}
+
+std::vector<std::string> ProcessCluster::live_endpoints() const {
+  std::vector<std::string> live;
+  for (std::size_t i = 0; i < pids_.size(); ++i) {
+    if (pids_[i] > 0) live.push_back(endpoints_[i]);
   }
-  return true;
+  return live;
 }
 
 void ProcessCluster::kill_server(std::size_t i) {
@@ -192,55 +265,7 @@ bool ProcessCluster::restart(std::size_t i) {
 std::optional<StatsResp> ProcessCluster::stats(std::size_t i) {
   CEC_CHECK(i < pids_.size());
   if (pids_[i] <= 0) return std::nullopt;
-  NetClient client(/*client=*/0);
-  if (!client.connect(endpoints_[i], /*timeout_ms=*/1000)) {
-    return std::nullopt;
-  }
-  client.set_io_timeout_ms(2000);
-  return client.stats();
-}
-
-bool ProcessCluster::await_convergence(std::chrono::milliseconds timeout) {
-  const auto deadline = Clock::now() + timeout;
-  int stable_polls = 0;
-  while (Clock::now() < deadline) {
-    bool converged = true;
-    std::optional<VectorClock> reference;
-    for (std::size_t i = 0; i < pids_.size(); ++i) {
-      if (pids_[i] <= 0) continue;
-      const auto s = stats(i);
-      if (!s.has_value() || s->history_entries != 0 ||
-          s->inqueue_entries != 0 || s->readl_entries != 0) {
-        converged = false;
-        break;
-      }
-      if (!reference.has_value()) {
-        reference = s->vc;
-      } else if (!(*reference == s->vc)) {
-        // Convergence oracle: every live server settles on the same
-        // vector clock once all writes have been applied everywhere.
-        converged = false;
-        break;
-      }
-    }
-    if (converged) {
-      if (++stable_polls >= 2) return true;
-    } else {
-      stable_polls = 0;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  return false;
-}
-
-std::uint64_t ProcessCluster::total_error_events() {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < pids_.size(); ++i) {
-    if (pids_[i] <= 0) continue;
-    const auto s = stats(i);
-    if (s.has_value()) total += s->error_events;
-  }
-  return total;
+  return fetch_stats(endpoints_[i]);
 }
 
 }  // namespace causalec::net

@@ -1,8 +1,11 @@
 // ProcessCluster: spawn n causalec_server processes on loopback, wait for
 // readiness, and exercise them -- including SIGKILL / exec-restart cycles
 // driving the crash-recovery path (persist journal + rejoin) across real
-// process boundaries. Scriptable from ctest (tests/net_cluster_test.cpp)
-// and reused by causalec_client --spawn for self-contained benches.
+// process boundaries. Scriptable from ctest (tests/net_cluster_test.cpp,
+// tests/frontdoor_chaos_test.cpp).
+//
+// The readiness, convergence and error probes are also free functions over
+// an endpoint list, for tests that run NodeDaemons in-process.
 #pragma once
 
 #include <chrono>
@@ -21,6 +24,22 @@ namespace causalec::net {
 /// assigned ports, then release. The tiny steal-window race is acceptable
 /// for tests; SO_REUSEADDR on the real listeners keeps rebinding reliable.
 std::vector<std::uint16_t> reserve_loopback_ports(std::size_t n);
+
+/// Ping every endpoint until it reports ready. False if one is not ready by
+/// the deadline.
+bool await_ready(const std::vector<std::string>& endpoints,
+                 std::chrono::milliseconds timeout);
+
+/// Every endpoint reports equal vector clocks and empty transient state
+/// (history/inqueue/readl), stable across two polls: the cross-process
+/// version of ThreadedCluster::await_convergence.
+bool await_convergence(const std::vector<std::string>& endpoints,
+                       std::chrono::milliseconds timeout);
+
+/// Sum of error1+error2 over the endpoints (must stay 0); nullopt when any
+/// of them cannot be reached, so a dead daemon never counts as clean.
+std::optional<std::uint64_t> total_error_events(
+    const std::vector<std::string>& endpoints);
 
 struct ProcessClusterConfig {
   /// Path to the causalec_server binary (tests get it via the
@@ -58,8 +77,10 @@ class ProcessCluster {
   const ClusterConfig& cluster() const { return cluster_; }
   const std::string& cluster_file() const { return cluster_file_; }
 
-  /// Poll every live server with pings until all report ready.
+  /// The probes above over the live servers.
   bool await_ready(std::chrono::milliseconds timeout);
+  bool await_convergence(std::chrono::milliseconds timeout);
+  std::optional<std::uint64_t> total_error_events();
 
   /// "127.0.0.1:port" of server i (valid after start()).
   const std::string& endpoint(std::size_t i) const { return endpoints_[i]; }
@@ -74,20 +95,14 @@ class ProcessCluster {
   /// dir); it restores its journal and rejoins. Requires persistence.
   bool restart(std::size_t i);
 
-  /// One stats round-trip to server i (fresh connection each call).
+  /// One stats round-trip to server i (fresh connection each call);
+  /// nullopt when it is not running.
   std::optional<StatsResp> stats(std::size_t i);
-
-  /// All live servers report equal vector clocks and empty transient state
-  /// (history/inqueue/readl), stable across two polls: the cross-process
-  /// version of ThreadedCluster::await_convergence.
-  bool await_convergence(std::chrono::milliseconds timeout);
-
-  /// Sum of error1+error2 across live servers (must stay 0).
-  std::uint64_t total_error_events();
 
  private:
   bool spawn(std::size_t i);
   std::vector<std::string> server_args(std::size_t i) const;
+  std::vector<std::string> live_endpoints() const;
 
   ProcessClusterConfig config_;
   ClusterConfig cluster_;

@@ -3,20 +3,25 @@
 // enabled in production-shaped runs and dumped post-mortem -- into chaos
 // replay bundles, on recovery restart, and on demand by causalec_inspect.
 //
-// Design: a power-of-two ring of POD slots. Writers claim a slot with a
-// relaxed fetch_add on the sequence counter, fill the slot, then publish it
-// by storing the claimed sequence number into the slot's own `seq` field
-// with release order. A reader (snapshot()) walks the last `size` slots and
-// keeps only those whose published seq matches the slot it expects --
-// torn/in-flight slots are silently skipped. Events are summaries, not the
-// protocol state itself: a kind, the peer/object involved, and a tag
-// digest (vector-clock component sum + client id), enough to reconstruct
-// "what was this node doing just before it died".
+// Design: a power-of-two ring of POD slots, each guarded by a seqlock.
+// Writers claim a slot with a relaxed fetch_add on the sequence counter,
+// invalidate the slot's own `seq` field, fill the event fields, then
+// publish the claimed sequence number with release order. A reader
+// (snapshot()) walks the last `size` slots, copies each event, and keeps it
+// only if the slot's seq matched the slot it expects both before and after
+// the copy -- torn/in-flight slots are silently skipped. The event fields
+// are atomic accesses (std::atomic_ref), so a racing copy is detected and
+// dropped, not a data race. They carry the seqlock's ordering themselves
+// (release stores, acquire loads: plain moves on x86-64) rather than
+// standalone fences, which -fsanitize=thread does not support. Events are
+// summaries, not the protocol state itself: a kind, the peer/object
+// involved, and a tag digest (vector-clock component sum + client id),
+// enough to reconstruct "what was this node doing just before it died".
 //
 // In both runtimes a node's events are recorded by one thread (the sim
 // loop or the node's own thread), but snapshot() may race with recording
-// (causalec_inspect against a live ThreadedCluster), hence the seq-stamp
-// protocol rather than plain stores.
+// (causalec_inspect against a live ThreadedCluster), hence the seqlock
+// rather than plain stores.
 #pragma once
 
 #include <atomic>
@@ -73,13 +78,17 @@ class FlightRecorder {
               std::uint32_t tag_client = 0) {
     const std::uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed);
     Slot& slot = slots_[seq & mask_];
-    slot.event.ts_ns = ts_ns;
-    slot.event.kind = kind;
-    slot.event.a = a;
-    slot.event.b = b;
-    slot.event.tag_sum = tag_sum;
-    slot.event.tag_client = tag_client;
-    slot.seq.store(seq + 1, std::memory_order_release);  // 0 = never written
+    // 0 = never written / being written. Each field store below is a
+    // release, so a reader that copies any of them also sees this store on
+    // its re-check.
+    slot.seq.store(0, std::memory_order_relaxed);
+    store_release(slot.event.ts_ns, ts_ns);
+    store_release(slot.event.kind, kind);
+    store_release(slot.event.a, a);
+    store_release(slot.event.b, b);
+    store_release(slot.event.tag_sum, tag_sum);
+    store_release(slot.event.tag_client, tag_client);
+    slot.seq.store(seq + 1, std::memory_order_release);
   }
 
   std::size_t capacity() const { return cap_; }
@@ -99,9 +108,19 @@ class FlightRecorder {
     std::vector<FlightEvent> out;
     out.reserve(count);
     for (std::uint64_t seq = end - count; seq < end; ++seq) {
-      const Slot& slot = slots_[seq & mask_];
+      Slot& slot = slots_[seq & mask_];
       if (slot.seq.load(std::memory_order_acquire) != seq + 1) continue;
-      out.push_back(slot.event);
+      // Acquire loads keep the re-check after the copy: a writer that
+      // overwrote any field had invalidated seq first.
+      FlightEvent event;
+      event.ts_ns = load_acquire(slot.event.ts_ns);
+      event.kind = load_acquire(slot.event.kind);
+      event.a = load_acquire(slot.event.a);
+      event.b = load_acquire(slot.event.b);
+      event.tag_sum = load_acquire(slot.event.tag_sum);
+      event.tag_client = load_acquire(slot.event.tag_client);
+      if (slot.seq.load(std::memory_order_relaxed) != seq + 1) continue;
+      out.push_back(event);
     }
     return out;
   }
@@ -111,6 +130,15 @@ class FlightRecorder {
     std::atomic<std::uint64_t> seq{0};
     FlightEvent event;
   };
+
+  template <typename T>
+  static void store_release(T& field, T value) {
+    std::atomic_ref<T>(field).store(value, std::memory_order_release);
+  }
+  template <typename T>
+  static T load_acquire(T& field) {
+    return std::atomic_ref<T>(field).load(std::memory_order_acquire);
+  }
 
   std::unique_ptr<Slot[]> slots_;
   std::size_t cap_ = 0;

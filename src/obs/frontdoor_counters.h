@@ -5,9 +5,9 @@
 // The cache outcome counters partition routed reads:
 //   hits + misses + stale + expired == routed reads,
 //   misses + stale + expired == fall-throughs reaching a backend.
-// The latency histograms split the read path per tier, which is the
-// bench_frontdoor headline: cache hits are answered on the router's shard
-// thread; origin reads pay the extra hop plus the backend automaton.
+// The latency histograms split the read path per tier: cache hits are
+// answered on the router's shard thread; origin reads pay the extra hop
+// plus the backend automaton.
 #pragma once
 
 #include "obs/metrics.h"

@@ -136,9 +136,7 @@ class FrontdoorSessionTest : public ::testing::Test {
           std::move(config)));
     }
     for (auto& d : daemons_) d->start();
-    for (std::size_t i = 0; i < kServers; ++i) {
-      ASSERT_TRUE(await_server_ready(i)) << "server " << i << " never ready";
-    }
+    ASSERT_TRUE(net::await_ready(endpoints_, 10s)) << "daemons never ready";
 
     net::ClusterConfig cluster;
     cluster.num_servers = kServers;
@@ -162,65 +160,6 @@ class FrontdoorSessionTest : public ::testing::Test {
   void TearDown() override {
     if (router_ != nullptr) router_->stop();
     for (auto& d : daemons_) d->stop();
-  }
-
-  bool await_server_ready(std::size_t i) {
-    const auto deadline = std::chrono::steady_clock::now() + 10s;
-    while (std::chrono::steady_clock::now() < deadline) {
-      net::NetClient probe(9000 + static_cast<ClientId>(i));
-      if (probe.connect(endpoints_[i], 250)) {
-        probe.set_io_timeout_ms(1000);
-        const auto pong = probe.ping(42);
-        if (pong.has_value() && pong->ready) return true;
-      }
-      std::this_thread::sleep_for(20ms);
-    }
-    return false;
-  }
-
-  /// VC equality + drained transient state across all servers, stable for
-  /// two polls -- the same oracle as ProcessCluster::await_convergence.
-  bool await_convergence(std::chrono::milliseconds timeout) {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    int stable = 0;
-    while (std::chrono::steady_clock::now() < deadline) {
-      bool converged = true;
-      std::optional<VectorClock> reference;
-      for (std::size_t i = 0; i < kServers && converged; ++i) {
-        net::NetClient probe(9100 + static_cast<ClientId>(i));
-        if (!probe.connect(endpoints_[i], 500)) {
-          converged = false;
-          break;
-        }
-        probe.set_io_timeout_ms(2000);
-        const auto s = probe.stats();
-        if (!s.has_value() || s->history_entries != 0 ||
-            s->inqueue_entries != 0 || s->readl_entries != 0) {
-          converged = false;
-          break;
-        }
-        if (!reference.has_value()) {
-          reference = s->vc;
-        } else if (!(*reference == s->vc)) {
-          converged = false;
-        }
-      }
-      if (converged && ++stable >= 2) return true;
-      if (!converged) stable = 0;
-      std::this_thread::sleep_for(20ms);
-    }
-    return false;
-  }
-
-  std::uint64_t total_error_events() {
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < kServers; ++i) {
-      net::NetClient probe(9200 + static_cast<ClientId>(i));
-      if (!probe.connect(endpoints_[i], 500)) continue;
-      const auto s = probe.stats();
-      if (s.has_value()) total += s->error_events;
-    }
-    return total;
   }
 
   /// Reads every object directly at every server after convergence; these
@@ -300,14 +239,14 @@ TEST_F(FrontdoorSessionTest, RoutedSequentialSessionsSatisfyTheCheckers) {
       }
     }
   }
-  ASSERT_TRUE(await_convergence(15s));
+  ASSERT_TRUE(net::await_convergence(endpoints_, 15s));
 
   consistency::History history;
   for (auto& s : sessions) {
     for (auto& op : s->ops) history.record(std::move(op));
   }
   run_checkers(history, final_reads());
-  EXPECT_EQ(total_error_events(), 0u);
+  EXPECT_EQ(net::total_error_events(endpoints_), 0u);
 
   // The router's counters must partition its traffic exactly.
   const net::RouterStatsResp s = router_->stats();
@@ -351,7 +290,7 @@ TEST_F(FrontdoorSessionTest, ConcurrentRoutedClientsSatisfyTheCheckers) {
   }
   for (auto& th : threads) th.join();
   ASSERT_FALSE(failed.load()) << "a routed operation failed";
-  ASSERT_TRUE(await_convergence(15s));
+  ASSERT_TRUE(net::await_convergence(endpoints_, 15s));
 
   consistency::History history;
   for (auto& s : sessions) {
@@ -359,32 +298,47 @@ TEST_F(FrontdoorSessionTest, ConcurrentRoutedClientsSatisfyTheCheckers) {
   }
   EXPECT_EQ(history.size(), kThreads * 30);
   run_checkers(history, final_reads());
-  EXPECT_EQ(total_error_events(), 0u);
+  EXPECT_EQ(net::total_error_events(endpoints_), 0u);
 }
 
 TEST_F(FrontdoorSessionTest, ReadAfterWriteIsServedFromTheCache) {
+  // A routed write installs its own witness at the write's tag timestamp,
+  // and that is exactly the session's frontier after the write: the backend
+  // parks the write until its clock covers the frontier, and answers with
+  // the clock the write's tag carries. With no other traffic, every read of
+  // the object just written is therefore a cache hit, and the cache
+  // counters are exact.
+  constexpr int kRounds = 10;
+  constexpr int kReadsPerWrite = 10;
+  constexpr std::uint64_t kReads = kRounds * kObjects * kReadsPerWrite;
   RouterSession s(300, router_endpoint_);
   ASSERT_TRUE(s.connected);
-  ASSERT_TRUE(s.write_op(0));
-  EXPECT_GE(router_->stats().cache_entries, 1u)
-      << "a routed write must install its own witness";
-  // The first read may race the write's response clock; the second read's
-  // frontier equals the refreshed witness clock exactly, so by then the
-  // cache MUST have served at least once.
-  ASSERT_TRUE(s.read_op(0));
-  ASSERT_TRUE(s.read_op(0));
-  EXPECT_GE(router_->stats().cache_hits, 1u);
-  const erasure::Value expected = value_for(s.id, 0);
-  ASSERT_EQ(s.last_value.size(), expected.size());
-  EXPECT_EQ(consistency::hash_value_bytes(
-                {s.last_value.data(), s.last_value.size()}),
-            consistency::hash_value_bytes(
-                {expected.data(), expected.size()}));
+  const net::RouterStatsResp before = router_->stats();
+  std::uint64_t served_cached = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    for (ObjectId g = 0; g < kObjects; ++g) {
+      ASSERT_TRUE(s.write_op(g));
+      const std::uint64_t written = s.ops.back().value_hash;
+      for (int r = 0; r < kReadsPerWrite; ++r) {
+        ASSERT_TRUE(s.read_op(g));
+        if (s.last_cached) ++served_cached;
+        EXPECT_EQ(s.ops.back().value_hash, written)
+            << "round " << round << " object " << g;
+      }
+    }
+  }
+  const net::RouterStatsResp after = router_->stats();
+  EXPECT_EQ(served_cached, kReads);
+  EXPECT_EQ(after.cache_hits - before.cache_hits, kReads);
+  EXPECT_EQ(after.cache_misses - before.cache_misses, 0u);
+  EXPECT_EQ(after.cache_stale - before.cache_stale, 0u);
+  EXPECT_EQ(after.cache_expired - before.cache_expired, 0u);
 
-  ASSERT_TRUE(await_convergence(15s));
+  ASSERT_TRUE(net::await_convergence(endpoints_, 15s));
   consistency::History history;
   for (auto& op : s.ops) history.record(std::move(op));
   run_checkers(history, final_reads());
+  EXPECT_EQ(net::total_error_events(endpoints_), 0u);
 }
 
 TEST_F(FrontdoorSessionTest, StaleCacheEntryIsRejectedWhenFrontierIsAhead) {
@@ -447,13 +401,13 @@ TEST_F(FrontdoorSessionTest, StaleCacheEntryIsRejectedWhenFrontierIsAhead) {
   EXPECT_GE(router_->stats().cache_stale, stale_before + 1);
 
   // 4. The full interleaving still satisfies every checker.
-  ASSERT_TRUE(await_convergence(15s));
+  ASSERT_TRUE(net::await_convergence(endpoints_, 15s));
   consistency::History history;
   for (auto& op : a.ops) history.record(std::move(op));
   history.record(std::move(direct_record));
   for (auto& op : b.ops) history.record(std::move(op));
   run_checkers(history, final_reads());
-  EXPECT_EQ(total_error_events(), 0u);
+  EXPECT_EQ(net::total_error_events(endpoints_), 0u);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "erasure/buffer.h"
 #include "erasure/codes.h"
 #include "runtime/threaded_cluster.h"
 
@@ -163,6 +164,61 @@ TEST(ThreadedRuntimeTest, ConcurrentReadsShareDecodePlanCache) {
   const auto stats = code->decode_plan_cache_stats();
   EXPECT_GT(stats.hits + stats.misses, 0u);
   EXPECT_LE(stats.entries, stats.misses);
+}
+
+TEST(ThreadedRuntimeTest, WarmDataPathRecyclesPayloadArenas) {
+  // The arena-pool property counted (DESIGN.md §5.5): once every node's
+  // BufferPool is warm, 4 KiB writes and reads on the serialized data path
+  // take far fewer than one fresh payload arena per operation: 0.003-0.33
+  // under ctest -j4 load. With no pool on the automaton thread it takes
+  // ~1.5 per op, and serializing a multicast once per target ~2.
+  constexpr std::size_t kBytes = 4096;
+  constexpr int kThreads = 4;
+  constexpr int kWarmupOps = 500;
+  constexpr int kOps = 2000;
+  constexpr double kMaxFreshArenasPerOp = 0.6;
+  ThreadedClusterConfig config;
+  config.gc_period = 10ms;
+  ThreadedCluster cluster(erasure::make_six_dc_cross_object(kBytes), config);
+  const std::size_t n = cluster.num_servers();
+  constexpr ObjectId kObjects = 4;
+  for (ObjectId g = 0; g < kObjects; ++g) {
+    cluster.write(static_cast<NodeId>(g % n), /*client=*/1, g,
+                  Value(kBytes, static_cast<std::uint8_t>(g + 1)));
+  }
+  ASSERT_TRUE(cluster.await_convergence(10000ms));
+
+  // Each thread alternates writes and reads of its own object at its own
+  // server, like the closed loop of perfbench's inproc-mixed.
+  const auto run = [&](int ops) {
+    std::vector<std::thread> clients;
+    for (int t = 0; t < kThreads; ++t) {
+      clients.emplace_back([&, t] {
+        const auto at = static_cast<NodeId>(t % n);
+        const auto object = static_cast<ObjectId>(t % kObjects);
+        const Value payload(kBytes, static_cast<std::uint8_t>(t + 10));
+        for (int i = 0; i < ops; ++i) {
+          if (i % 2 == 0) {
+            cluster.write(at, 100 + t, object, payload);
+          } else {
+            (void)cluster.read(at, 100 + t, object);
+          }
+        }
+      });
+    }
+    for (auto& c : clients) c.join();
+  };
+  run(kWarmupOps);
+  const auto before = erasure::Buffer::alloc_stats();
+  run(kOps);
+  const auto after = erasure::Buffer::alloc_stats();
+  const double fresh_per_op =
+      static_cast<double>(after.allocations - before.allocations) /
+      (kThreads * kOps);
+  EXPECT_LT(fresh_per_op, kMaxFreshArenasPerOp)
+      << (after.recycled - before.recycled) << " arenas recycled";
+  ASSERT_TRUE(cluster.await_convergence(10000ms));
+  EXPECT_EQ(cluster.total_error_events(), 0u);
 }
 
 TEST(ThreadedRuntimeTest, DirectMessagePassingModeWorksToo) {

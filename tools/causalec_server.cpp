@@ -3,7 +3,7 @@
 // One process = one node of the deployment: shard-per-core epoll IO, the
 // single-threaded server automaton, and (with --data-dir) a durable journal
 // that survives SIGKILL and rejoins the cluster on restart. Spawned n times
-// (by tests/net_cluster_test.cpp, causalec_client --spawn, or by hand) it
+// (by tests/net_cluster_test.cpp, perfbench, or by hand) it
 // forms a full cluster over TCP.
 //
 // The cluster shape (servers, objects, value bytes, code, every node's

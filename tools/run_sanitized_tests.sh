@@ -30,8 +30,7 @@
 #       # parsing, routed sessions under the consistency checkers, and
 #       # the SIGKILL/router-restart chaos tests; under tsan this
 #       # exercises the router's shard loops, the shared edge cache, and
-#       # every RouterClient session thread (the wall-clock
-#       # frontdoor_bench_smoke gate is skipped in sanitized builds)
+#       # every RouterClient session thread
 #   tools/run_sanitized_tests.sh --net-smoke
 #       # fast path: net label only, asan+ubsan then tsan
 #   tools/run_sanitized_tests.sh --frontdoor-smoke
