@@ -7,6 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <optional>
+#include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "causalec/codec.h"
@@ -313,28 +318,153 @@ TEST(NetFrameMalformed, TrailingGarbageNeverAborts) {
 }
 
 // -- Client/control protocol ------------------------------------------------
+//
+// Every client/control message type gets the same battery: a field-by-field
+// round trip, a wrong type byte, every strict prefix and one trailing byte
+// decoding to nullopt, and each count field (clock sizes, value lengths,
+// shard_ops, backend_ops) overwritten with a hostile value.
 
-TEST(NetClientProto, RoundTrips) {
+std::string describe(const Value& v) {
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
+  for (const std::uint8_t b : v) h = (h ^ b) * 1099511628211ull;
+  std::ostringstream os;
+  os << v.size() << "B#" << std::hex << h;
+  return os.str();
+}
+
+/// A field-by-field rendering of a message, so a round trip compares every
+/// field and a failure prints both sides.
+template <typename... Fields>
+std::string fields(const char* name, const Fields&... f) {
+  std::ostringstream os;
+  os << name;
+  ((os << ' ' << f), ...);
+  return os.str();
+}
+
+std::string describe(const Hello& m) {
+  return fields("hello", static_cast<int>(m.role), m.node);
+}
+std::string describe(const WriteReq& m) {
+  return fields("write_req", m.opid, m.client, m.object, describe(m.value));
+}
+std::string describe(const ReadReq& m) {
+  return fields("read_req", m.opid, m.client, m.object);
+}
+std::string describe(const Ping& m) { return fields("ping", m.token); }
+std::string describe(const WriteResp& m) {
+  return fields("write_resp", m.opid, m.tag, m.vc);
+}
+std::string describe(const ReadResp& m) {
+  return fields("read_resp", m.opid, m.tag, m.vc, describe(m.value));
+}
+std::string describe(const Pong& m) {
+  return fields("pong", m.token, m.ready);
+}
+std::string describe(const StatsResp& m) {
+  std::string out = fields("stats_resp", m.node, m.vc, m.history_entries,
+                           m.inqueue_entries, m.readl_entries, m.writes,
+                           m.reads, m.error_events, m.recoveries);
+  for (const std::uint64_t v : m.shard_ops) out += ' ' + std::to_string(v);
+  return out;
+}
+std::string describe(const RoutedWriteReq& m) {
+  return fields("routed_write_req", m.opid, m.client, m.object, m.frontier,
+                describe(m.value));
+}
+std::string describe(const RoutedReadReq& m) {
+  return fields("routed_read_req", m.opid, m.client, m.object, m.frontier);
+}
+std::string describe(const RoutedReadResp& m) {
+  return fields("routed_read_resp", m.opid, m.tag, m.vc, m.cached,
+                describe(m.value));
+}
+std::string describe(const RouterStatsResp& m) {
+  std::string out = fields(
+      "router_stats_resp", m.routed_writes, m.routed_reads, m.cache_hits,
+      m.cache_misses, m.cache_stale, m.cache_expired, m.cache_evictions,
+      m.cache_entries, m.fallthroughs, m.reroutes, m.ring_remaps);
+  for (const std::uint64_t v : m.backend_ops) out += ' ' + std::to_string(v);
+  return out;
+}
+
+/// Decoder output as text: nullopt when the decoder rejected the bytes.
+template <typename M>
+std::optional<std::string> text(const std::optional<M>& m) {
+  if (!m.has_value()) return std::nullopt;
+  return describe(*m);
+}
+std::optional<std::string> text(bool ok) {
+  if (!ok) return std::nullopt;
+  return std::string("ok");
+}
+
+/// Encoded sizes of the variable-length fields (see wire::Writer).
+std::size_t clock_bytes(const VectorClock& vc) { return 4 + 8 * vc.size(); }
+std::size_t tag_bytes(const Tag& t) { return clock_bytes(t.ts) + 8; }
+
+/// A u32 count field inside an encoded message, and the count it holds.
+struct CountField {
+  std::size_t offset;
+  std::uint32_t count;
+};
+
+/// One encoded message, its decoder, and what the decoder must return.
+struct ProtoCase {
+  std::vector<std::uint8_t> bytes;
+  std::function<std::optional<std::string>(Buffer)> decode;
+  std::string want;
+  std::vector<CountField> counts;
+};
+
+template <typename M>
+ProtoCase make_case(const M& m, std::vector<std::uint8_t> (*encode)(const M&),
+                    std::optional<M> (*decode)(Buffer),
+                    std::vector<CountField> counts = {}) {
+  return {encode(m),
+          [decode](Buffer b) { return text(decode(std::move(b))); },
+          describe(m), std::move(counts)};
+}
+
+ProtoCase make_empty_case(std::vector<std::uint8_t> (*encode)(),
+                          bool (*decode)(Buffer)) {
+  return {encode(), [decode](Buffer b) { return text(decode(std::move(b))); },
+          "ok", {}};
+}
+
+/// One instance of every client/control message type, with non-empty
+/// clocks, values, frontiers and per-shard/per-backend arrays.
+std::vector<ProtoCase> client_proto_cases() {
   Rng rng(13);
-  {
-    Hello m{PeerRole::kServer, 3};
-    const auto r = decode_hello(Buffer::adopt(encode_hello(m)));
-    ASSERT_TRUE(r.has_value());
-    EXPECT_EQ(r->role, PeerRole::kServer);
-    EXPECT_EQ(r->node, 3u);
-  }
+  std::vector<ProtoCase> out;
+  out.push_back(make_case(Hello{PeerRole::kServer, 3}, encode_hello,
+                          decode_hello));
   {
     WriteReq m;
     m.opid = 42;
     m.client = 7;
     m.object = 2;
     m.value = random_value(rng, 96);
-    const auto r = decode_write_req(Buffer::adopt(encode_write_req(m)));
-    ASSERT_TRUE(r.has_value());
-    EXPECT_EQ(r->opid, 42u);
-    EXPECT_EQ(r->client, 7u);
-    EXPECT_EQ(r->object, 2u);
-    EXPECT_EQ(r->value, m.value);
+    out.push_back(make_case(m, encode_write_req, decode_write_req,
+                            {{21, 96}}));
+  }
+  {
+    ReadReq m;
+    m.opid = 44;
+    m.client = 8;
+    m.object = 1;
+    out.push_back(make_case(m, encode_read_req, decode_read_req));
+  }
+  out.push_back(make_case(Ping{0xABCDEF0123ull}, encode_ping, decode_ping));
+  out.push_back(make_empty_case(encode_stats_req, decode_stats_req));
+  {
+    WriteResp m;
+    m.opid = 9;
+    m.tag = random_tag(rng, 5);
+    m.vc = random_clock(rng, 5);
+    const std::size_t vc_at = 9 + tag_bytes(m.tag);
+    out.push_back(make_case(m, encode_write_resp, decode_write_resp,
+                            {{9, 5}, {vc_at, 5}}));
   }
   {
     ReadResp m;
@@ -342,13 +472,12 @@ TEST(NetClientProto, RoundTrips) {
     m.tag = random_tag(rng, 5);
     m.vc = random_clock(rng, 5);
     m.value = random_value(rng, 64);
-    const auto r = decode_read_resp(Buffer::adopt(encode_read_resp(m)));
-    ASSERT_TRUE(r.has_value());
-    EXPECT_EQ(r->opid, 43u);
-    EXPECT_EQ(r->tag, m.tag);
-    EXPECT_TRUE(r->vc == m.vc);
-    EXPECT_EQ(r->value, m.value);
+    const std::size_t vc_at = 9 + tag_bytes(m.tag);
+    const std::size_t value_at = vc_at + clock_bytes(m.vc);
+    out.push_back(make_case(m, encode_read_resp, decode_read_resp,
+                            {{9, 5}, {vc_at, 5}, {value_at, 64}}));
   }
+  out.push_back(make_case(Pong{77, true}, encode_pong, decode_pong));
   {
     StatsResp m;
     m.node = 4;
@@ -358,45 +487,141 @@ TEST(NetClientProto, RoundTrips) {
     m.readl_entries = 1;
     m.writes = 100;
     m.reads = 200;
-    m.error_events = 0;
+    m.error_events = 5;
     m.recoveries = 3;
     m.shard_ops = {11, 22, 33};
-    const auto r = decode_stats_resp(Buffer::adopt(encode_stats_resp(m)));
-    ASSERT_TRUE(r.has_value());
-    EXPECT_TRUE(r->vc == m.vc);
-    EXPECT_EQ(r->history_entries, 10u);
-    EXPECT_EQ(r->shard_ops, m.shard_ops);
+    const std::size_t shards_at = encode_stats_resp(m).size() - 3 * 8 - 4;
+    out.push_back(make_case(m, encode_stats_resp, decode_stats_resp,
+                            {{5, 5}, {shards_at, 3}}));
+  }
+  {
+    RoutedWriteReq m;
+    m.opid = 45;
+    m.client = 9;
+    m.object = 0;
+    m.frontier = random_clock(rng, 5);
+    m.value = random_value(rng, 80);
+    out.push_back(make_case(m, encode_routed_write_req,
+                            decode_routed_write_req,
+                            {{21, 5}, {21 + clock_bytes(m.frontier), 80}}));
+  }
+  {
+    RoutedReadReq m;
+    m.opid = 46;
+    m.client = 10;
+    m.object = 2;
+    m.frontier = random_clock(rng, 5);
+    out.push_back(make_case(m, encode_routed_read_req,
+                            decode_routed_read_req, {{21, 5}}));
+  }
+  {
+    RoutedReadResp m;
+    m.opid = 47;
+    m.tag = random_tag(rng, 5);
+    m.vc = random_clock(rng, 5);
+    m.cached = true;
+    m.value = random_value(rng, 72);
+    const std::size_t vc_at = 9 + tag_bytes(m.tag);
+    const std::size_t value_at = vc_at + clock_bytes(m.vc) + 1;
+    out.push_back(make_case(m, encode_routed_read_resp,
+                            decode_routed_read_resp,
+                            {{9, 5}, {vc_at, 5}, {value_at, 72}}));
+  }
+  out.push_back(make_empty_case(encode_router_stats_req,
+                                decode_router_stats_req));
+  {
+    RouterStatsResp m;
+    m.routed_writes = 1;
+    m.routed_reads = 2;
+    m.cache_hits = 3;
+    m.cache_misses = 4;
+    m.cache_stale = 5;
+    m.cache_expired = 6;
+    m.cache_evictions = 7;
+    m.cache_entries = 8;
+    m.fallthroughs = 9;
+    m.reroutes = 10;
+    m.ring_remaps = 11;
+    m.backend_ops = {12, 13, 14, 15, 16};
+    const std::size_t backends_at =
+        encode_router_stats_resp(m).size() - 5 * 8 - 4;
+    out.push_back(make_case(m, encode_router_stats_resp,
+                            decode_router_stats_resp, {{backends_at, 5}}));
+  }
+  return out;
+}
+
+Buffer copy_of(const std::vector<std::uint8_t>& bytes, std::size_t len) {
+  return Buffer::adopt(std::vector<std::uint8_t>(
+      bytes.begin(), bytes.begin() + static_cast<long>(len)));
+}
+
+void put_u32(std::vector<std::uint8_t>& bytes, std::size_t at,
+             std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
 }
 
-TEST(NetClientProto, MalformedFramesDecodeToNullopt) {
-  Rng rng(14);
-  // Wrong type byte.
-  auto hello = encode_hello(Hello{PeerRole::kClient, 0});
-  hello[0] = static_cast<std::uint8_t>(ClientMsgType::kPing);
-  EXPECT_FALSE(decode_hello(Buffer::adopt(std::move(hello))).has_value());
-  // Truncated at every prefix.
-  WriteResp resp;
-  resp.opid = 9;
-  resp.tag = random_tag(rng, 5);
-  resp.vc = random_clock(rng, 5);
-  const auto bytes = encode_write_resp(resp);
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_FALSE(decode_write_resp(
-                     Buffer::adopt(std::vector<std::uint8_t>(
-                         bytes.begin(),
-                         bytes.begin() + static_cast<long>(len))))
-                     .has_value())
-        << "prefix " << len;
+std::uint32_t get_u32(const std::vector<std::uint8_t>& bytes,
+                      std::size_t at) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<std::uint32_t>(bytes[at + i]) << (8 * i);
   }
-  // Hostile shard count in stats: claims more entries than bytes present.
-  StatsResp stats;
-  stats.vc = random_clock(rng, 3);
-  stats.shard_ops = {1};
-  auto sbytes = encode_stats_resp(stats);
-  sbytes[sbytes.size() - 8 - 4] = 0xFF;  // shards count low byte
-  EXPECT_FALSE(
-      decode_stats_resp(Buffer::adopt(std::move(sbytes))).has_value());
+  return v;
+}
+
+TEST(NetClientProto, RoundTrips) {
+  const std::vector<ProtoCase> cases = client_proto_cases();
+  std::set<std::uint8_t> types;
+  for (const ProtoCase& c : cases) {
+    ASSERT_FALSE(c.bytes.empty());
+    EXPECT_GE(c.bytes[0], kClientProtoBase) << c.want;
+    types.insert(c.bytes[0]);
+    EXPECT_EQ(peek_type(copy_of(c.bytes, c.bytes.size())), c.bytes[0]);
+    EXPECT_EQ(c.decode(copy_of(c.bytes, c.bytes.size())), c.want);
+  }
+  EXPECT_EQ(types.size(), cases.size()) << "one case per message type";
+  EXPECT_EQ(peek_type(Buffer()), std::nullopt);
+}
+
+TEST(NetClientProto, MalformedFramesDecodeToNullopt) {
+  const std::vector<ProtoCase> cases = client_proto_cases();
+  for (const ProtoCase& c : cases) {
+    SCOPED_TRACE(c.want);
+    // Another message's type byte.
+    for (const ProtoCase& other : cases) {
+      if (other.bytes[0] == c.bytes[0]) continue;
+      std::vector<std::uint8_t> bytes = c.bytes;
+      bytes[0] = other.bytes[0];
+      EXPECT_EQ(c.decode(copy_of(bytes, bytes.size())), std::nullopt)
+          << "type byte " << static_cast<int>(other.bytes[0]);
+    }
+    // Every strict prefix, and one trailing byte.
+    for (std::size_t len = 0; len < c.bytes.size(); ++len) {
+      EXPECT_EQ(c.decode(copy_of(c.bytes, len)), std::nullopt)
+          << "prefix " << len;
+    }
+    std::vector<std::uint8_t> longer = c.bytes;
+    longer.push_back(0);
+    EXPECT_EQ(c.decode(copy_of(longer, longer.size())), std::nullopt)
+        << "trailing byte";
+    // Hostile counts: one entry more than the bytes hold, and the maximum.
+    for (const CountField& f : c.counts) {
+      ASSERT_EQ(get_u32(c.bytes, f.offset), f.count) << "offset " << f.offset;
+      for (const std::uint32_t hostile : {f.count + 1, 0xFFFFFFFFu}) {
+        std::vector<std::uint8_t> bytes = c.bytes;
+        put_u32(bytes, f.offset, hostile);
+        EXPECT_EQ(c.decode(copy_of(bytes, bytes.size())), std::nullopt)
+            << "count " << hostile << " at offset " << f.offset;
+      }
+    }
+  }
+  // A Hello naming a role that does not exist.
+  std::vector<std::uint8_t> hello = encode_hello(Hello{PeerRole::kClient, 0});
+  hello[1] = 2;
+  EXPECT_FALSE(decode_hello(Buffer::adopt(std::move(hello))).has_value());
 }
 
 }  // namespace
