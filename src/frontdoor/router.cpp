@@ -1,7 +1,5 @@
 #include "frontdoor/router.h"
 
-#include <sys/epoll.h>
-
 #include <thread>
 #include <utility>
 
@@ -12,6 +10,21 @@
 namespace causalec::frontdoor {
 
 namespace {
+
+/// How many times an in-flight read may chase link deaths before it is
+/// failed back to the client.
+constexpr int kMaxReadReroutes = 3;
+
+/// The frame that forwards a client's request to a backend: the same
+/// request under the router's opid.
+erasure::Buffer forwarded(net::WriteReq req, OpId opid) {
+  req.opid = opid;
+  return net::encode_frame(net::encode_write_req(req));
+}
+erasure::Buffer forwarded(net::ReadReq req, OpId opid) {
+  req.opid = opid;
+  return net::encode_frame(net::encode_read_req(req));
+}
 
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point start) {
   const auto d = std::chrono::steady_clock::now() - start;
@@ -26,30 +39,41 @@ Router::Router(RouterConfig config)
       groups_(config_.cluster.routing_groups()),
       ring_(groups_.size(), config_.vnodes, config_.ring_seed),
       cache_(config_.cache_capacity, config_.cache_ttl),
-      counters_(obs::FrontdoorCounters::resolve(registry_)) {
+      counters_(obs::FrontdoorCounters::resolve(registry_)),
+      front_end_("router", config_.shards,
+                 [this](const net::FrontEnd::Peer& peer,
+                        const std::shared_ptr<net::Connection>& conn,
+                        erasure::Buffer payload) {
+                   return handle_client_frame(peer.shard, conn,
+                                              std::move(payload));
+                 }),
+      shards_(config_.shards) {
   std::string error;
   CEC_CHECK_MSG(config_.cluster.validate(&error),
                 "router: bad cluster config: " << error);
-  CEC_CHECK(config_.shards >= 1);
   const std::size_t n = config_.cluster.num_servers;
   backend_ops_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
-  for (std::size_t i = 0; i < config_.shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->loop = std::make_unique<net::EventLoop>();
-    shard->links.reserve(n);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    Shard& shard = shards_[s];
+    shard.links.resize(n);
     for (NodeId node = 0; node < n; ++node) {
-      auto link = std::make_unique<BackendLink>();
-      link->node = node;
       const auto addr =
           net::parse_host_port(config_.cluster.endpoints[node]);
       CEC_CHECK_MSG(addr.has_value(),
                     "router: bad endpoint '"
                         << config_.cluster.endpoints[node] << "'");
-      link->host = addr->first;
-      link->port = addr->second;
-      shard->links.push_back(std::move(link));
+      BackendLink& link = shard.links[node];
+      link.link = std::make_unique<net::PeerLink>(
+          front_end_.loop(s), node, addr->first, addr->second,
+          net::Hello{net::PeerRole::kClient, 0},
+          [this, &shard](NodeId who, bool down) {
+            on_link_liveness(shard, who, down);
+          },
+          [this, &link](const std::shared_ptr<net::Connection>& conn,
+                        erasure::Buffer payload) {
+            handle_backend_frame(link, conn, std::move(payload));
+          });
     }
-    shards_.push_back(std::move(shard));
   }
 }
 
@@ -58,39 +82,20 @@ Router::~Router() { stop(); }
 void Router::start() {
   CEC_CHECK(!started_);
   started_ = true;
-  const bool reuseport = shards_.size() > 1;
-  shards_[0]->listener =
-      net::listen_tcp(config_.listen_host, config_.listen_port, reuseport);
-  CEC_CHECK_MSG(shards_[0]->listener.valid(),
-                "router: cannot listen on " << config_.listen_host << ":"
-                                            << config_.listen_port);
-  listen_port_ = net::local_port(shards_[0]->listener.get());
-  for (std::size_t i = 1; i < shards_.size(); ++i) {
-    shards_[i]->listener = net::listen_tcp(config_.listen_host, listen_port_,
-                                           /*reuseport=*/true);
-    CEC_CHECK_MSG(shards_[i]->listener.valid(),
-                  "router: cannot bind shard " << i << " listener on port "
-                                               << listen_port_);
+  front_end_.listen(config_.listen_host, config_.listen_port);
+  front_end_.start();
+  for (Shard& shard : shards_) {
+    for (BackendLink& link : shard.links) link.link->start();
   }
-  for (auto& shard : shards_) shard->loop->start();
-  for (auto& shard : shards_) {
-    Shard* s = shard.get();
-    s->loop->post([this, s] {
-      s->pool.install();
-      s->loop->watch(s->listener.get(), /*want_read=*/true,
-                     /*want_write=*/false,
-                     [this, s](std::uint32_t) { accept_ready(s); });
-      for (auto& link : s->links) dial(s, link.get());
-    });
-  }
-  ready_.store(true, std::memory_order_release);
+  front_end_.set_ready(true);
 }
 
 void Router::stop() {
   if (!started_) return;
-  ready_.store(false, std::memory_order_release);
-  stopping_.store(true, std::memory_order_release);
-  for (auto& shard : shards_) shard->loop->stop();
+  for (Shard& shard : shards_) {
+    for (BackendLink& link : shard.links) link.link->shutdown();
+  }
+  front_end_.stop();
   started_ = false;
 }
 
@@ -127,105 +132,45 @@ net::RouterStatsResp Router::stats() const {
   return s;
 }
 
-void Router::accept_ready(Shard* shard) {
-  while (true) {
-    net::ScopedFd fd = net::accept_nonblocking(shard->listener.get());
-    if (!fd.valid()) return;
-    auto conn =
-        std::make_shared<net::Connection>(shard->loop.get(), std::move(fd));
-    auto state = std::make_shared<ClientConn>();
-    state->shard = shard;
-    conn->open(
-        [this, state](const std::shared_ptr<net::Connection>& c,
-                      erasure::Buffer payload) {
-          handle_client_frame(state, c, std::move(payload));
-        },
-        [](const std::shared_ptr<net::Connection>&) {});
-  }
-}
-
-void Router::handle_client_frame(
-    const std::shared_ptr<ClientConn>& state,
-    const std::shared_ptr<net::Connection>& conn, erasure::Buffer payload) {
-  const std::optional<std::uint8_t> type = net::peek_type(payload);
-  if (!type.has_value()) {
-    conn->close();
-    return;
-  }
-  if (!state->helloed) {
-    const std::optional<net::Hello> hello =
-        net::decode_hello(std::move(payload));
-    if (!hello.has_value()) {
-      CEC_LOG(kWarn) << "router: closing connection with malformed hello";
-      conn->close();
-      return;
-    }
-    state->helloed = true;
-    return;
-  }
+bool Router::handle_client_frame(std::size_t shard,
+                                 const std::shared_ptr<net::Connection>& conn,
+                                 erasure::Buffer payload) {
   // Requests are validated here on the shard thread; a hostile frame can
   // never reach a backend or the cache.
-  switch (static_cast<net::ClientMsgType>(*type)) {
-    case net::ClientMsgType::kPing: {
-      const std::optional<net::Ping> ping =
-          net::decode_ping(std::move(payload));
-      if (!ping.has_value()) break;
-      conn->send(net::encode_frame(
-          net::encode_pong(net::Pong{ping->token, ready()})));
-      return;
-    }
+  const auto fits = [this](const auto& req) {
+    return net::fits_cluster(req, config_.cluster.num_servers,
+                             config_.cluster.num_objects,
+                             config_.cluster.value_bytes);
+  };
+  switch (static_cast<net::ClientMsgType>(payload.data()[0])) {
     case net::ClientMsgType::kRouterStatsReq: {
-      if (!net::decode_router_stats_req(std::move(payload))) break;
+      if (!net::decode_router_stats_req(std::move(payload))) return false;
       conn->send(net::encode_frame(net::encode_router_stats_resp(stats())));
-      return;
+      return true;
     }
-    case net::ClientMsgType::kRoutedWriteReq: {
-      std::optional<net::RoutedWriteReq> req =
-          net::decode_routed_write_req(std::move(payload));
-      if (!req.has_value()) break;
-      if (req->object >= config_.cluster.num_objects ||
-          req->value.size() != config_.cluster.value_bytes ||
-          (req->frontier.size() != 0 &&
-           req->frontier.size() != config_.cluster.num_servers)) {
-        break;
-      }
+    case net::ClientMsgType::kWriteReq: {
+      std::optional<net::WriteReq> req =
+          net::decode_write_req(std::move(payload));
+      if (!req.has_value() || !fits(*req)) return false;
       counters_.routed_writes->inc();
-      PendingOp op;
-      op.is_write = true;
-      op.client_opid = req->opid;
-      op.client = req->client;
-      op.object = req->object;
-      op.frontier = std::move(req->frontier);
-      op.value = std::move(req->value);
-      op.client_conn = conn;
-      op.start = Clock::now();
-      forward(state->shard, std::move(op));
-      return;
+      forward(shards_[shard],
+              PendingOp{std::move(*req), conn, Clock::now(), 0});
+      return true;
     }
-    case net::ClientMsgType::kRoutedReadReq: {
-      std::optional<net::RoutedReadReq> req =
-          net::decode_routed_read_req(std::move(payload));
-      if (!req.has_value()) break;
-      if (req->object >= config_.cluster.num_objects ||
-          (req->frontier.size() != 0 &&
-           req->frontier.size() != config_.cluster.num_servers)) {
-        break;
-      }
-      handle_routed_read(state->shard, std::move(*req), conn);
-      return;
+    case net::ClientMsgType::kReadReq: {
+      std::optional<net::ReadReq> req =
+          net::decode_read_req(std::move(payload));
+      if (!req.has_value() || !fits(*req)) return false;
+      handle_read(shards_[shard], std::move(*req), conn);
+      return true;
     }
     default:
-      break;
+      return false;
   }
-  CEC_LOG(kWarn) << "router: closing client connection after malformed "
-                    "frame (type "
-                 << static_cast<int>(*type) << ")";
-  conn->close();
 }
 
-void Router::handle_routed_read(
-    Shard* shard, net::RoutedReadReq req,
-    const std::shared_ptr<net::Connection>& conn) {
+void Router::handle_read(Shard& shard, net::ReadReq req,
+                         const std::shared_ptr<net::Connection>& conn) {
   counters_.routed_reads->inc();
   const auto start = Clock::now();
   EdgeCache::Entry entry;
@@ -233,13 +178,13 @@ void Router::handle_routed_read(
     case EdgeCache::Outcome::kHit: {
       counters_.cache_hits->inc();
       counters_.cache_hit_ns->observe(elapsed_ns(start));
-      net::RoutedReadResp resp;
+      net::ReadResp resp;
       resp.opid = req.opid;
       resp.tag = std::move(entry.tag);
       resp.vc = std::move(entry.clock);
       resp.cached = true;
       resp.value = std::move(entry.value);
-      conn->send(net::encode_frame(net::encode_routed_read_resp(resp)));
+      conn->send(net::encode_frame(net::encode_read_resp(resp)));
       return;
     }
     case EdgeCache::Outcome::kMiss:
@@ -253,123 +198,51 @@ void Router::handle_routed_read(
       break;
   }
   counters_.fallthroughs->inc();
-  PendingOp op;
-  op.is_write = false;
-  op.client_opid = req.opid;
-  op.client = req.client;
-  op.object = req.object;
-  op.frontier = std::move(req.frontier);
-  op.client_conn = conn;
-  op.start = start;
-  op.reroutes_left = config_.max_read_reroutes;
-  forward(shard, std::move(op));
+  forward(shard, PendingOp{std::move(req), conn, start, kMaxReadReroutes});
 }
 
-void Router::forward(Shard* shard, PendingOp op) {
+void Router::forward(Shard& shard, PendingOp op) {
+  const ObjectId object =
+      std::visit([](const auto& req) { return req.object; }, op.req);
   const std::vector<std::size_t> cands =
-      ring_.candidates(op.object, groups_.size());
+      ring_.candidates(object, groups_.size());
   bool primary = true;
   for (const std::size_t gid : cands) {
     for (const NodeId node : groups_[gid]) {
-      BackendLink* link = shard->links[node].get();
-      if (link->conn == nullptr) {
+      BackendLink& link = shard.links[node];
+      if (!link.up) {
         primary = false;
         continue;
       }
       if (!primary) counters_.reroutes->inc();
-      const OpId opid = shard->next_opid++;
-      if (op.is_write) {
-        net::RoutedWriteReq req;
-        req.opid = opid;
-        req.client = op.client;
-        req.object = op.object;
-        req.frontier = op.frontier;
-        req.value = op.value;  // kept in the op: it becomes the witness
-        link->conn->send(
-            net::encode_frame(net::encode_routed_write_req(req)));
-      } else {
-        net::RoutedReadReq req;
-        req.opid = opid;
-        req.client = op.client;
-        req.object = op.object;
-        req.frontier = op.frontier;  // kept in the op: reroutes resend it
-        link->conn->send(
-            net::encode_frame(net::encode_routed_read_req(req)));
-      }
+      const OpId opid = shard.next_opid++;
+      link.link->send_frame(std::visit(
+          [opid](const auto& req) { return forwarded(req, opid); }, op.req));
       backend_ops_[node].fetch_add(1, std::memory_order_relaxed);
-      link->pending.emplace(opid, std::move(op));
+      link.pending.emplace(opid, std::move(op));
       return;
     }
   }
   // No live backend can own this key: fail the op at the client (closing
   // the connection is the protocol's failure signal).
-  CEC_LOG(kWarn) << "router: no live backend for object " << op.object
+  CEC_LOG(kWarn) << "router: no live backend for object " << object
                  << ", failing client op";
   if (auto c = op.client_conn.lock()) c->close();
 }
 
-void Router::dial(Shard* shard, BackendLink* link) {
-  if (stopping_.load(std::memory_order_acquire)) return;
-  if (link->conn != nullptr || link->connecting.valid()) return;
-  link->connecting = net::connect_tcp_nonblocking(link->host, link->port);
-  if (!link->connecting.valid()) {
-    retry_dial(shard, link);
-    return;
-  }
-  shard->loop->watch(link->connecting.get(), /*want_read=*/false,
-                     /*want_write=*/true,
-                     [this, shard, link](std::uint32_t events) {
-                       on_connect_ready(shard, link, events);
-                     });
-}
-
-void Router::on_connect_ready(Shard* shard, BackendLink* link,
-                              std::uint32_t events) {
-  shard->loop->unwatch(link->connecting.get());
-  net::ScopedFd fd = std::move(link->connecting);
-  if (stopping_.load(std::memory_order_acquire)) return;
-  if ((events & (EPOLLERR | EPOLLHUP)) != 0 ||
-      net::take_socket_error(fd.get()) != 0) {
-    retry_dial(shard, link);
-    return;
-  }
-  auto conn =
-      std::make_shared<net::Connection>(shard->loop.get(), std::move(fd));
-  link->conn = conn;
-  conn->open(
-      [this, shard, link](const std::shared_ptr<net::Connection>& c,
-                          erasure::Buffer payload) {
-        if (link->conn == c) {
-          handle_backend_frame(shard, link, std::move(payload));
-        }
-      },
-      [this, shard, link](const std::shared_ptr<net::Connection>& dead) {
-        if (link->conn == dead) on_link_lost(shard, link);
-      });
-  net::Hello hello;
-  hello.role = net::PeerRole::kClient;
-  conn->send(net::encode_frame(net::encode_hello(hello)));
-  links_up_.fetch_add(1, std::memory_order_acq_rel);
+void Router::on_link_liveness(Shard& shard, NodeId node, bool down) {
+  BackendLink& link = shard.links[node];
+  link.up = !down;
+  links_up_.fetch_add(down ? -1 : 1, std::memory_order_acq_rel);
   counters_.ring_remaps->inc();
-}
-
-void Router::retry_dial(Shard* shard, BackendLink* link) {
-  if (stopping_.load(std::memory_order_acquire)) return;
-  shard->loop->schedule_after(config_.reconnect_delay,
-                              [this, shard, link] { dial(shard, link); });
-}
-
-void Router::on_link_lost(Shard* shard, BackendLink* link) {
-  link->conn = nullptr;
-  links_up_.fetch_sub(1, std::memory_order_acq_rel);
-  counters_.ring_remaps->inc();
-  auto pending = std::move(link->pending);
-  link->pending.clear();
+  if (!down) return;
+  auto pending = std::move(link.pending);
+  link.pending.clear();
   for (auto& [opid, op] : pending) {
-    if (op.is_write) {
-      // A routed write in flight at a dead backend may or may not have
-      // been applied; retrying could apply it twice under a fresh tag.
-      // Fail it at the client and let the session decide.
+    if (std::holds_alternative<net::WriteReq>(op.req)) {
+      // A write in flight at a dead backend may or may not have been
+      // applied; retrying could apply it twice under a fresh tag. Fail it
+      // at the client and let the session decide.
       if (auto c = op.client_conn.lock()) c->close();
       continue;
     }
@@ -380,15 +253,14 @@ void Router::on_link_lost(Shard* shard, BackendLink* link) {
     op.reroutes_left -= 1;
     forward(shard, std::move(op));  // reads are idempotent: chase a survivor
   }
-  retry_dial(shard, link);
 }
 
-void Router::handle_backend_frame(Shard* shard, BackendLink* link,
+void Router::handle_backend_frame(BackendLink& link,
+                                  const std::shared_ptr<net::Connection>& conn,
                                   erasure::Buffer payload) {
-  (void)shard;
   const std::optional<std::uint8_t> type = net::peek_type(payload);
   if (!type.has_value()) {
-    link->conn->close();
+    conn->close();
     return;
   }
   switch (static_cast<net::ClientMsgType>(*type)) {
@@ -396,23 +268,22 @@ void Router::handle_backend_frame(Shard* shard, BackendLink* link,
       std::optional<net::WriteResp> resp =
           net::decode_write_resp(std::move(payload));
       if (!resp.has_value()) break;
-      const auto it = link->pending.find(resp->opid);
-      if (it == link->pending.end()) return;  // late response: drop
+      const auto it = link.pending.find(resp->opid);
+      if (it == link.pending.end()) return;  // late response: drop
       PendingOp op = std::move(it->second);
-      link->pending.erase(it);
-      if (!op.is_write) return;  // backend type confusion: drop
+      link.pending.erase(it);
+      auto* write = std::get_if<net::WriteReq>(&op.req);
+      if (write == nullptr) return;  // backend type confusion: drop
       counters_.origin_write_ns->observe(elapsed_ns(op.start));
       // The witness clock is the write's own tag timestamp, not the
       // response clock: tags are unique (Lemma B.3) and the tag order
       // extends the clock order, so no other write can win at ts <= tag.ts
       // (see edge_cache.h).
-      cache_.put(op.object, std::move(op.value), resp->tag, resp->tag.ts);
+      cache_.put(write->object, std::move(write->value), resp->tag,
+                 resp->tag.ts);
       if (auto c = op.client_conn.lock()) {
-        net::WriteResp out;
-        out.opid = op.client_opid;
-        out.tag = std::move(resp->tag);
-        out.vc = std::move(resp->vc);
-        c->send(net::encode_frame(net::encode_write_resp(out)));
+        resp->opid = write->opid;
+        c->send(net::encode_frame(net::encode_write_resp(*resp)));
       }
       return;
     }
@@ -420,33 +291,30 @@ void Router::handle_backend_frame(Shard* shard, BackendLink* link,
       std::optional<net::ReadResp> resp =
           net::decode_read_resp(std::move(payload));
       if (!resp.has_value()) break;
-      const auto it = link->pending.find(resp->opid);
-      if (it == link->pending.end()) return;  // late response: drop
+      const auto it = link.pending.find(resp->opid);
+      if (it == link.pending.end()) return;  // late response: drop
       PendingOp op = std::move(it->second);
-      link->pending.erase(it);
-      if (op.is_write) return;  // backend type confusion: drop
+      link.pending.erase(it);
+      const auto* read = std::get_if<net::ReadReq>(&op.req);
+      if (read == nullptr) return;  // backend type confusion: drop
       counters_.origin_read_ns->observe(elapsed_ns(op.start));
       // A read fall-through refreshes the witness at the origin's clock
       // (Values and clocks are cheap to copy: refcounted / small).
-      cache_.put(op.object, resp->value, resp->tag, resp->vc);
+      cache_.put(read->object, resp->value, resp->tag, resp->vc);
       if (auto c = op.client_conn.lock()) {
-        net::RoutedReadResp out;
-        out.opid = op.client_opid;
-        out.tag = std::move(resp->tag);
-        out.vc = std::move(resp->vc);
-        out.cached = false;
-        out.value = std::move(resp->value);
-        c->send(net::encode_frame(net::encode_routed_read_resp(out)));
+        resp->opid = read->opid;
+        resp->cached = false;
+        c->send(net::encode_frame(net::encode_read_resp(*resp)));
       }
       return;
     }
     default:
       break;
   }
-  CEC_LOG(kWarn) << "router: closing backend link to node " << link->node
-                 << " after unexpected frame (type "
+  CEC_LOG(kWarn) << "router: closing backend link to node "
+                 << link.link->peer() << " after unexpected frame (type "
                  << static_cast<int>(*type) << ")";
-  link->conn->close();
+  conn->close();
 }
 
 }  // namespace causalec::frontdoor

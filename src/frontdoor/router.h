@@ -1,25 +1,26 @@
 // Front-door router daemon (DESIGN.md §12): the process core of the
 // causalec_router tool, also embeddable in-process for tests.
 //
-// Clients speak the routed client protocol (net/client_proto.h, types
-// 73..77) to the router; the router maps each object onto a routing group
+// Clients speak the same client protocol to the router as to a daemon
+// (net/client_proto.h); the router maps each object onto a routing group
 // via the consistent-hash ring, keeps one pooled connection per backend
-// node per shard, and forwards to the first live node of the owning group
-// (walking the ring's candidate order past dead owners). Routed reads
-// first consult the causally-safe edge cache; a hit is answered on the
-// shard thread without touching a backend.
+// node per shard, and forwards each request unchanged, frontier included,
+// to the first live node of the owning group (walking the ring's candidate
+// order past dead owners). Reads first consult the causally-safe edge
+// cache; a hit is answered on the shard thread without touching a backend.
 //
-// Thread model mirrors NodeDaemon: `shards` event-loop threads, each with
-// a SO_REUSEPORT listener on the same port plus its own set of backend
-// links and pending-op correlation maps (loop-thread-only, no locking).
-// Cross-shard state is the edge cache (mutex) and the metrics registry
-// (relaxed atomics).
+// Thread model: a net::FrontEnd, the same listener, Hello handshake and
+// Pong path NodeDaemon uses -- `shards` event-loop threads, each with a
+// SO_REUSEPORT listener on the same port -- and per shard one
+// net::PeerLink to every backend plus pending-op correlation maps
+// (loop-thread-only, no locking). Cross-shard state is the edge cache
+// (mutex) and the metrics registry (relaxed atomics).
 //
 // Failure semantics: a backend link death fails every in-flight *write* on
-// it (the client connection is closed -- a routed write must never be
+// it (the client connection is closed -- a forwarded write must never be
 // retried, a duplicate apply would corrupt the recorded history) and
 // re-routes in-flight *reads* to the next live candidate (reads are
-// idempotent). Links redial with backoff; sessions survive a router
+// idempotent). Links redial every 100 ms; sessions survive a router
 // restart because the causal frontier lives in the client's token, not in
 // router state.
 #pragma once
@@ -30,16 +31,16 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
-#include "erasure/arena_pool.h"
 #include "frontdoor/edge_cache.h"
 #include "frontdoor/hash_ring.h"
 #include "net/client_proto.h"
 #include "net/cluster_config.h"
 #include "net/connection.h"
-#include "net/event_loop.h"
-#include "net/socket.h"
+#include "net/front_end.h"
+#include "net/net_transport.h"
 #include "obs/frontdoor_counters.h"
 #include "obs/metrics.h"
 
@@ -58,10 +59,6 @@ struct RouterConfig {
   std::size_t cache_capacity = 4096;
   /// 0 disables expiry (staleness is then bounded only by capacity).
   std::chrono::milliseconds cache_ttl{2000};
-  std::chrono::milliseconds reconnect_delay{100};
-  /// How many times an in-flight read may chase link deaths before it is
-  /// failed back to the client.
-  int max_read_reroutes = 3;
 };
 
 class Router {
@@ -78,8 +75,8 @@ class Router {
   void stop();
 
   /// The resolved listening port (after start()).
-  std::uint16_t listen_port() const { return listen_port_; }
-  bool ready() const { return ready_.load(std::memory_order_acquire); }
+  std::uint16_t listen_port() const { return front_end_.port(); }
+  bool ready() const { return front_end_.ready(); }
 
   /// Established backend links across all shards (each backend counts once
   /// per shard). Tests use this to wait for a steady state.
@@ -104,64 +101,44 @@ class Router {
   /// A forwarded request awaiting its backend response (loop thread only;
   /// keyed by the router-assigned opid in the link's pending map).
   struct PendingOp {
-    bool is_write = false;
-    OpId client_opid = 0;  // the client's correlation id, echoed back
-    ClientId client = 0;
-    ObjectId object = 0;
-    VectorClock frontier;
-    erasure::Value value;  // writes only (becomes the cache witness)
+    /// The client's request, under the client's opid (echoed back). A
+    /// write's value becomes the cache witness; a rerouted read is sent
+    /// again.
+    std::variant<net::WriteReq, net::ReadReq> req;
     std::weak_ptr<net::Connection> client_conn;
     Clock::time_point start;  // per-tier latency attribution
     int reroutes_left = 0;
   };
 
   /// One pooled connection from one shard to one backend node. All state
-  /// is owned by the shard's loop thread.
+  /// but the link's own is owned by the shard's loop thread.
   struct BackendLink {
-    NodeId node = 0;
-    std::string host;
-    std::uint16_t port = 0;
-    net::ScopedFd connecting;  // fd mid non-blocking connect
-    std::shared_ptr<net::Connection> conn;  // non-null = link is up
+    std::unique_ptr<net::PeerLink> link;
+    bool up = false;
     std::unordered_map<OpId, PendingOp> pending;
   };
 
   struct Shard {
-    std::unique_ptr<net::EventLoop> loop;
-    net::ScopedFd listener;
-    std::vector<std::unique_ptr<BackendLink>> links;  // indexed by NodeId
+    std::vector<BackendLink> links;  // indexed by NodeId
     OpId next_opid = 1;  // unique per link is enough; per shard is stronger
-    /// Arena pool installed on this shard's loop thread (frame reassembly
-    /// and response encoding allocate there).
-    erasure::BufferPool pool;
-  };
-
-  /// Accepted client-connection state.
-  struct ClientConn {
-    bool helloed = false;
-    Shard* shard = nullptr;
   };
 
   // Client side (shard loop threads).
-  void accept_ready(Shard* shard);
-  void handle_client_frame(const std::shared_ptr<ClientConn>& state,
+  bool handle_client_frame(std::size_t shard,
                            const std::shared_ptr<net::Connection>& conn,
                            erasure::Buffer payload);
-  void handle_routed_read(Shard* shard, net::RoutedReadReq req,
-                          const std::shared_ptr<net::Connection>& conn);
+  void handle_read(Shard& shard, net::ReadReq req,
+                   const std::shared_ptr<net::Connection>& conn);
 
   /// Sends `op` to the first live node of the owning group (candidate
   /// order past dead owners counts a reroute); closes the client
   /// connection when no live backend can take it.
-  void forward(Shard* shard, PendingOp op);
+  void forward(Shard& shard, PendingOp op);
 
   // Backend side (shard loop threads).
-  void dial(Shard* shard, BackendLink* link);
-  void on_connect_ready(Shard* shard, BackendLink* link,
-                        std::uint32_t events);
-  void retry_dial(Shard* shard, BackendLink* link);
-  void on_link_lost(Shard* shard, BackendLink* link);
-  void handle_backend_frame(Shard* shard, BackendLink* link,
+  void on_link_liveness(Shard& shard, NodeId node, bool down);
+  void handle_backend_frame(BackendLink& link,
+                            const std::shared_ptr<net::Connection>& conn,
                             erasure::Buffer payload);
 
   RouterConfig config_;
@@ -173,11 +150,9 @@ class Router {
   /// Requests forwarded per backend node (relaxed; any shard thread).
   std::unique_ptr<std::atomic<std::uint64_t>[]> backend_ops_;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::uint16_t listen_port_ = 0;
+  net::FrontEnd front_end_;
+  std::vector<Shard> shards_;  // sized once; the links capture addresses
   std::atomic<int> links_up_{0};
-  std::atomic<bool> ready_{false};
-  std::atomic<bool> stopping_{false};
   bool started_ = false;
 };
 

@@ -25,6 +25,19 @@ SafeReader open(erasure::Buffer payload, ClientMsgType expected) {
 
 }  // namespace
 
+bool fits_cluster(const ReadReq& req, std::size_t servers,
+                  std::size_t objects, std::size_t /*value_bytes*/) {
+  return req.object < objects &&
+         (req.frontier.size() == 0 || req.frontier.size() == servers);
+}
+
+bool fits_cluster(const WriteReq& req, std::size_t servers,
+                  std::size_t objects, std::size_t value_bytes) {
+  return req.object < objects &&
+         (req.frontier.size() == 0 || req.frontier.size() == servers) &&
+         req.value.size() == value_bytes;
+}
+
 std::optional<std::uint8_t> peek_type(const erasure::Buffer& payload) {
   if (payload.empty()) return std::nullopt;
   return payload.data()[0];
@@ -39,21 +52,23 @@ std::vector<std::uint8_t> encode_hello(const Hello& m) {
 }
 
 std::vector<std::uint8_t> encode_write_req(const WriteReq& m) {
-  Writer w(32 + m.value.size());
+  Writer w(40 + 8 * m.frontier.size() + m.value.size());
   w.u8(static_cast<std::uint8_t>(ClientMsgType::kWriteReq));
   w.u64(m.opid);
   w.u64(m.client);
   w.u32(m.object);
+  w.clock(m.frontier);
   w.bytes(m.value);
   return w.take();
 }
 
 std::vector<std::uint8_t> encode_read_req(const ReadReq& m) {
-  Writer w(24);
+  Writer w(32 + 8 * m.frontier.size());
   w.u8(static_cast<std::uint8_t>(ClientMsgType::kReadReq));
   w.u64(m.opid);
   w.u64(m.client);
   w.u32(m.object);
+  w.clock(m.frontier);
   return w.take();
 }
 
@@ -80,11 +95,12 @@ std::vector<std::uint8_t> encode_write_resp(const WriteResp& m) {
 }
 
 std::vector<std::uint8_t> encode_read_resp(const ReadResp& m) {
-  Writer w(40 + 8 * (m.vc.size() + m.tag.ts.size()) + m.value.size());
+  Writer w(48 + 8 * (m.vc.size() + m.tag.ts.size()) + m.value.size());
   w.u8(static_cast<std::uint8_t>(ClientMsgType::kReadResp));
   w.u64(m.opid);
   w.tag(m.tag);
   w.clock(m.vc);
+  w.u8(m.cached ? 1 : 0);
   w.bytes(m.value);
   return w.take();
 }
@@ -111,38 +127,6 @@ std::vector<std::uint8_t> encode_stats_resp(const StatsResp& m) {
   w.u64(m.recoveries);
   w.u32(static_cast<std::uint32_t>(m.shard_ops.size()));
   for (const std::uint64_t v : m.shard_ops) w.u64(v);
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode_routed_write_req(const RoutedWriteReq& m) {
-  Writer w(40 + 8 * m.frontier.size() + m.value.size());
-  w.u8(static_cast<std::uint8_t>(ClientMsgType::kRoutedWriteReq));
-  w.u64(m.opid);
-  w.u64(m.client);
-  w.u32(m.object);
-  w.clock(m.frontier);
-  w.bytes(m.value);
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode_routed_read_req(const RoutedReadReq& m) {
-  Writer w(32 + 8 * m.frontier.size());
-  w.u8(static_cast<std::uint8_t>(ClientMsgType::kRoutedReadReq));
-  w.u64(m.opid);
-  w.u64(m.client);
-  w.u32(m.object);
-  w.clock(m.frontier);
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode_routed_read_resp(const RoutedReadResp& m) {
-  Writer w(48 + 8 * (m.vc.size() + m.tag.ts.size()) + m.value.size());
-  w.u8(static_cast<std::uint8_t>(ClientMsgType::kRoutedReadResp));
-  w.u64(m.opid);
-  w.tag(m.tag);
-  w.clock(m.vc);
-  w.u8(m.cached ? 1 : 0);
-  w.bytes(m.value);
   return w.take();
 }
 
@@ -188,6 +172,7 @@ std::optional<WriteReq> decode_write_req(erasure::Buffer payload) {
   m.opid = r.u64();
   m.client = r.u64();
   m.object = r.u32();
+  m.frontier = r.clock(clock_cap(r));
   m.value = r.bytes(r.remaining());
   if (!r.done()) return std::nullopt;
   return m;
@@ -199,6 +184,7 @@ std::optional<ReadReq> decode_read_req(erasure::Buffer payload) {
   m.opid = r.u64();
   m.client = r.u64();
   m.object = r.u32();
+  m.frontier = r.clock(clock_cap(r));
   if (!r.done()) return std::nullopt;
   return m;
 }
@@ -232,6 +218,7 @@ std::optional<ReadResp> decode_read_resp(erasure::Buffer payload) {
   m.opid = r.u64();
   m.tag = r.tag(clock_cap(r));
   m.vc = r.clock(clock_cap(r));
+  m.cached = r.u8() != 0;
   m.value = r.bytes(r.remaining());
   if (!r.done()) return std::nullopt;
   return m;
@@ -262,43 +249,6 @@ std::optional<StatsResp> decode_stats_resp(erasure::Buffer payload) {
   if (shards > r.remaining() / 8) return std::nullopt;
   m.shard_ops.reserve(shards);
   for (std::uint32_t i = 0; i < shards; ++i) m.shard_ops.push_back(r.u64());
-  if (!r.done()) return std::nullopt;
-  return m;
-}
-
-std::optional<RoutedWriteReq> decode_routed_write_req(
-    erasure::Buffer payload) {
-  SafeReader r = open(std::move(payload), ClientMsgType::kRoutedWriteReq);
-  RoutedWriteReq m;
-  m.opid = r.u64();
-  m.client = r.u64();
-  m.object = r.u32();
-  m.frontier = r.clock(clock_cap(r));
-  m.value = r.bytes(r.remaining());
-  if (!r.done()) return std::nullopt;
-  return m;
-}
-
-std::optional<RoutedReadReq> decode_routed_read_req(erasure::Buffer payload) {
-  SafeReader r = open(std::move(payload), ClientMsgType::kRoutedReadReq);
-  RoutedReadReq m;
-  m.opid = r.u64();
-  m.client = r.u64();
-  m.object = r.u32();
-  m.frontier = r.clock(clock_cap(r));
-  if (!r.done()) return std::nullopt;
-  return m;
-}
-
-std::optional<RoutedReadResp> decode_routed_read_resp(
-    erasure::Buffer payload) {
-  SafeReader r = open(std::move(payload), ClientMsgType::kRoutedReadResp);
-  RoutedReadResp m;
-  m.opid = r.u64();
-  m.tag = r.tag(clock_cap(r));
-  m.vc = r.clock(clock_cap(r));
-  m.cached = r.u8() != 0;
-  m.value = r.bytes(r.remaining());
   if (!r.done()) return std::nullopt;
   return m;
 }

@@ -3,33 +3,28 @@
 // wire::SafeReader); distinguished from protocol frames by the type byte:
 // protocol messages use 1..9 (causalec/codec.cpp), these use 64+.
 //
-//   hello       := 64 role:u8 node:u32          (first frame on every conn)
-//   write_req   := 65 opid:u64 client:u64 object:u32 value
-//   read_req    := 66 opid:u64 client:u64 object:u32
-//   ping        := 67 token:u64
-//   stats_req   := 68
-//   write_resp  := 69 opid:u64 tag vc
-//   read_resp   := 70 opid:u64 tag vc value
-//   pong        := 71 token:u64 ready:u8
-//   stats_resp  := 72 node:u32 vc history:u64 inqueue:u64 readl:u64
-//                  writes:u64 reads:u64 errors:u64 recoveries:u64
-//                  shards:u32 shard_ops:u64[shards]
-//
-// The front-door tier (src/frontdoor, DESIGN.md §12) adds routed variants
-// that carry the client session's causal frontier -- the merge of every
-// response vector clock the session has seen. A server receiving a routed
-// request parks it until its own clock dominates the frontier, so a session
-// hopping across routers/backends keeps its guarantees; the router's edge
-// cache serves a cached read only when frontier <= entry clock:
-//
-//   routed_write_req  := 73 opid:u64 client:u64 object:u32 frontier value
-//   routed_read_req   := 74 opid:u64 client:u64 object:u32 frontier
-//   routed_read_resp  := 75 opid:u64 tag vc cached:u8 value
+//   hello             := 64 role:u8 node:u32    (first frame on every conn)
+//   write_req         := 65 opid:u64 client:u64 object:u32 frontier value
+//   read_req          := 66 opid:u64 client:u64 object:u32 frontier
+//   ping              := 67 token:u64
+//   stats_req         := 68
+//   write_resp        := 69 opid:u64 tag vc
+//   read_resp         := 70 opid:u64 tag vc cached:u8 value
+//   pong              := 71 token:u64 ready:u8
+//   stats_resp        := 72 node:u32 vc history:u64 inqueue:u64 readl:u64
+//                        writes:u64 reads:u64 errors:u64 recoveries:u64
+//                        shards:u32 shard_ops:u64[shards]
 //   router_stats_req  := 76
 //   router_stats_resp := 77 (counter block; see RouterStatsResp)
 //
-// Routed writes are answered with the plain write_resp; routed reads with
-// routed_read_resp so the client can tell cache hits from fall-throughs.
+// Every request carries the client session's causal frontier -- the merge
+// of every response vector clock the session has seen (DESIGN.md §12);
+// empty for a fresh session. A server parks a request until its own clock
+// dominates the frontier, so a session that moves between servers or
+// routers keeps its guarantees; a session that stays on one server never
+// parks, since that server's clock only grows. The router's edge cache
+// serves a read only when frontier <= entry clock, and sets `cached` on
+// the response. Types 73..75 are unused.
 //
 // Responses carry the issuing server's vector clock at the response point,
 // which is exactly the timestamp the consistency checkers (Definition 6)
@@ -61,9 +56,6 @@ enum class ClientMsgType : std::uint8_t {
   kReadResp = 70,
   kPong = 71,
   kStatsResp = 72,
-  kRoutedWriteReq = 73,
-  kRoutedReadReq = 74,
-  kRoutedReadResp = 75,
   kRouterStatsReq = 76,
   kRouterStatsResp = 77,
 };
@@ -79,6 +71,10 @@ struct WriteReq {
   OpId opid = 0;  // client correlation id, echoed in the response
   ClientId client = 0;
   ObjectId object = 0;
+  /// The session's causal frontier: empty (a fresh session) or one entry
+  /// per server. The serving node parks the request until its clock
+  /// dominates it.
+  VectorClock frontier;
   erasure::Value value;
 };
 
@@ -86,6 +82,7 @@ struct ReadReq {
   OpId opid = 0;
   ClientId client = 0;
   ObjectId object = 0;
+  VectorClock frontier;
 };
 
 struct Ping {
@@ -102,6 +99,9 @@ struct ReadResp {
   OpId opid = 0;
   Tag tag;
   VectorClock vc;
+  /// True when a router answered from its edge cache without touching a
+  /// backend (per-tier latency attribution in perfbench's router-zipf).
+  bool cached = false;
   erasure::Value value;
 };
 
@@ -122,34 +122,6 @@ struct StatsResp {
   std::uint64_t recoveries = 0;
   /// Client operations handled per shard since process start.
   std::vector<std::uint64_t> shard_ops;
-};
-
-struct RoutedWriteReq {
-  OpId opid = 0;
-  ClientId client = 0;
-  ObjectId object = 0;
-  /// The session's causal frontier: empty (a fresh session) or one entry
-  /// per server. The serving node parks the request until its clock
-  /// dominates it.
-  VectorClock frontier;
-  erasure::Value value;
-};
-
-struct RoutedReadReq {
-  OpId opid = 0;
-  ClientId client = 0;
-  ObjectId object = 0;
-  VectorClock frontier;
-};
-
-struct RoutedReadResp {
-  OpId opid = 0;
-  Tag tag;
-  VectorClock vc;
-  /// True when the router answered from its edge cache without touching a
-  /// backend (per-tier latency attribution in perfbench's router-zipf).
-  bool cached = false;
-  erasure::Value value;
 };
 
 /// Front-door tier counters since router start (DESIGN.md §12). Cache
@@ -173,7 +145,19 @@ struct RouterStatsResp {
   std::uint64_t ring_remaps = 0;
   /// Requests forwarded per backend node since router start.
   std::vector<std::uint64_t> backend_ops;
+
+  bool operator==(const RouterStatsResp&) const = default;
 };
+
+/// Whether a decoded request fits a cluster of `servers` servers storing
+/// `objects` objects of `value_bytes` each: the object exists, the
+/// frontier is empty or has one entry per server, and a write's value is
+/// one object long. Daemons and routers check it on the shard thread,
+/// before a request can reach an automaton, a backend or the cache.
+bool fits_cluster(const WriteReq& req, std::size_t servers,
+                  std::size_t objects, std::size_t value_bytes);
+bool fits_cluster(const ReadReq& req, std::size_t servers,
+                  std::size_t objects, std::size_t value_bytes);
 
 /// The type byte of a payload frame, or nullopt when empty.
 std::optional<std::uint8_t> peek_type(const erasure::Buffer& payload);
@@ -188,9 +172,6 @@ std::vector<std::uint8_t> encode_write_resp(const WriteResp& m);
 std::vector<std::uint8_t> encode_read_resp(const ReadResp& m);
 std::vector<std::uint8_t> encode_pong(const Pong& m);
 std::vector<std::uint8_t> encode_stats_resp(const StatsResp& m);
-std::vector<std::uint8_t> encode_routed_write_req(const RoutedWriteReq& m);
-std::vector<std::uint8_t> encode_routed_read_req(const RoutedReadReq& m);
-std::vector<std::uint8_t> encode_routed_read_resp(const RoutedReadResp& m);
 std::vector<std::uint8_t> encode_router_stats_req();
 std::vector<std::uint8_t> encode_router_stats_resp(const RouterStatsResp& m);
 
@@ -205,9 +186,6 @@ std::optional<WriteResp> decode_write_resp(erasure::Buffer payload);
 std::optional<ReadResp> decode_read_resp(erasure::Buffer payload);
 std::optional<Pong> decode_pong(erasure::Buffer payload);
 std::optional<StatsResp> decode_stats_resp(erasure::Buffer payload);
-std::optional<RoutedWriteReq> decode_routed_write_req(erasure::Buffer payload);
-std::optional<RoutedReadReq> decode_routed_read_req(erasure::Buffer payload);
-std::optional<RoutedReadResp> decode_routed_read_resp(erasure::Buffer payload);
 bool decode_router_stats_req(erasure::Buffer payload);
 std::optional<RouterStatsResp> decode_router_stats_resp(
     erasure::Buffer payload);

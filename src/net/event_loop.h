@@ -1,14 +1,15 @@
 // Non-blocking epoll event loop: one OS thread multiplexing sockets,
 // cross-thread posted tasks (eventfd wakeup), and monotonic timers.
 //
-// One EventLoop is one *shard* of a causalec_server daemon: it owns a
-// SO_REUSEPORT listening socket, every connection the kernel load-balanced
-// onto it, and the outbound peer links assigned to it. All fd callbacks,
-// timers, and posted tasks run on the loop thread; post() is the loop's
-// only cross-thread entry. Sends do not go through it: Connection writes
-// from the sending thread under its own lock (net/connection.h), and posts
-// only its closes and EPOLLOUT arms. Shard set-up (daemon and router) and
-// peer-link start and shutdown are the other posters.
+// One EventLoop is one *shard* of a net::FrontEnd (a causalec_server
+// daemon's or a causalec_router's): it owns a SO_REUSEPORT listening
+// socket, every connection the kernel load-balanced onto it, and the
+// outbound peer links assigned to it. All fd callbacks, timers, and posted
+// tasks run on the loop thread; post() is the loop's only cross-thread
+// entry. Sends do not go through it: Connection writes from the sending
+// thread under its own lock (net/connection.h), and posts only its closes
+// and EPOLLOUT arms. Shard set-up and peer-link start and shutdown are the
+// other posters.
 #pragma once
 
 #include <atomic>

@@ -4,7 +4,7 @@
 #include <sys/socket.h>
 
 #include <cerrno>
-#include <vector>
+#include <utility>
 
 namespace causalec::net {
 
@@ -13,11 +13,17 @@ bool NetClient::connect(const std::string& host_port, int timeout_ms) {
   if (!addr.has_value()) return false;
   fd_ = connect_tcp_blocking(addr->first, addr->second, timeout_ms);
   if (!fd_.valid()) return false;
-  Hello hello;
-  hello.role = PeerRole::kClient;
-  hello.node = 0;
-  if (!send_payload(encode_hello(hello))) return false;
-  return true;
+  return send_payload(encode_hello(Hello{PeerRole::kClient, 0}));
+}
+
+void NetClient::advance_frontier(const VectorClock& vc) {
+  if (vc.size() == 0) return;
+  if (frontier_.size() == 0) {
+    frontier_ = vc;
+    return;
+  }
+  if (frontier_.size() != vc.size()) return;  // cluster-shape confusion
+  frontier_.merge(vc);
 }
 
 std::optional<WriteResp> NetClient::write(OpId opid, ObjectId object,
@@ -26,15 +32,11 @@ std::optional<WriteResp> NetClient::write(OpId opid, ObjectId object,
   req.opid = opid;
   req.client = client_;
   req.object = object;
+  req.frontier = frontier_;
   req.value = std::move(value);
-  if (!send_payload(encode_write_req(req))) return std::nullopt;
-  auto frame = next_frame();
-  if (!frame.has_value()) return std::nullopt;
-  auto resp = decode_write_resp(std::move(*frame));
-  if (!resp.has_value() || resp->opid != opid) {
-    fail();
-    return std::nullopt;
-  }
+  auto resp = call(encode_write_req(req), decode_write_resp,
+                   [opid](const WriteResp& r) { return r.opid == opid; });
+  if (resp.has_value()) advance_frontier(resp->vc);
   return resp;
 }
 
@@ -43,35 +45,37 @@ std::optional<ReadResp> NetClient::read(OpId opid, ObjectId object) {
   req.opid = opid;
   req.client = client_;
   req.object = object;
-  if (!send_payload(encode_read_req(req))) return std::nullopt;
-  auto frame = next_frame();
-  if (!frame.has_value()) return std::nullopt;
-  auto resp = decode_read_resp(std::move(*frame));
-  if (!resp.has_value() || resp->opid != opid) {
-    fail();
-    return std::nullopt;
-  }
+  req.frontier = frontier_;
+  auto resp = call(encode_read_req(req), decode_read_resp,
+                   [opid](const ReadResp& r) { return r.opid == opid; });
+  if (resp.has_value()) advance_frontier(resp->vc);
   return resp;
 }
 
 std::optional<Pong> NetClient::ping(std::uint64_t token) {
-  if (!send_payload(encode_ping(Ping{token}))) return std::nullopt;
-  auto frame = next_frame();
-  if (!frame.has_value()) return std::nullopt;
-  auto resp = decode_pong(std::move(*frame));
-  if (!resp.has_value() || resp->token != token) {
-    fail();
-    return std::nullopt;
-  }
-  return resp;
+  return call(encode_ping(Ping{token}), decode_pong,
+              [token](const Pong& r) { return r.token == token; });
 }
 
 std::optional<StatsResp> NetClient::stats() {
-  if (!send_payload(encode_stats_req())) return std::nullopt;
+  return call(encode_stats_req(), decode_stats_resp,
+              [](const StatsResp&) { return true; });
+}
+
+std::optional<RouterStatsResp> NetClient::router_stats() {
+  return call(encode_router_stats_req(), decode_router_stats_resp,
+              [](const RouterStatsResp&) { return true; });
+}
+
+template <typename Resp, typename Match>
+std::optional<Resp> NetClient::call(
+    const std::vector<std::uint8_t>& request,
+    std::optional<Resp> (*decode)(erasure::Buffer), Match match) {
+  if (!send_payload(request)) return std::nullopt;
   auto frame = next_frame();
   if (!frame.has_value()) return std::nullopt;
-  auto resp = decode_stats_resp(std::move(*frame));
-  if (!resp.has_value()) {
+  auto resp = decode(std::move(*frame));
+  if (!resp.has_value() || !match(*resp)) {
     fail();
     return std::nullopt;
   }

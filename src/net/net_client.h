@@ -1,6 +1,17 @@
-// NetClient: a blocking, one-request-at-a-time client connection to a
-// causalec_server daemon. Each bench/test client thread owns one (as
-// perfbench's net workloads do); nothing here is thread-safe.
+// NetClient: a blocking, one-request-at-a-time client session against a
+// causalec_server daemon or a causalec_router (frontdoor::RouterClient is
+// this class). Each bench/test session thread owns one (as perfbench's
+// net and router workloads do); nothing here is thread-safe.
+//
+// The client keeps the session's *causal frontier*: the component-wise
+// merge of every response vector clock it has seen, sent with every
+// request. A server parks a request until its clock dominates the
+// frontier, and a router's edge cache serves only witnesses at or beyond
+// it, so the session guarantees hold wherever the session's requests go;
+// a session that stays on one daemon never parks. The frontier is the
+// *entire* session state: frontier() extracts it and set_frontier()
+// re-installs it on a fresh client (e.g. across a router restart), and
+// the session's guarantees carry over.
 //
 // Responses carry the serving node's vector clock at the response point, so
 // a caller can record consistency-checkable OpRecords (see client_proto.h).
@@ -9,7 +20,9 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
+#include "causalec/tag.h"
 #include "common/types.h"
 #include "erasure/value.h"
 #include "net/client_proto.h"
@@ -33,21 +46,41 @@ class NetClient {
   void set_io_timeout_ms(int ms) { io_timeout_ms_ = ms; }
 
   // Each call issues one request and blocks for its response. `opid` is a
-  // caller-chosen correlation id echoed back by the daemon.
+  // caller-chosen correlation id echoed back by the daemon or router. A
+  // write or read response's clock is merged into the session frontier.
   std::optional<WriteResp> write(OpId opid, ObjectId object,
                                  erasure::Value value);
   std::optional<ReadResp> read(OpId opid, ObjectId object);
   std::optional<Pong> ping(std::uint64_t token);
+  /// A daemon's counters (a router closes the connection).
   std::optional<StatsResp> stats();
+  /// A router's counters (a daemon closes the connection).
+  std::optional<RouterStatsResp> router_stats();
+
+  /// The session's causal frontier (empty until the first response).
+  const VectorClock& frontier() const { return frontier_; }
+  /// Replaces the frontier wholesale -- session hand-off across router
+  /// restarts, or tests forcing a frontier ahead of every clock.
+  void set_frontier(VectorClock frontier) { frontier_ = std::move(frontier); }
 
  private:
+  /// Sends `request` and decodes the next frame with `decode`; a response
+  /// that fails to decode or to `match` closes the connection.
+  template <typename Resp, typename Match>
+  std::optional<Resp> call(const std::vector<std::uint8_t>& request,
+                           std::optional<Resp> (*decode)(erasure::Buffer),
+                           Match match);
   bool send_payload(const std::vector<std::uint8_t>& payload);
   /// The next complete payload frame, or nullopt on timeout/error.
   std::optional<erasure::Buffer> next_frame();
+  /// Merges `vc` into the frontier (adopts it when the frontier is empty;
+  /// ignores a clock whose size disagrees with the frontier's).
+  void advance_frontier(const VectorClock& vc);
   void fail();
 
   ClientId client_;
   int io_timeout_ms_ = 10'000;
+  VectorClock frontier_;
   ScopedFd fd_;
   FrameReader reader_;
 };

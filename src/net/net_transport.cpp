@@ -6,7 +6,6 @@
 
 #include "common/expect.h"
 #include "common/logging.h"
-#include "net/client_proto.h"
 #include "net/frame.h"
 
 namespace causalec::net {
@@ -17,15 +16,17 @@ constexpr auto kReconnectDelay = std::chrono::milliseconds(100);
 
 }  // namespace
 
-PeerLink::PeerLink(EventLoop* loop, NodeId self, NodeId peer,
-                   std::string host, std::uint16_t port,
-                   std::function<void(NodeId, bool)> on_liveness)
+PeerLink::PeerLink(EventLoop* loop, NodeId peer, std::string host,
+                   std::uint16_t port, Hello hello,
+                   std::function<void(NodeId, bool)> on_liveness,
+                   Connection::FrameHandler on_frame)
     : loop_(loop),
-      self_(self),
       peer_(peer),
       host_(std::move(host)),
       port_(port),
-      on_liveness_(std::move(on_liveness)) {}
+      hello_(hello),
+      on_liveness_(std::move(on_liveness)),
+      on_frame_(std::move(on_frame)) {}
 
 void PeerLink::start() {
   loop_->post([this] { dial(); });
@@ -92,20 +93,17 @@ void PeerLink::on_connect_ready(std::uint32_t events) {
   }
   auto conn = std::make_shared<Connection>(loop_, std::move(fd));
   conn->open(
-      // Outbound protocol links are send-only; anything the peer writes
-      // back on one is a protocol violation we simply ignore.
-      [](const std::shared_ptr<Connection>&, erasure::Buffer) {},
+      [this](const std::shared_ptr<Connection>& c, erasure::Buffer payload) {
+        if (on_frame_) on_frame_(c, std::move(payload));
+      },
       [this](const std::shared_ptr<Connection>& dead) { on_lost(dead); });
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!shutdown_) {
-      // Identify ourselves so the acceptor attributes our frames to node
-      // self_ (the codec's frames carry no sender field; the channel
-      // does).
-      Hello hello;
-      hello.role = PeerRole::kServer;
-      hello.node = self_;
-      conn->send(encode_frame(encode_hello(hello)));
+      // Identify ourselves: a daemon's frames are attributed to the node
+      // its Hello names (the codec's frames carry no sender field; the
+      // channel does).
+      conn->send(encode_frame(encode_hello(hello_)));
       for (auto& frame : pending_) conn->send(std::move(frame));
       pending_.clear();
       ever_established_ = true;
@@ -116,10 +114,7 @@ void PeerLink::on_connect_ready(std::uint32_t events) {
     conn->close();
     return;
   }
-  if (down_reported_) {
-    down_reported_ = false;
-    on_liveness_(peer_, /*down=*/false);
-  }
+  on_liveness_(peer_, /*down=*/false);
 }
 
 void PeerLink::on_lost(const std::shared_ptr<Connection>& dead) {
@@ -129,10 +124,7 @@ void PeerLink::on_lost(const std::shared_ptr<Connection>& dead) {
     if (conn_ != dead) return;
     conn_ = nullptr;
   }
-  if (!down_reported_) {
-    down_reported_ = true;
-    on_liveness_(peer_, /*down=*/true);
-  }
+  on_liveness_(peer_, /*down=*/true);
   retry_later();
 }
 

@@ -6,16 +6,17 @@
 // single writer and makes "who is connected to whom" trivial to reason
 // about after crashes.
 //
-// PeerLink is one such outbound link. Its shard's event loop dials,
-// re-dials and watches it; frames are written by the sending thread (the
-// automaton) straight through Connection::send. Its delivery semantics
-// match the crash-stop channel model of the in-process runtimes:
+// PeerLink is one such outbound link; frontdoor::Router dials its backends
+// with it too. Its shard's event loop dials, re-dials and watches it;
+// frames are written by the sending thread (the automaton, or the router's
+// shard) straight through Connection::send. Its delivery semantics match
+// the crash-stop channel model of the in-process runtimes:
 //   * before the link is first established (cluster start-up), frames are
 //     queued (bounded) so no protocol traffic is lost to boot-order races;
 //   * after an established link is lost, frames are dropped -- exactly the
 //     "crashed node loses its mailbox" behavior the rejoin protocol
-//     (DESIGN.md §9) is built to repair -- and the automaton is told via
-//     set_peer_down until the link re-establishes.
+//     (DESIGN.md §9) is built to repair -- and the owner is told, so the
+//     automaton can set_peer_down until the link re-establishes.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +31,7 @@
 
 #include "causalec/server.h"
 #include "erasure/buffer.h"
+#include "net/client_proto.h"
 #include "net/connection.h"
 #include "net/event_loop.h"
 #include "runtime/automaton_loop.h"
@@ -38,11 +40,16 @@ namespace causalec::net {
 
 class PeerLink {
  public:
-  /// `on_liveness(down)` fires on the loop thread at every established /
-  /// lost transition (the daemon marshals it to set_peer_down).
-  PeerLink(EventLoop* loop, NodeId self, NodeId peer, std::string host,
-           std::uint16_t port,
-           std::function<void(NodeId peer, bool down)> on_liveness);
+  /// Every connection opens with `hello`: a daemon names itself as a
+  /// server, a router as a client. `on_liveness(peer, down)` fires on the
+  /// loop thread each time a connection is established (down = false,
+  /// the first time included) and each time one is lost (down = true).
+  /// `on_frame`, when set, gets the frames the peer sends back, on the
+  /// loop thread; without it they are ignored.
+  PeerLink(EventLoop* loop, NodeId peer, std::string host,
+           std::uint16_t port, Hello hello,
+           std::function<void(NodeId peer, bool down)> on_liveness,
+           Connection::FrameHandler on_frame = nullptr);
 
   /// Begin dialing (posts to the loop; any thread).
   void start();
@@ -71,14 +78,14 @@ class PeerLink {
   bool is_shut_down();
 
   EventLoop* loop_;
-  NodeId self_;
   NodeId peer_;
   std::string host_;
   std::uint16_t port_;
+  Hello hello_;
   std::function<void(NodeId, bool)> on_liveness_;
+  Connection::FrameHandler on_frame_;
 
   ScopedFd connecting_;  // fd mid-connect (watched for EPOLLOUT); loop only
-  bool down_reported_ = false;  // loop thread only
 
   /// Guards the send-side state below. Held across the Hello and the
   /// start-up flush, so no frame can overtake them on a new connection.

@@ -3,18 +3,19 @@
 // for tests (tests/net_loopback_test.cpp runs several under TSan).
 //
 // Thread model (DESIGN.md §11):
-//   * `shards` event-loop threads, each owning a SO_REUSEPORT listener on
-//     the same port (the kernel load-balances accepted connections across
-//     shards) plus the outbound peer links assigned to it. Shard threads
-//     do all socket reads, frame reassembly and client-request validation,
-//     and drain write backlogs; frames are written by the thread that
-//     sends them, so the automaton's acks and protocol frames reach the
-//     sockets without a handoff;
+//   * the `shards` event-loop threads of a net::FrontEnd, each owning a
+//     SO_REUSEPORT listener on the same port (the kernel load-balances
+//     accepted connections across shards) plus the outbound peer links
+//     assigned to it. Shard threads do all socket reads, frame reassembly,
+//     the Hello handshake, Pongs and client-request validation, and drain
+//     write backlogs; frames are written by the thread that sends them, so
+//     the automaton's acks and protocol frames reach the sockets without a
+//     handoff;
 //   * one runtime::AutomatonLoop thread hosting the single-threaded Server
 //     -- the same driver as runtime/threaded_cluster: batched inbox, one
 //     Apply/Encoding fixpoint per batch, wall-clock GC and snapshot
-//     timers, phase metrics -- with parked routed requests retried after
-//     every batch.
+//     timers, phase metrics -- with parked requests retried after every
+//     batch.
 //
 // Durability: a non-empty data_dir attaches a persist::DirBackend journal;
 // on start, existing durable state is restored (Server::
@@ -30,15 +31,15 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "causalec/config.h"
 #include "causalec/server.h"
-#include "erasure/arena_pool.h"
 #include "erasure/code.h"
 #include "net/client_proto.h"
 #include "net/connection.h"
-#include "net/event_loop.h"
+#include "net/front_end.h"
 #include "net/net_transport.h"
 #include "persist/backend.h"
 #include "persist/journal.h"
@@ -61,10 +62,11 @@ struct NodeDaemonConfig {
   causalec::ServerConfig server;
   std::chrono::milliseconds gc_period{10};
   std::chrono::milliseconds snapshot_period{100};
-  /// Routed requests whose frontier the clock does not yet dominate park on
-  /// the automaton (DESIGN.md §12); the cap bounds what a hostile frontier
-  /// can pin, and the timeout bounds how long (the connection is then
-  /// closed, failing the op at the client).
+  /// Requests whose frontier the clock does not yet dominate park on the
+  /// automaton (DESIGN.md §12); the cap bounds what a hostile frontier can
+  /// pin (a request beyond it closes its connection at once), and the
+  /// timeout bounds how long (the connection is then closed, failing the
+  /// op at the client).
   std::size_t max_parked = 1024;
   std::chrono::milliseconds park_timeout{5000};
 };
@@ -84,63 +86,51 @@ class NodeDaemon {
   void stop();
 
   /// The resolved listening port (after start()).
-  std::uint16_t listen_port() const { return listen_port_; }
+  std::uint16_t listen_port() const { return front_end_.port(); }
   NodeId node() const { return config_.node; }
   /// True once start() completed (including any durable-state restore).
-  bool ready() const { return ready_.load(std::memory_order_acquire); }
+  bool ready() const { return front_end_.ready(); }
   /// True when start() restored pre-existing durable state.
   bool recovered() const { return recovered_; }
 
  private:
-  struct Shard {
-    std::unique_ptr<EventLoop> loop;
-    ScopedFd listener;
-    std::atomic<std::uint64_t> client_ops{0};
-    /// Arena pool installed on this shard's loop thread (frame reassembly
-    /// and response encoding allocate there). Outlives the loop: stop()
-    /// joins loop threads before shards are destroyed.
-    erasure::BufferPool pool;
-  };
-
-  /// Accepted-connection state (which kind of peer is on the other end).
-  struct InboundConn {
-    bool helloed = false;
-    PeerRole role = PeerRole::kClient;
-    NodeId peer_node = kNoNode;
-    Shard* shard = nullptr;
-  };
-
-  /// A routed request waiting for the server clock to reach its session
-  /// frontier (automaton thread only). The automaton loop wakes at least
-  /// every gc_period and retries parked ops after every batch, so the
-  /// retry latency after the clock advances is bounded by that period.
+  /// A request waiting for the server clock to reach its session frontier
+  /// (automaton thread only). The automaton loop wakes at least every
+  /// gc_period and retries parked ops after every batch, so the retry
+  /// latency after the clock advances is bounded by that period.
   struct ParkedOp {
-    bool is_write = false;
-    OpId opid = 0;  // client correlation id
-    ClientId client = 0;
-    ObjectId object = 0;
-    VectorClock frontier;
-    erasure::Value value;  // writes only
+    std::variant<WriteReq, ReadReq> req;
     std::shared_ptr<Connection> conn;
     std::chrono::steady_clock::time_point deadline;
   };
 
-  // Shard-side plumbing (runs on shard loop threads).
-  void accept_ready(Shard* shard);
-  void handle_inbound_frame(const std::shared_ptr<InboundConn>& state,
-                            const std::shared_ptr<Connection>& conn,
-                            erasure::Buffer payload);
+  /// Client operations accepted per shard, on a cache line of its own.
+  struct alignas(64) ShardOps {
+    std::atomic<std::uint64_t> count{0};
+  };
+
+  /// Shard thread: hands protocol frames to the automaton, and validates
+  /// client requests before posting them to it.
+  bool handle_frame(const FrontEnd::Peer& peer,
+                    const std::shared_ptr<Connection>& conn,
+                    erasure::Buffer payload);
+  /// Shard thread: posts a decoded request that fits the cluster to the
+  /// automaton; false for one that failed to decode or does not fit.
+  template <typename Req>
+  bool post_request(std::optional<Req> req, std::size_t shard,
+                    const std::shared_ptr<Connection>& conn);
 
   // Automaton-side plumbing (runs on the loop thread).
+  /// Serves `req` when the clock dominates its frontier, else parks it.
+  template <typename Req>
+  void handle_request(Req req, std::shared_ptr<Connection> conn);
   /// Acks the write before its peer fan-out (DESIGN.md §11).
-  void handle_write_req(WriteReq req, std::shared_ptr<Connection> conn);
-  void handle_read_req(ReadReq req, std::shared_ptr<Connection> conn);
+  void serve(WriteReq req, std::shared_ptr<Connection> conn);
+  void serve(ReadReq req, std::shared_ptr<Connection> conn);
   void handle_stats_req(std::shared_ptr<Connection> conn);
-  void handle_routed_op(ParkedOp op);
   /// True when `frontier` (empty, or one entry per server) is dominated by
-  /// the server clock -- the serve condition for routed requests.
+  /// the server clock -- the serve condition for every request.
   bool frontier_satisfied(const VectorClock& frontier) const;
-  void serve_parked(ParkedOp op);
   /// Serves every parked op whose frontier the clock now dominates and
   /// fails (closes) the ones past their deadline.
   void retry_parked();
@@ -148,9 +138,9 @@ class NodeDaemon {
 
   erasure::CodePtr code_;
   NodeDaemonConfig config_;
-  std::uint16_t listen_port_ = 0;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  FrontEnd front_end_;
+  std::unique_ptr<ShardOps[]> shard_ops_;
   std::vector<std::unique_ptr<PeerLink>> links_;
   std::vector<PeerLink*> link_ptrs_;  // indexed by NodeId; self = null
   std::unique_ptr<NetTransport> transport_;
@@ -162,7 +152,6 @@ class NodeDaemon {
 
   std::deque<ParkedOp> parked_;  // automaton thread only
 
-  std::atomic<bool> ready_{false};
   bool started_ = false;
   /// Daemon-assigned opids for client operations: seeded from wall-clock
   /// seconds so opids from before a process restart are never reused

@@ -260,6 +260,11 @@ TEST_F(FrontdoorSessionTest, RoutedSequentialSessionsSatisfyTheCheckers) {
   std::uint64_t forwarded = 0;
   for (const std::uint64_t n : s.backend_ops) forwarded += n;
   EXPECT_EQ(forwarded, writes + s.fallthroughs);
+
+  // The wire's router_stats_resp carries the same block.
+  RouterClient probe(199);
+  ASSERT_TRUE(probe.connect(router_endpoint_, 2000));
+  EXPECT_EQ(probe.router_stats(), s);
 }
 
 TEST_F(FrontdoorSessionTest, ConcurrentRoutedClientsSatisfyTheCheckers) {

@@ -4,11 +4,13 @@
 // under all three sanitizers); tests/net_cluster_test.cpp is the separate
 // multi-process battery.
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -110,6 +112,9 @@ struct Session {
 
 class NetLoopbackTest : public ::testing::Test {
  protected:
+  /// Per-fixture daemon knobs, applied before the daemons are built.
+  virtual void configure(NodeDaemonConfig& config) { (void)config; }
+
   void SetUp() override {
     const std::vector<std::uint16_t> ports = reserve_loopback_ports(kServers);
     ASSERT_EQ(ports.size(), kServers);
@@ -125,6 +130,7 @@ class NetLoopbackTest : public ::testing::Test {
       config.peers = peers;
       config.shards = 2;
       config.server.obs.metrics = &metrics_;
+      configure(config);
       daemons_.push_back(std::make_unique<NodeDaemon>(
           erasure::make_systematic_rs(kServers, kObjects, kValueBytes),
           std::move(config)));
@@ -345,6 +351,146 @@ TEST_F(NetLoopbackTest, FanOutDoesNotDependOnTheAck) {
           << "server " << i << " object " << g;
     }
   }
+  EXPECT_EQ(total_error_events(endpoints_), 0u);
+}
+
+TEST_F(NetLoopbackTest, HelloDecidesWhatAConnectionMaySend) {
+  // The front end answers a client's Ping after its Hello. A peer Hello
+  // naming this node or no node of the cluster closes the connection, and
+  // so does a client frame on a peer connection.
+  struct Case {
+    Hello hello;
+    bool ping;
+    bool answered;
+  };
+  const Case cases[] = {
+      {{PeerRole::kClient, 99}, true, true},
+      {{PeerRole::kServer, 0}, false, false},
+      {{PeerRole::kServer, kServers}, false, false},
+      {{PeerRole::kServer, 1}, true, false},
+  };
+  const auto addr = parse_host_port(endpoints_[0]);
+  ASSERT_TRUE(addr.has_value());
+  for (const Case& c : cases) {
+    SCOPED_TRACE("role " + std::to_string(static_cast<int>(c.hello.role)) +
+                 " node " + std::to_string(c.hello.node));
+    ScopedFd fd = connect_tcp_blocking(addr->first, addr->second, 2000);
+    ASSERT_TRUE(fd.valid());
+    std::vector<std::uint8_t> bytes;
+    for (const auto& payload :
+         {encode_hello(c.hello), encode_ping(Ping{77})}) {
+      const erasure::Buffer frame = encode_frame(payload);
+      bytes.insert(bytes.end(), frame.data(), frame.data() + frame.size());
+      if (!c.ping) break;
+    }
+    ASSERT_EQ(::send(fd.get(), bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+    // The first frame back, or nullopt once the daemon closes.
+    FrameReader reader;
+    std::optional<erasure::Buffer> reply;
+    while (!reply.has_value()) {
+      pollfd pfd{fd.get(), POLLIN, 0};
+      ASSERT_EQ(::poll(&pfd, 1, 5000), 1) << "neither answered nor closed";
+      if (recv_into(fd.get(), reader) <= 0) break;
+      reply = reader.next();
+    }
+    if (c.answered) {
+      ASSERT_TRUE(reply.has_value()) << "closed instead of answering";
+      const std::optional<Pong> pong = decode_pong(std::move(*reply));
+      ASSERT_TRUE(pong.has_value());
+      EXPECT_EQ(pong->token, 77u);
+      EXPECT_TRUE(pong->ready);
+    } else {
+      EXPECT_FALSE(reply.has_value()) << "answered instead of closing";
+    }
+  }
+  Session session(401, 0, endpoints_[0]);
+  ASSERT_TRUE(session.connected);
+  ASSERT_TRUE(session.write_op(0));
+  ASSERT_TRUE(await_convergence(endpoints_, 15s));
+  EXPECT_EQ(total_error_events(endpoints_), 0u);
+}
+
+constexpr std::size_t kMaxParked = 4;
+constexpr auto kParkTimeout = 1000ms;
+
+/// Daemons with a small parking lot: at most four parked requests each,
+/// held one second.
+class NetParkingTest : public NetLoopbackTest {
+ protected:
+  void configure(NodeDaemonConfig& config) override {
+    config.max_parked = kMaxParked;
+    config.park_timeout = kParkTimeout;
+  }
+};
+
+TEST_F(NetParkingTest, ParkedRequestsAreBoundedInCountAndTime) {
+  using Clock = std::chrono::steady_clock;
+  // A frontier no server clock will ever dominate.
+  VectorClock ahead(kServers);
+  for (std::size_t i = 0; i < kServers; ++i) ahead.set(i, 1'000'000);
+
+  // A session whose frontier is ahead has its read parked at server 0;
+  // the daemon fails it by closing the connection at the deadline -- not
+  // before, and well before the client's own 5 s timeout would.
+  NetClient stuck(800);
+  ASSERT_TRUE(stuck.connect(endpoints_[0], 2000));
+  stuck.set_io_timeout_ms(5000);
+  stuck.set_frontier(ahead);
+  const auto parked_at = Clock::now();
+  Clock::duration parked_for{};
+  bool answered = true;
+  std::thread parked([&] {
+    answered = stuck.read(1, 0).has_value();
+    parked_for = Clock::now() - parked_at;
+  });
+
+  // Meanwhile a normal session on the same server never parks.
+  Session normal(801, 0, endpoints_[0]);
+  ASSERT_TRUE(normal.connected);
+  for (ObjectId x = 0; x < kObjects; ++x) {
+    EXPECT_TRUE(normal.write_op(x));
+    EXPECT_TRUE(normal.read_op(x));
+  }
+  parked.join();
+  EXPECT_FALSE(answered);
+  EXPECT_FALSE(stuck.connected());
+  EXPECT_GE(parked_for, kParkTimeout);
+  EXPECT_LT(parked_for, 4s) << "the deadline never closed the connection";
+
+  // Five pipelined reads with that frontier on one connection to server 1:
+  // four fill its parking lot, the fifth is shed, and shedding closes the
+  // connection long before any deadline.
+  const auto addr = parse_host_port(endpoints_[1]);
+  ASSERT_TRUE(addr.has_value());
+  ScopedFd fd = connect_tcp_blocking(addr->first, addr->second, 2000);
+  ASSERT_TRUE(fd.valid());
+  std::vector<std::uint8_t> burst;
+  const auto append = [&burst](const std::vector<std::uint8_t>& payload) {
+    const erasure::Buffer frame = encode_frame(payload);
+    burst.insert(burst.end(), frame.data(), frame.data() + frame.size());
+  };
+  append(encode_hello(Hello{PeerRole::kClient, 0}));
+  for (std::size_t i = 0; i <= kMaxParked; ++i) {
+    ReadReq req;
+    req.opid = i;
+    req.client = 802;
+    req.object = 0;
+    req.frontier = ahead;
+    append(encode_read_req(req));
+  }
+  const auto sent_at = Clock::now();
+  ASSERT_EQ(::send(fd.get(), burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+  pollfd pfd{fd.get(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 5000), 1) << "the connection stayed open";
+  std::uint8_t byte = 0;
+  EXPECT_EQ(::recv(fd.get(), &byte, 1, 0), 0)
+      << "expected the daemon to close the connection, not to answer";
+  EXPECT_LT(Clock::now() - sent_at, kParkTimeout / 2)
+      << "the fifth request was parked instead of shed";
+
+  ASSERT_TRUE(await_convergence(endpoints_, 15s));
   EXPECT_EQ(total_error_events(endpoints_), 0u);
 }
 

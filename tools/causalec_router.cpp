@@ -1,5 +1,5 @@
 // causalec_router: the front-door tier as a real daemon process
-// (DESIGN.md §12). Clients speak the routed client protocol to it; it
+// (DESIGN.md §12). Clients speak the daemons' client protocol to it; it
 // consistent-hashes objects onto the cluster's routing groups, keeps
 // pooled connections to every backend, and serves hot reads from a
 // causally-safe edge cache gated by each session's frontier token.

@@ -18,23 +18,20 @@
 #       # elimination, golden repair vectors, degraded reads); under tsan
 #       # this exercises the shared-mutex repair-plan cache from
 #       # concurrent lookup threads
-#   tools/run_sanitized_tests.sh thread -L net
-#       # the real-socket battery (DESIGN.md §11): frame reassembly sweep,
-#       # in-process daemons over loopback TCP (every shard loop, peer
-#       # link, and the automaton inbox visible to tsan), and the
-#       # multi-process SIGKILL/rejoin tests (the forked servers are
+#   tools/run_sanitized_tests.sh thread -L "net|frontdoor"
+#       # the real-socket and front-door batteries (DESIGN.md §11, §12):
+#       # frame reassembly sweep, in-process daemons over loopback TCP,
+#       # hash-ring properties, the frontier-gated edge cache,
+#       # cluster-config parsing, sessions through an in-process router
+#       # under the consistency checkers, and the multi-process
+#       # SIGKILL/rejoin and router-restart chaos tests. Daemons and
+#       # routers share one listener (net::FrontEnd) and one dialer
+#       # (net::PeerLink), so under tsan this exercises every shard loop,
+#       # peer and backend link, the automaton inbox, the shared edge
+#       # cache, and every client session thread (the forked servers are
 #       # instrumented too; tsan just cannot see across the processes)
-#   tools/run_sanitized_tests.sh thread -L frontdoor
-#       # the front-door tier battery (DESIGN.md §12): hash-ring
-#       # properties, the frontier-gated edge cache, cluster-config
-#       # parsing, routed sessions under the consistency checkers, and
-#       # the SIGKILL/router-restart chaos tests; under tsan this
-#       # exercises the router's shard loops, the shared edge cache, and
-#       # every RouterClient session thread
 #   tools/run_sanitized_tests.sh --net-smoke
-#       # fast path: net label only, asan+ubsan then tsan
-#   tools/run_sanitized_tests.sh --frontdoor-smoke
-#       # fast path: frontdoor label only, asan+ubsan then tsan
+#       # fast path: the net and frontdoor labels, asan+ubsan then tsan
 #
 # After an unfiltered run, each config additionally reruns the GF kernel
 # differential suite once per tier available on this machine, looping
@@ -52,14 +49,10 @@ cd "$(dirname "$0")/.."
 
 configs=()
 if [[ $# -ge 1 && $1 == --net-smoke ]]; then
-  # Fast path: just the real-socket battery under both sanitizer configs.
+  # Fast path: the real-socket and front-door batteries, which share one
+  # listener and one dialer, under both sanitizer configs.
   shift
-  set -- -L net "$@"
-  configs=("address,undefined" "thread")
-elif [[ $# -ge 1 && $1 == --frontdoor-smoke ]]; then
-  # Fast path: just the front-door battery under both sanitizer configs.
-  shift
-  set -- -L frontdoor "$@"
+  set -- -L "net|frontdoor" "$@"
   configs=("address,undefined" "thread")
 elif [[ $# -ge 1 && $1 != -* ]]; then
   configs=("$1")
