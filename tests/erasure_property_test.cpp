@@ -3,7 +3,8 @@
 //   * Gamma identities (Definition 4) hold for random codes and values;
 //   * recovery sets are superset-closed and decode correctly;
 //   * cross-field consistency (GF(2^8), GF(2^16), F_257, F_65537);
-//   * sequences of re-encodes commute with direct encoding.
+//   * sequences of re-encodes commute with direct encoding, one at a time
+//     and in fused reencode_batch batches, on every GF kernel tier.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +17,7 @@
 #include "erasure/repair_plan.h"
 #include "gf/gf2_16.h"
 #include "gf/gf256.h"
+#include "gf/kernels.h"
 #include "gf/prime_field.h"
 
 namespace causalec::erasure {
@@ -31,6 +33,15 @@ Value random_value(Rng& rng, std::size_t elems) {
     }
   }
   return v;
+}
+
+std::vector<gf::kernels::Tier> available_tiers() {
+  std::vector<gf::kernels::Tier> tiers;
+  for (int t = 0; t < gf::kernels::kNumTiers; ++t) {
+    const auto tier = static_cast<gf::kernels::Tier>(t);
+    if (gf::kernels::tier_available(tier)) tiers.push_back(tier);
+  }
+  return tiers;
 }
 
 template <gf::Field F>
@@ -101,6 +112,53 @@ void run_sweep(std::uint64_t seed) {
   }
   for (NodeId s = 0; s < n; ++s) {
     EXPECT_EQ(evolving[s], code->encode(s, current)) << "server " << s;
+  }
+
+  // Batched Gamma chain: random batches of 1-4 entries drained through
+  // reencode_batch, as the server's Apply/Encoding/val_inq paths do. An
+  // object may repeat within a batch (entries compose in order), and an
+  // entry may cancel to the zero value (empty new) or start from it (empty
+  // old). The same chain runs on every kernel tier.
+  for (const auto tier : available_tiers()) {
+    gf::kernels::ScopedTierForTesting guard(tier);
+    Rng batch_rng(seed ^ 0xBA7C4ull);
+    auto latest = current;
+    std::vector<bool> is_zero(k, false);
+    std::vector<Symbol> batched = evolving;
+    for (int round = 0; round < 8; ++round) {
+      const std::size_t count = 1 + batch_rng.next_below(4);
+      std::vector<Value> held;  // keeps every entry's bytes alive
+      std::vector<Code::ReencodeEntry> entries;
+      for (std::size_t i = 0; i < count; ++i) {
+        const ObjectId x =
+            !entries.empty() && batch_rng.next_bool(0.3)
+                ? entries.back().object
+                : static_cast<ObjectId>(batch_rng.next_below(k));
+        std::span<const std::uint8_t> old_value;
+        if (!is_zero[x]) {
+          held.push_back(latest[x]);
+          old_value = held.back().span();
+        }
+        std::span<const std::uint8_t> new_value;
+        if (batch_rng.next_bool(0.25)) {
+          latest[x] = Value(elems * F::kElemBytes, 0);
+          is_zero[x] = true;
+        } else {
+          held.push_back(random_value<F>(batch_rng, elems));
+          new_value = held.back().span();
+          latest[x] = held.back();
+          is_zero[x] = false;
+        }
+        entries.push_back({x, old_value, new_value});
+      }
+      for (NodeId s = 0; s < n; ++s) {
+        code->reencode_batch(s, batched[s], entries);
+      }
+    }
+    for (NodeId s = 0; s < n; ++s) {
+      EXPECT_EQ(batched[s], code->encode(s, latest))
+          << "server " << s << " tier " << gf::kernels::tier_name(tier);
+    }
   }
 
   // Cancel-then-apply equals direct reencode.

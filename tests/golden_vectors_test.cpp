@@ -107,13 +107,17 @@ TEST(GoldenVectorsTest, RsReencodeMatchesGolden) {
   for (std::size_t j = 0; j < 16; ++j) {
     newv[j] = static_cast<std::uint8_t>(j * 5 + 200);
   }
-  Symbol sym = from_hex(kRsSymbols[5]);
-  code->reencode(5, sym, 2, vals[2], newv);
-  EXPECT_EQ(to_hex(sym), "8409cd00532bf032ef527704d3164fee");
   // Reencoding must commute with encoding the updated object vector.
   auto updated = vals;
   updated[2] = newv;
-  EXPECT_EQ(sym, code->encode(5, updated));
+  for (const auto tier : available_tiers()) {
+    gf::kernels::ScopedTierForTesting guard(tier);
+    Symbol sym = from_hex(kRsSymbols[5]);
+    code->reencode(5, sym, 2, vals[2], newv);
+    EXPECT_EQ(to_hex(sym), "8409cd00532bf032ef527704d3164fee")
+        << "tier " << gf::kernels::tier_name(tier);
+    EXPECT_EQ(sym, code->encode(5, updated));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -175,14 +179,18 @@ TEST(GoldenVectorsTest, Paper53ReencodeMatchesGolden) {
     newv[2 * e] = static_cast<std::uint8_t>(x & 0xFF);
     newv[2 * e + 1] = static_cast<std::uint8_t>(x >> 8);
   }
-  Symbol sym = from_hex(kP53Symbols[4]);
-  code->reencode(4, sym, 1, vals[1], newv);
-  // Hand-checkable: delta = new - old = (66,72,78,84); Y5 gains 2*delta,
-  // so elements (136,164,192,220) become (11,51,91,131) mod 257.
-  EXPECT_EQ(to_hex(sym), "0b0033005b008300");
   auto updated = vals;
   updated[1] = newv;
-  EXPECT_EQ(sym, code->encode(4, updated));
+  for (const auto tier : available_tiers()) {
+    gf::kernels::ScopedTierForTesting guard(tier);
+    Symbol sym = from_hex(kP53Symbols[4]);
+    code->reencode(4, sym, 1, vals[1], newv);
+    // Hand-checkable: delta = new - old = (66,72,78,84); Y5 gains 2*delta,
+    // so elements (136,164,192,220) become (11,51,91,131) mod 257.
+    EXPECT_EQ(to_hex(sym), "0b0033005b008300")
+        << "tier " << gf::kernels::tier_name(tier);
+    EXPECT_EQ(sym, code->encode(4, updated));
+  }
 }
 
 // ---------------------------------------------------------------------------
