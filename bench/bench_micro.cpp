@@ -107,7 +107,8 @@ void BM_RS_Reencode(benchmark::State& state) {
   auto sym = f.symbols[5];
   Value next(4096, 7);
   for (auto _ : state) {
-    f.code->reencode(5, sym, 2, f.values[2], next);
+    const erasure::Code::ReencodeEntry entry{2, f.values[2], next};
+    f.code->reencode_batch(5, sym, {&entry, 1});
     std::swap(f.values[2], next);
     benchmark::DoNotOptimize(sym.data());
   }
@@ -682,8 +683,7 @@ int run_repair_bench(bool smoke) {
       }
       const double mb_per_s = measure_mb_per_s(
           [&] {
-            auto out = code->apply_repair_plan(*plan, failed, helpers,
-                                               helper_symbols);
+            auto out = code->apply_plan(*plan, helpers, helper_symbols);
             benchmark::DoNotOptimize(out.data());
           },
           kB, min_seconds);

@@ -40,7 +40,10 @@ struct ServerConfig {
 
   /// With kNearestRecoverySet: proximity[i] ranks server i (lower = closer
   /// to this server); empty means "use server-id order". Fallback broadcast
-  /// fires after fanout_timeout_ns.
+  /// fires after fanout_timeout_ns. While peers are known down
+  /// (set_peer_down), a read asks the code for an object-repair plan that
+  /// avoids them instead, so it does not wait out the timeout for a dead
+  /// member (a degraded read).
   std::vector<double> proximity;
   std::int64_t fanout_timeout_ns = 500'000'000;  // 500 ms
 
@@ -78,20 +81,8 @@ struct ServerConfig {
   /// detect it and shrink a reproducer. Never enable outside tests.
   bool unsafe_skip_apply_order_check = false;
 
-  /// Crash-recovery rejoin (DESIGN.md §9): a recovering server finishes its
-  /// catch-up round when every peer has pushed, or after this timeout when
-  /// some peers are themselves down (they push on their own rejoin later).
-  std::int64_t rejoin_timeout_ns = 1'000'000'000;  // 1 s
-
   /// Which peers a rejoin round pulls from (see RejoinCatchup above).
   RejoinCatchup rejoin_catchup = RejoinCatchup::kRepairPlan;
-
-  /// Degraded reads: when some peers are known down (set_peer_down) and the
-  /// read fan-out is kNearestRecoverySet, ask the code for an object-repair
-  /// plan that avoids the down servers instead of the proximity pick -- the
-  /// read then completes without waiting out fanout_timeout_ns for a dead
-  /// member. Off restores the pre-repair behavior.
-  bool repair_degraded_reads = true;
 
   /// TEST-ONLY fault seam for the chaos harness's self-test: when true,
   /// begin_rejoin() skips the digest/pull/push catch-up entirely, so a
@@ -107,13 +98,12 @@ struct ServerConfig {
   /// corresponding instrumentation at the cost of one branch per site.
   obs::ObsHooks obs;
 
-  /// Always-on flight recorder (obs/flight_recorder.h): a fixed ring of
-  /// recent protocol events kept even when tracing/metrics are off, dumped
-  /// into chaos replay bundles and by causalec_inspect. Cheap enough to
-  /// leave on (bench_micro --obs gates the overhead at <= 5%); the off
-  /// switch exists for that bench's baseline and for tests.
+  /// Always-on flight recorder (obs/flight_recorder.h): a fixed ring of the
+  /// 1024 most recent protocol events kept even when tracing/metrics are
+  /// off, dumped into chaos replay bundles and by causalec_inspect. Cheap
+  /// enough to leave on (bench_micro --obs gates the overhead at <= 5%);
+  /// the off switch exists for that bench's baseline and for tests.
   bool flight_recorder = true;
-  std::size_t flight_recorder_capacity = 1024;
 };
 
 }  // namespace causalec

@@ -65,11 +65,11 @@ class GroupedStore {
   /// Aggregated storage across all groups of one server.
   StorageStats storage(NodeId server) const;
 
-  /// Decoder-plan cache counters summed over every group's code.
+  /// Decode-plan cache counters summed over every group's code
+  /// (erasure/plan.h).
   erasure::PlanCacheStats decode_plan_cache_stats() const;
 
-  /// Repair-plan cache counters summed over every group's code
-  /// (erasure/repair_plan.h).
+  /// Repair-plan cache counters summed over every group's code.
   erasure::PlanCacheStats repair_plan_cache_stats() const;
 
   /// Liveness feed (mirrors Cluster): marks `peer` down/up on every group

@@ -21,6 +21,11 @@ constexpr OpId kInternalOpidBase = OpId{1} << 63;
 /// collide with pre-crash reads whose responses are still in flight.
 constexpr std::uint64_t kOpidRecoverySkip = std::uint64_t{1} << 20;
 
+/// Crash-recovery rejoin (DESIGN.md §9): a recovering server finishes its
+/// catch-up round when every peer has pushed, or after this long when some
+/// peers are themselves down (they push on their own rejoin later).
+constexpr SimTime kRejoinTimeoutNs = 1'000'000'000;  // 1 s
+
 /// Wall-clock nanoseconds for the per-phase latency histograms. Phase
 /// durations are real elapsed time on both runtimes (simulated time never
 /// advances inside an activation, so it cannot decompose one).
@@ -68,8 +73,7 @@ Server::Server(NodeId id, erasure::CodePtr code, ServerConfig config,
       m_val_(code_->zero_symbol(id)),
       m_tags_(zero_tag_vector(k_, n_)),
       tmax_(zero_tag_vector(k_, n_)),
-      last_del_broadcast_all_(zero_tag_vector(k_, n_)),
-      flight_(config_.flight_recorder_capacity) {
+      last_del_broadcast_all_(zero_tag_vector(k_, n_)) {
   CEC_CHECK(transport_ != nullptr);
   CEC_CHECK(id_ < n_);
   tracer_ = config_.obs.tracer;
@@ -882,7 +886,7 @@ void Server::begin_rejoin() {
   // Peers that are themselves down never push; widen a narrowed round once
   // at the deadline, then finish with whatever arrived (they push to us
   // when their own rejoin runs).
-  transport_->schedule_after(config_.rejoin_timeout_ns, [this, epoch] {
+  transport_->schedule_after(kRejoinTimeoutNs, [this, epoch] {
     if (recovering_ && recovery_epoch_ == epoch) rejoin_deadline(epoch);
   });
   if (tracer_ != nullptr) {
@@ -1053,7 +1057,7 @@ void Server::rejoin_deadline(std::uint64_t epoch) {
       pulled = true;
     }
     if (pulled) {
-      transport_->schedule_after(config_.rejoin_timeout_ns, [this, epoch] {
+      transport_->schedule_after(kRejoinTimeoutNs, [this, epoch] {
         if (recovering_ && recovery_epoch_ == epoch) rejoin_deadline(epoch);
       });
       return;
@@ -1269,7 +1273,7 @@ std::vector<NodeId> Server::initial_fanout_targets(const PendingRead& read) {
   // fanout_timeout_ns before the footnote-14 broadcast. Ask the code for a
   // repair-minimal surviving set instead; fall back to the proximity pick
   // when no plan survives the erasure pattern.
-  if (config_.repair_degraded_reads && peer_down_mask_ != 0) {
+  if (peer_down_mask_ != 0) {
     const std::uint32_t erased = peer_down_mask_ & ~(1u << id_);
     if (const auto plan = code_->plan_object_repair(object, erased, id_)) {
       ++counters_.degraded_reads;

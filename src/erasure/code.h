@@ -4,7 +4,8 @@
 // Phi_i : V^K -> W_i. This interface exposes exactly the operations the
 // CausalEC algorithm needs:
 //   * encode          -- Phi_i applied to a full object vector
-//   * reencode        -- the re-encoding functions Gamma_{i,k} (Def. 4)
+//   * reencode_batch  -- the re-encoding functions Gamma_{i,k} (Def. 4),
+//                        applied to a batch of pending updates at once
 //   * decode          -- the recovery functions Psi_S^{(k)} (Def. 2)
 //   * recovery_sets   -- the minimal recovery sets R_k
 //   * support         -- the object sets X_i (Def. 3)
@@ -27,7 +28,7 @@ namespace causalec::erasure {
 /// object. Stored sorted ascending.
 using RecoverySet = std::vector<NodeId>;
 
-/// Type-erased view of a repair plan (erasure/repair_plan.h): enough for a
+/// Type-erased view of a repair plan (erasure/plan.h): enough for a
 /// consumer holding a CodePtr to pick helpers and account traffic without
 /// knowing the field. `fetch_*` counts only rows that actually cross the
 /// network; `full_decode_*` is what the classical decode-all baseline would
@@ -41,8 +42,8 @@ struct RepairPlanSummary {
   std::size_t full_decode_bytes = 0;
 };
 
-/// Counters of the per-(object, server-set) decoder-plan cache (see
-/// erasure/plan_cache.h). Codes without a cache report all-zero stats.
+/// Counters of one plan cache (see erasure/plan.h). Codes without a cache
+/// report all-zero stats.
 struct PlanCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -84,34 +85,21 @@ class Code {
   /// Phi_i over a full object vector (values.size() == K).
   virtual Symbol encode(NodeId server, std::span<const Value> values) const = 0;
 
-  /// Gamma_{i,k}(symbol, old_value, new_value): transform server i's symbol
-  /// from an encoding with object k = old_value to one with object k =
-  /// new_value, leaving all other objects untouched. Either value may be
-  /// empty(), meaning the zero vector (the paper's bold-0).
-  virtual void reencode(NodeId server, Symbol& symbol, ObjectId object,
-                        std::span<const std::uint8_t> old_value,
-                        std::span<const std::uint8_t> new_value) const = 0;
-
   /// One pending re-encode of a batch: object `object` goes from old_value
-  /// to new_value (either may be empty = the zero vector). The same object
-  /// may appear more than once; entries compose in order.
+  /// to new_value (either may be empty = the zero vector, the paper's
+  /// bold-0). The same object may appear more than once; entries compose
+  /// in order.
   struct ReencodeEntry {
     ObjectId object;
     std::span<const std::uint8_t> old_value;
     std::span<const std::uint8_t> new_value;
   };
 
-  /// Apply a batch of re-encodes to server i's symbol. Equivalent to
-  /// calling reencode() once per entry in order; codes may override to
-  /// fuse the batch so each symbol row is touched once per batch instead
-  /// of once per entry (LinearCodeT routes through the kernel tier's
-  /// fused multi-axpy).
+  /// Gamma_{i,k} over a batch: transform server i's symbol so that each
+  /// entry's object goes from old_value to new_value, leaving all other
+  /// objects untouched. A batch of one entry is a single Gamma_{i,k}.
   virtual void reencode_batch(NodeId server, Symbol& symbol,
-                              std::span<const ReencodeEntry> entries) const {
-    for (const ReencodeEntry& e : entries) {
-      reencode(server, symbol, e.object, e.old_value, e.new_value);
-    }
-  }
+                              std::span<const ReencodeEntry> entries) const = 0;
 
   /// Psi_S^{(k)}: decode object `object` from the symbols of the servers in
   /// `servers` (parallel spans). `servers` must contain a recovery set for
@@ -143,7 +131,7 @@ class Code {
   /// Decoder-plan cache counters (zero for codes without a cache).
   virtual PlanCacheStats decode_plan_cache_stats() const { return {}; }
 
-  // -- Repair planning (erasure/repair_plan.h) ------------------------------
+  // -- Repair planning (erasure/plan.h) --------------------------------------
 
   /// Degraded read: the cheapest plan to recover `object` at reader `local`
   /// while the servers in `erased_mask` are unreachable. nullopt when the

@@ -8,10 +8,11 @@
 // stores nothing.
 //
 // Minimal recovery sets are enumerated by Gaussian elimination at
-// construction time; the decoding coefficients themselves are computed
-// lazily, once per (object, provided-server mask), and memoized in a
-// DecodePlanCache (erasure/plan_cache.h). Re-encode coefficient rows
-// (Gamma_{i,k}) are flattened per (server, object) at construction.
+// construction time; decode and repair plans (erasure/plan.h) are built
+// lazily by one builder and memoized per code. Re-encode coefficient rows
+// (Gamma_{i,k}) are flattened per (server, object) at construction. Every
+// byte of payload arithmetic -- encode, re-encode, decode and repair --
+// goes through one private combiner, combine_into().
 #pragma once
 
 #include <algorithm>
@@ -19,12 +20,12 @@
 #include <cstdint>
 #include <span>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "common/expect.h"
 #include "erasure/code.h"
-#include "erasure/plan_cache.h"
-#include "erasure/repair_plan.h"
+#include "erasure/plan.h"
 #include "gf/field.h"
 #include "gf/vector_ops.h"
 #include "linalg/gaussian.h"
@@ -69,8 +70,8 @@ class LinearCodeT final : public Code {
  public:
   using Matrix = linalg::Matrix<F>;
   using Elem = typename F::Elem;
-  using Plan = DecodePlan<Elem>;
-  using PlanPtr = std::shared_ptr<const Plan>;
+  using PlanT = Plan<Elem>;
+  using PlanPtr = std::shared_ptr<const PlanT>;
 
   /// One coefficient matrix per server; every matrix must have K columns.
   /// value_bytes must be a multiple of the field element size.
@@ -87,7 +88,6 @@ class LinearCodeT final : public Code {
     CEC_CHECK(value_bytes_ > 0 && value_bytes_ % F::kElemBytes == 0);
     elems_per_value_ = value_bytes_ / F::kElemBytes;
     for (const auto& m : matrices_) CEC_CHECK(m.cols() == k_);
-    build_stacked();
     build_supports();
     build_reencode_plans();
     build_recovery_sets();
@@ -122,157 +122,62 @@ class LinearCodeT final : public Code {
     CEC_CHECK(values.size() == k_);
     const Matrix& c = matrix(server);
     Symbol out(symbol_bytes(server), 0);
-    std::vector<Elem> acc(elems_per_value_);
-    std::vector<Elem> val(elems_per_value_);
-    std::vector<gf::AxpyTerm<F>> terms;
+    std::vector<RowTerm> terms;
+    terms.reserve(k_);
     for (std::size_t r = 0; r < c.rows(); ++r) {
-      auto out_row =
-          out.mutable_span().subspan(r * value_bytes_, value_bytes_);
-      if constexpr (std::is_same_v<F, gf::GF256>) {
-        // GF(2^8): fused multi-axpy straight from the object values into
-        // the (already zeroed) output row, no unpack/pack.
-        terms.clear();
-        for (std::size_t k = 0; k < k_; ++k) {
-          if (c(r, k) == F::zero) continue;
-          CEC_CHECK(values[k].size() == value_bytes_);
-          terms.push_back({c(r, k), values[k].span()});
-        }
-        gf::axpy_batch<F>(out_row, std::span<const gf::AxpyTerm<F>>(terms));
-      } else {
-        gf::set_zero<F>(std::span<Elem>(acc));
-        for (std::size_t k = 0; k < k_; ++k) {
-          if (c(r, k) == F::zero) continue;
-          CEC_CHECK(values[k].size() == value_bytes_);
-          detail::unpack<F>(values[k], std::span<Elem>(val));
-          gf::axpy<F>(std::span<Elem>(acc), c(r, k),
-                      std::span<const Elem>(val));
-        }
-        detail::pack<F>(std::span<const Elem>(acc), out_row);
+      terms.clear();
+      for (std::size_t k = 0; k < k_; ++k) {
+        if (c(r, k) == F::zero) continue;
+        CEC_CHECK(values[k].size() == value_bytes_);
+        terms.push_back({c(r, k), values[k].span()});
       }
+      combine_into(out.mutable_span().subspan(r * value_bytes_, value_bytes_),
+                   terms);
     }
     return out;
   }
 
-  void reencode(NodeId server, Symbol& symbol, ObjectId object,
-                std::span<const std::uint8_t> old_value,
-                std::span<const std::uint8_t> new_value) const override {
-    CEC_CHECK(server < num_servers());
-    CEC_CHECK(symbol.size() == symbol_bytes(server));
-    CEC_CHECK(object < k_);
-    CEC_CHECK(old_value.empty() || old_value.size() == value_bytes_);
-    CEC_CHECK(new_value.empty() || new_value.size() == value_bytes_);
-    const auto& steps = reencode_plans_[server][object];
-    if (steps.empty()) return;  // object not in X_i: symbol unchanged
-    // delta = new - old over F^d.
-    std::vector<Elem> delta(elems_per_value_, F::zero);
-    std::vector<Elem> tmp(elems_per_value_);
-    if (!new_value.empty()) {
-      detail::unpack<F>(new_value, std::span<Elem>(delta));
-    }
-    if (!old_value.empty()) {
-      detail::unpack<F>(old_value, std::span<Elem>(tmp));
-      gf::sub_into<F>(std::span<Elem>(delta), std::span<const Elem>(tmp));
-    }
-    if (gf::is_zero<F>(std::span<const Elem>(delta))) return;
-    std::vector<Elem> row(elems_per_value_);
-    const std::span<std::uint8_t> symbol_bytes = symbol.mutable_span();
-    for (const ReencodeStep& step : steps) {
-      auto row_bytes =
-          symbol_bytes.subspan(step.row * value_bytes_, value_bytes_);
-      detail::unpack<F>(row_bytes, std::span<Elem>(row));
-      gf::axpy<F>(std::span<Elem>(row), step.coeff,
-                  std::span<const Elem>(delta));
-      detail::pack<F>(std::span<const Elem>(row), row_bytes);
-    }
-  }
-
   void reencode_batch(NodeId server, Symbol& symbol,
                       std::span<const ReencodeEntry> entries) const override {
-    if (entries.size() <= 1) {
-      for (const ReencodeEntry& e : entries) {
-        reencode(server, symbol, e.object, e.old_value, e.new_value);
-      }
-      return;
-    }
     CEC_CHECK(server < num_servers());
     CEC_CHECK(symbol.size() == symbol_bytes(server));
     const auto& plans = reencode_plans_[server];
+    bool changes = false;
     for (const ReencodeEntry& e : entries) {
       CEC_CHECK(e.object < k_);
       CEC_CHECK(e.old_value.empty() || e.old_value.size() == value_bytes_);
       CEC_CHECK(e.new_value.empty() || e.new_value.size() == value_bytes_);
+      changes = changes || (!plans[e.object].empty() &&
+                            !(e.old_value.empty() && e.new_value.empty()));
     }
-    const std::size_t num_rows = matrix(server).rows();
+    // Nothing to fold in (no entry, objects outside X_i, or zero to zero):
+    // return before unsharing, or a val_inq answered with the symbol as it
+    // is would copy the whole symbol for nothing.
+    if (!changes) return;
+    // Unshare before any term is built, so no source aliases a symbol
+    // arena that is still shared (the kernels' overlap CHECK).
     const std::span<std::uint8_t> sym = symbol.mutable_span();
 
-    if constexpr (std::is_same_v<F, gf::GF256>) {
-      // GF(2^8): values already are element vectors, and in characteristic
-      // 2 coeff * (new - old) == coeff * new + coeff * old, so each entry
-      // feeds its old and new bytes to the fused multi-axpy directly -- no
-      // delta buffer, no unpack/pack, and each destination row is streamed
-      // once per batch instead of once per entry.
-      std::vector<gf::AxpyTerm<F>> terms;
-      terms.reserve(2 * entries.size());
-      for (std::size_t r = 0; r < num_rows; ++r) {
-        terms.clear();
-        for (const ReencodeEntry& e : entries) {
-          for (const ReencodeStep& step : plans[e.object]) {
-            if (step.row != r) continue;
-            if (!e.new_value.empty()) {
-              terms.push_back({step.coeff, e.new_value});
-            }
-            if (!e.old_value.empty()) {
-              terms.push_back({step.coeff, e.old_value});
-            }
-          }
-        }
-        if (terms.empty()) continue;
-        gf::axpy_batch<F>(sym.subspan(r * value_bytes_, value_bytes_),
-                          std::span<const gf::AxpyTerm<F>>(terms));
-      }
-      return;
-    } else {
-      // Generic fields: materialize delta = new - old per entry (packing
-      // is not the identity), then fuse the per-row axpys over the
-      // unpacked row.
-      std::vector<std::vector<Elem>> deltas;
-      std::vector<const std::vector<ReencodeStep>*> steps;
-      deltas.reserve(entries.size());
-      steps.reserve(entries.size());
-      std::vector<Elem> tmp(elems_per_value_);
+    // Gamma_{i,k}: each step of an entry's object adds coeff * (new - old)
+    // to its row, fed to the combiner as two terms, (coeff, new) and
+    // (-coeff, old); in characteristic 2, -coeff == coeff. An empty value
+    // is the zero vector and adds no term. Each row is streamed once per
+    // batch, however many entries touch it.
+    std::vector<RowTerm> terms;
+    terms.reserve(2 * entries.size());
+    for (std::size_t r = 0; r < matrix(server).rows(); ++r) {
+      terms.clear();
       for (const ReencodeEntry& e : entries) {
-        if (plans[e.object].empty()) continue;  // object not in X_i
-        std::vector<Elem> delta(elems_per_value_, F::zero);
-        if (!e.new_value.empty()) {
-          detail::unpack<F>(e.new_value, std::span<Elem>(delta));
-        }
-        if (!e.old_value.empty()) {
-          detail::unpack<F>(e.old_value, std::span<Elem>(tmp));
-          gf::sub_into<F>(std::span<Elem>(delta), std::span<const Elem>(tmp));
-        }
-        if (gf::is_zero<F>(std::span<const Elem>(delta))) continue;
-        deltas.push_back(std::move(delta));
-        steps.push_back(&plans[e.object]);
-      }
-      if (deltas.empty()) return;
-      std::vector<Elem> row(elems_per_value_);
-      std::vector<gf::AxpyTerm<F>> terms;
-      terms.reserve(deltas.size());
-      for (std::size_t r = 0; r < num_rows; ++r) {
-        terms.clear();
-        for (std::size_t i = 0; i < deltas.size(); ++i) {
-          for (const ReencodeStep& step : *steps[i]) {
-            if (step.row != r) continue;
-            terms.push_back({step.coeff, std::span<const Elem>(deltas[i])});
+        for (const ReencodeStep& step : plans[e.object]) {
+          if (step.row != r) continue;
+          if (!e.new_value.empty()) terms.push_back({step.coeff, e.new_value});
+          if (!e.old_value.empty()) {
+            terms.push_back({F::neg(step.coeff), e.old_value});
           }
         }
-        if (terms.empty()) continue;
-        auto row_bytes = sym.subspan(r * value_bytes_, value_bytes_);
-        detail::unpack<F>(row_bytes, std::span<Elem>(row));
-        gf::axpy_batch<F>(std::span<Elem>(row),
-                          std::span<const gf::AxpyTerm<F>>(terms));
-        detail::pack<F>(std::span<const Elem>(row), row_bytes);
       }
+      if (terms.empty()) continue;
+      combine_into(sym.subspan(r * value_bytes_, value_bytes_), terms);
     }
   }
 
@@ -285,8 +190,7 @@ class LinearCodeT final : public Code {
       CEC_CHECK(s < num_servers());
       mask |= 1u << s;
     }
-    const PlanPtr plan = decode_plan(object, mask);
-    return apply_plan(*plan, servers, symbols);
+    return apply_plan(*decode_plan(object, mask), servers, symbols);
   }
 
   const std::vector<RecoverySet>& recovery_sets(
@@ -332,7 +236,11 @@ class LinearCodeT final : public Code {
   }
 
   PlanCacheStats decode_plan_cache_stats() const override {
-    return plan_cache_.stats();
+    return decode_cache_.stats();
+  }
+
+  PlanCacheStats repair_plan_cache_stats() const override {
+    return repair_cache_.stats();
   }
 
   /// Direct coefficient access for analytics and tests.
@@ -341,73 +249,98 @@ class LinearCodeT final : public Code {
     return matrices_[server];
   }
 
+  /// Test/tooling control of both plan caches (per code instance).
+  void set_plan_cache_enabled(bool enabled) const {
+    decode_cache_.set_enabled(enabled);
+    repair_cache_.set_enabled(enabled);
+  }
+
+  /// Execute a plan against provided symbols (parallel spans that must
+  /// cover the plan's helper mask): one output row per program, so a
+  /// decode plan yields a value and a symbol-repair plan a whole symbol.
+  Symbol apply_plan(const PlanT& plan, std::span<const NodeId> servers,
+                    std::span<const Symbol> symbols) const {
+    Symbol out(plan.row_ops.size() * value_bytes_, 0);
+    std::vector<RowTerm> terms;
+    terms.reserve(plan.fetches.size());  // a program reads a fetch once
+    for (std::size_t r = 0; r < plan.row_ops.size(); ++r) {
+      terms.clear();
+      for (const auto& op : plan.row_ops[r]) {
+        const PlanFetch& fetch = plan.fetches[op.fetch];
+        const Symbol& sym = symbols[locate_server(servers, fetch.server)];
+        CEC_CHECK_MSG(sym.size() == symbol_bytes(fetch.server),
+                      "plan: bad symbol size from server " << fetch.server);
+        terms.push_back({op.coeff, sym.span().subspan(
+                                       fetch.row * value_bytes_,
+                                       value_bytes_)});
+      }
+      combine_into(out.mutable_span().subspan(r * value_bytes_, value_bytes_),
+                   terms);
+    }
+    return out;
+  }
+
+  // -- Decode plans -----------------------------------------------------------
+
   /// The plan decode() would use for (object, provided-server mask):
   /// cache lookup, lazily computing and inserting on a miss. CHECK-fails
   /// when the mask contains no recovery set.
   PlanPtr decode_plan(ObjectId object, std::uint32_t provided_mask) const {
     CEC_CHECK(object < k_);
-    if (PlanPtr cached = plan_cache_.find(object, provided_mask)) {
-      return cached;
-    }
-    PlanPtr plan = compute_plan_fresh(object, provided_mask);
-    CEC_CHECK_MSG(plan != nullptr,
-                  "decode: servers do not form a recovery set for X"
-                      << object);
-    return plan_cache_.insert(object, provided_mask, std::move(plan));
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(object) << 32) | provided_mask;
+    return decode_cache_.get(key, [&] {
+      PlanPtr plan = compute_plan_fresh(object, provided_mask);
+      CEC_CHECK_MSG(plan != nullptr,
+                    "decode: servers do not form a recovery set for X"
+                        << object);
+      return plan;
+    });
   }
 
-  /// Fresh Gaussian elimination, bypassing the cache entirely (the
-  /// differential tests pin cached plans against this). nullptr when the
-  /// mask contains no recovery set.
+  /// Fresh Gaussian elimination over the first minimal recovery set inside
+  /// the mask, bypassing the cache entirely (the differential tests pin
+  /// cached plans against this). nullptr when the mask contains no
+  /// recovery set.
   PlanPtr compute_plan_fresh(ObjectId object,
                              std::uint32_t provided_mask) const {
     CEC_CHECK(object < k_);
     for (std::uint32_t minimal : recovery_masks_[object]) {
       if ((provided_mask & minimal) != minimal) continue;
-      return std::make_shared<const Plan>(build_plan(object, minimal));
+      Matrix unit(1, k_);
+      unit(0, object) = F::one;
+      return build_plan(minimal, unit, /*trim=*/true);
     }
     return nullptr;
   }
 
-  /// Test/tooling control of the cache (per code instance).
-  void set_plan_cache_enabled(bool enabled) const {
-    plan_cache_.set_enabled(enabled);
-  }
-
-  // -- Repair planning (erasure/repair_plan.h) ------------------------------
-
-  using RepairPlanT = RepairPlan<Elem>;
-  using RepairPlanPtr = std::shared_ptr<const RepairPlanT>;
+  // -- Repair plans -----------------------------------------------------------
 
   std::optional<RepairPlanSummary> plan_object_repair(
       ObjectId object, std::uint32_t erased_mask,
       NodeId local) const override {
-    const RepairPlanMode mode = repair_mode();
-    if (mode == RepairPlanMode::kOff) return std::nullopt;
-    const RepairStrategy strategy = mode == RepairPlanMode::kFullDecode
-                                        ? RepairStrategy::kFullDecode
-                                        : RepairStrategy::kMinimalFetch;
-    const RepairPlanPtr plan =
-        object_repair_plan(object, erased_mask, local, strategy);
+    const PlanPtr plan = object_repair_plan(object, erased_mask, local,
+                                            RepairStrategy::kMinimalFetch);
     if (plan == nullptr) return std::nullopt;
-    const RepairPlanPtr full = object_repair_plan(
-        object, erased_mask, local, RepairStrategy::kFullDecode);
-    return summarize(*plan, full.get(), erased_mask);
+    const PlanPtr full = object_repair_plan(object, erased_mask, local,
+                                            RepairStrategy::kFullDecode);
+    // An object plan fetches every row of its helpers but the reader's own.
+    const std::uint32_t remote = ~(1u << local);
+    return summarize(plan->helper_mask, erased_mask,
+                     rows_in_mask(plan->helper_mask & remote),
+                     rows_in_mask(full->helper_mask & remote));
   }
 
   std::optional<RepairPlanSummary> plan_symbol_repair(
       NodeId failed, std::uint32_t erased_mask) const override {
-    const RepairPlanMode mode = repair_mode();
-    if (mode == RepairPlanMode::kOff) return std::nullopt;
-    const RepairStrategy strategy = mode == RepairPlanMode::kFullDecode
-                                        ? RepairStrategy::kFullDecode
-                                        : RepairStrategy::kMinimalFetch;
-    const RepairPlanPtr plan = symbol_repair_plan(failed, erased_mask,
-                                                  strategy);
+    const PlanPtr plan = symbol_repair_plan(failed, erased_mask,
+                                            RepairStrategy::kMinimalFetch);
     if (plan == nullptr) return std::nullopt;
-    const RepairPlanPtr full = symbol_repair_plan(
-        failed, erased_mask, RepairStrategy::kFullDecode);
-    return summarize(*plan, full.get(), erased_mask);
+    const PlanPtr full = symbol_repair_plan(failed, erased_mask,
+                                            RepairStrategy::kFullDecode);
+    return summarize(plan->helper_mask, erased_mask, plan->fetches.size(),
+                     full != nullptr ? full->fetches.size()
+                                     : plan->fetches.size());
   }
 
   Symbol repair_symbol(NodeId failed, std::span<const NodeId> servers,
@@ -421,49 +354,43 @@ class LinearCodeT final : public Code {
       provided |= 1u << s;
     }
     const std::uint32_t erased = all_servers_mask() & ~provided;
-    const RepairPlanMode mode = repair_mode();
-    const RepairStrategy strategy = mode == RepairPlanMode::kFullDecode
-                                        ? RepairStrategy::kFullDecode
-                                        : RepairStrategy::kMinimalFetch;
-    const RepairPlanPtr plan = symbol_repair_plan(failed, erased, strategy);
+    const PlanPtr plan =
+        symbol_repair_plan(failed, erased, RepairStrategy::kMinimalFetch);
     CEC_CHECK_MSG(plan != nullptr,
                   "repair_symbol: survivors cannot rebuild server "
                       << failed);
-    return apply_repair_plan(*plan, failed, servers, symbols);
-  }
-
-  PlanCacheStats repair_plan_cache_stats() const override {
-    return repair_cache_.stats();
+    return apply_plan(*plan, servers, symbols);
   }
 
   /// Cached lookup of the symbol-repair plan for (failed, erased, strategy):
-  /// the DAG rebuilding every row of `failed`'s symbol from a surviving
-  /// helper set. nullptr when no survivors span the failed symbol.
-  RepairPlanPtr symbol_repair_plan(NodeId failed, std::uint32_t erased_mask,
-                                   RepairStrategy strategy) const {
+  /// one program per row of `failed`'s symbol over a surviving helper set.
+  /// nullptr when no survivors span the failed symbol.
+  PlanPtr symbol_repair_plan(NodeId failed, std::uint32_t erased_mask,
+                             RepairStrategy strategy) const {
     CEC_CHECK(failed < num_servers());
-    const std::uint64_t key = RepairPlanCache<Elem>::key(
-        /*symbol_kind=*/true, strategy, failed, failed, erased_mask);
-    if (const auto cached = repair_cache_.find(key)) return *cached;
-    return repair_cache_.insert(
-        key, compute_symbol_repair_fresh(failed, erased_mask, strategy));
+    return repair_cache_.get(
+        repair_key(/*symbol_kind=*/true, strategy, failed, failed,
+                   erased_mask),
+        [&] {
+          return compute_symbol_repair_fresh(failed, erased_mask, strategy);
+        });
   }
 
   /// Cached lookup of the object-repair plan for (object, erased, local,
-  /// strategy): a fetch-only plan (row_ops empty -- decode() executes the
-  /// math once the fetched symbols arrive). nullptr when the erasure
-  /// pattern leaves no surviving recovery set.
-  RepairPlanPtr object_repair_plan(ObjectId object, std::uint32_t erased_mask,
-                                   NodeId local,
-                                   RepairStrategy strategy) const {
+  /// strategy): only the helper mask -- decode() executes the math once the
+  /// fetched symbols arrive. nullptr when the erasure pattern leaves no
+  /// surviving recovery set.
+  PlanPtr object_repair_plan(ObjectId object, std::uint32_t erased_mask,
+                             NodeId local, RepairStrategy strategy) const {
     CEC_CHECK(object < k_);
     CEC_CHECK(local < num_servers());
-    const std::uint64_t key = RepairPlanCache<Elem>::key(
-        /*symbol_kind=*/false, strategy, object, local, erased_mask);
-    if (const auto cached = repair_cache_.find(key)) return *cached;
-    return repair_cache_.insert(
-        key, compute_object_repair_fresh(object, erased_mask, local,
-                                         strategy));
+    return repair_cache_.get(
+        repair_key(/*symbol_kind=*/false, strategy, object, local,
+                   erased_mask),
+        [&] {
+          return compute_object_repair_fresh(object, erased_mask, local,
+                                             strategy);
+        });
   }
 
   /// Fresh symbol-repair planning, bypassing the cache (the differential
@@ -473,9 +400,8 @@ class LinearCodeT final : public Code {
   /// fetched row no output program references, kFullDecode instead takes
   /// the first full-rank set (decode everything, then re-encode) and keeps
   /// all of its rows.
-  RepairPlanPtr compute_symbol_repair_fresh(NodeId failed,
-                                            std::uint32_t erased_mask,
-                                            RepairStrategy strategy) const {
+  PlanPtr compute_symbol_repair_fresh(NodeId failed, std::uint32_t erased_mask,
+                                      RepairStrategy strategy) const {
     CEC_CHECK(failed < num_servers());
     CEC_CHECK((erased_mask & ~all_servers_mask()) == 0);
     const std::uint32_t available =
@@ -483,16 +409,14 @@ class LinearCodeT final : public Code {
     const Matrix& target = matrices_[failed];
     if (target.rows() == 0) {
       // The failed server stores nothing: an empty plan rebuilds it.
-      auto plan = std::make_shared<RepairPlanT>();
-      return plan;
+      return std::make_shared<const PlanT>();
     }
-    const std::size_t min_rows = strategy == RepairStrategy::kFullDecode
-                                     ? k_
-                                     : linalg::rank<F>(target);
+    const bool full_decode = strategy == RepairStrategy::kFullDecode;
+    const std::size_t min_rows = full_decode ? k_ : linalg::rank<F>(target);
     for (const std::uint32_t mask : candidate_masks(available)) {
       if (rows_in_mask(mask) < min_rows) continue;
       const Matrix sub = stack_subset(mask);
-      if (strategy == RepairStrategy::kFullDecode) {
+      if (full_decode) {
         if (linalg::rank<F>(sub) != k_) continue;
       } else {
         // Spans iff appending the failed rows does not raise the rank.
@@ -507,7 +431,7 @@ class LinearCodeT final : public Code {
         }
         if (linalg::rank<F>(joint) != linalg::rank<F>(sub)) continue;
       }
-      return build_symbol_repair_plan(failed, mask, strategy);
+      return build_plan(mask, target, /*trim=*/!full_decode);
     }
     return nullptr;
   }
@@ -516,100 +440,29 @@ class LinearCodeT final : public Code {
   /// the surviving recovery set with the fewest rows `local` does not
   /// already hold; kFullDecode takes the first surviving set in the stored
   /// (size, lexicographic) order.
-  RepairPlanPtr compute_object_repair_fresh(ObjectId object,
-                                            std::uint32_t erased_mask,
-                                            NodeId local,
-                                            RepairStrategy strategy) const {
+  PlanPtr compute_object_repair_fresh(ObjectId object,
+                                      std::uint32_t erased_mask, NodeId local,
+                                      RepairStrategy strategy) const {
     CEC_CHECK(object < k_);
     CEC_CHECK((erased_mask & ~all_servers_mask()) == 0);
-    const std::uint32_t chosen = [&]() -> std::uint32_t {
-      std::uint32_t best = 0;
-      std::size_t best_cost = 0;
-      for (const std::uint32_t mask : recovery_masks_[object]) {
-        if ((mask & erased_mask) != 0) continue;
-        if (strategy == RepairStrategy::kFullDecode) return mask;
-        const std::size_t cost = rows_in_mask(mask & ~(1u << local));
-        if (best == 0 || cost < best_cost) {
-          best = mask;
-          best_cost = cost;
-        }
+    std::uint32_t best = 0;
+    std::size_t best_cost = 0;
+    for (const std::uint32_t mask : recovery_masks_[object]) {
+      if ((mask & erased_mask) != 0) continue;
+      if (strategy == RepairStrategy::kFullDecode) {
+        best = mask;
+        break;
       }
-      return best;
-    }();
-    if (chosen == 0) return nullptr;
-    auto plan = std::make_shared<RepairPlanT>();
-    plan->helper_mask = chosen;
-    for (NodeId s = 0; s < num_servers(); ++s) {
-      if (!(chosen >> s & 1) || s == local) continue;
-      for (std::size_t r = 0; r < matrices_[s].rows(); ++r) {
-        plan->fetches.push_back({s, static_cast<std::uint32_t>(r)});
+      const std::size_t cost = rows_in_mask(mask & ~(1u << local));
+      if (best == 0 || cost < best_cost) {
+        best = mask;
+        best_cost = cost;
       }
     }
+    if (best == 0) return nullptr;
+    auto plan = std::make_shared<PlanT>();
+    plan->helper_mask = best;
     return plan;
-  }
-
-  /// Execute a symbol-repair plan against provided helper symbols.
-  Symbol apply_repair_plan(const RepairPlanT& plan, NodeId failed,
-                           std::span<const NodeId> servers,
-                           std::span<const Symbol> symbols) const {
-    Symbol out(symbol_bytes(failed), 0);
-    std::vector<Elem> acc(elems_per_value_);
-    std::vector<Elem> row(elems_per_value_);
-    std::vector<gf::AxpyTerm<F>> terms;
-    for (std::size_t r = 0; r < plan.row_ops.size(); ++r) {
-      const auto fetched_row = [&](const typename RepairPlanT::Op& op)
-          -> std::span<const std::uint8_t> {
-        const RepairFetch& fetch = plan.fetches[op.fetch];
-        std::size_t pos = servers.size();
-        for (std::size_t i = 0; i < servers.size(); ++i) {
-          if (servers[i] == fetch.server) {
-            pos = i;
-            break;
-          }
-        }
-        CEC_CHECK_MSG(pos < servers.size(),
-                      "repair: helper " << fetch.server << " not provided");
-        const Symbol& sym = symbols[pos];
-        CEC_CHECK_MSG(sym.size() == symbol_bytes(fetch.server),
-                      "repair: bad symbol size from server " << fetch.server);
-        return std::span<const std::uint8_t>(sym).subspan(
-            fetch.row * value_bytes_, value_bytes_);
-      };
-      auto out_row =
-          out.mutable_span().subspan(r * value_bytes_, value_bytes_);
-      if constexpr (std::is_same_v<F, gf::GF256>) {
-        // GF(2^8): fused multi-axpy straight from the helper symbol rows
-        // into the output row (already zeroed).
-        terms.clear();
-        for (const auto& op : plan.row_ops[r]) {
-          terms.push_back({op.coeff, fetched_row(op)});
-        }
-        gf::axpy_batch<F>(out_row, std::span<const gf::AxpyTerm<F>>(terms));
-      } else {
-        gf::set_zero<F>(std::span<Elem>(acc));
-        for (const auto& op : plan.row_ops[r]) {
-          detail::unpack<F>(fetched_row(op), std::span<Elem>(row));
-          gf::axpy<F>(std::span<Elem>(acc), op.coeff,
-                      std::span<const Elem>(row));
-        }
-        detail::pack<F>(std::span<const Elem>(acc), out_row);
-      }
-    }
-    return out;
-  }
-
-  /// Test/tooling control of the repair cache (per code instance).
-  void set_repair_plan_cache_enabled(bool enabled) const {
-    repair_cache_.set_enabled(enabled);
-  }
-
-  RepairPlanMode repair_mode() const {
-    return repair_mode_.load(std::memory_order_relaxed);
-  }
-
-  /// Test seam: switch the repair-plan mode of this instance.
-  void set_repair_mode_for_testing(RepairPlanMode mode) const {
-    repair_mode_.store(mode, std::memory_order_relaxed);
   }
 
  private:
@@ -617,6 +470,110 @@ class LinearCodeT final : public Code {
     std::uint32_t row;  // row of the server's symbol
     Elem coeff;         // C_i[row][object], nonzero
   };
+
+  /// coeff * one packed row (value_bytes_ bytes) of a value or symbol. For
+  /// GF(2^8) bytes already are field elements, so this is the kernel's own
+  /// term type and combine_into() hands the terms over as they are.
+  struct ByteTerm {
+    Elem coeff;
+    std::span<const std::uint8_t> src;
+  };
+  using RowTerm = std::conditional_t<std::is_same_v<F, gf::GF256>,
+                                     gf::AxpyTerm<F>, ByteTerm>;
+
+  /// row += sum of coeff * src over F: the one place payload bytes meet
+  /// the field. GF(2^8) runs the fused multi-axpy straight into the row;
+  /// other fields unpack the row and each source, accumulate, and pack.
+  void combine_into(std::span<std::uint8_t> row,
+                    std::span<const RowTerm> terms) const {
+    if constexpr (std::is_same_v<F, gf::GF256>) {
+      gf::axpy_batch<F>(row, terms);
+    } else {
+      std::vector<Elem> acc(elems_per_value_);
+      std::vector<Elem> src(elems_per_value_);
+      detail::unpack<F>(row, std::span<Elem>(acc));
+      for (const RowTerm& term : terms) {
+        detail::unpack<F>(term.src, std::span<Elem>(src));
+        gf::axpy<F>(std::span<Elem>(acc), term.coeff,
+                    std::span<const Elem>(src));
+      }
+      detail::pack<F>(std::span<const Elem>(acc), row);
+    }
+  }
+
+  /// The one plan builder: express each row of `target` in the row space
+  /// of the servers in `mask` and flatten the nonzero coefficients into
+  /// fetches and per-row programs. `trim` drops fetched rows no program
+  /// references; otherwise every row of the set is fetched (the decode-all
+  /// baseline pays for all of them).
+  PlanPtr build_plan(std::uint32_t mask, const Matrix& target,
+                     bool trim) const {
+    const Matrix sub = stack_subset(mask);
+    std::vector<PlanFetch> rows;
+    for (NodeId s = 0; s < num_servers(); ++s) {
+      if (!(mask >> s & 1)) continue;
+      for (std::size_t r = 0; r < matrices_[s].rows(); ++r) {
+        rows.push_back({s, static_cast<std::uint32_t>(r)});
+      }
+    }
+    std::vector<bool> used(rows.size(), false);
+    std::vector<std::vector<std::pair<std::uint32_t, Elem>>> programs(
+        target.rows());
+    std::vector<Elem> t(k_);
+    for (std::size_t r = 0; r < target.rows(); ++r) {
+      for (std::size_t c = 0; c < k_; ++c) t[c] = target(r, c);
+      const auto lambda = linalg::express_in_row_space<F>(
+          sub, std::span<const Elem>(t));
+      CEC_CHECK_MSG(lambda.has_value(), "plan: helper set lost its span");
+      for (std::size_t i = 0; i < lambda->size(); ++i) {
+        if ((*lambda)[i] == F::zero) continue;
+        programs[r].push_back({static_cast<std::uint32_t>(i), (*lambda)[i]});
+        used[i] = true;
+      }
+    }
+    auto plan = std::make_shared<PlanT>();
+    std::vector<std::uint32_t> remap(rows.size(), 0);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (!trim || used[i]) {
+        remap[i] = static_cast<std::uint32_t>(plan->fetches.size());
+        plan->fetches.push_back(rows[i]);
+        plan->helper_mask |= 1u << rows[i].server;
+      }
+    }
+    plan->row_ops.resize(target.rows());
+    for (std::size_t r = 0; r < target.rows(); ++r) {
+      for (const auto& [i, coeff] : programs[r]) {
+        plan->row_ops[r].push_back({remap[i], coeff});
+      }
+    }
+    return plan;
+  }
+
+  /// Repair cache key layout, shared by object and symbol lookups:
+  ///   kind(1) | strategy(1) | target(8) | local(8) | erased_mask(16).
+  static std::uint64_t repair_key(bool symbol_kind, RepairStrategy strategy,
+                                  std::uint32_t target, std::uint32_t local,
+                                  std::uint32_t erased_mask) {
+    return (static_cast<std::uint64_t>(symbol_kind) << 63) |
+           (static_cast<std::uint64_t>(strategy) << 62) |
+           (static_cast<std::uint64_t>(target & 0xFF) << 32) |
+           (static_cast<std::uint64_t>(local & 0xFF) << 24) |
+           static_cast<std::uint64_t>(erased_mask & 0xFFFF);
+  }
+
+  RepairPlanSummary summarize(std::uint32_t helper_mask,
+                              std::uint32_t erased_mask,
+                              std::size_t fetch_rows,
+                              std::size_t full_decode_rows) const {
+    RepairPlanSummary s;
+    s.helper_mask = helper_mask;
+    s.erased_mask = erased_mask;
+    s.fetch_rows = fetch_rows;
+    s.fetch_bytes = fetch_rows * value_bytes_;
+    s.full_decode_rows = full_decode_rows;
+    s.full_decode_bytes = full_decode_rows * value_bytes_;
+    return s;
+  }
 
   std::uint32_t all_servers_mask() const {
     return (1u << num_servers()) - 1;
@@ -656,82 +613,6 @@ class LinearCodeT final : public Code {
     return masks;
   }
 
-  /// Express every row of the failed symbol in the helper set's row space
-  /// and flatten the coefficients into the fetch/axpy DAG. kMinimalFetch
-  /// drops fetched rows no output program references; kFullDecode keeps
-  /// every row of the set (the decode-all baseline pays for all of them).
-  RepairPlanPtr build_symbol_repair_plan(NodeId failed, std::uint32_t mask,
-                                         RepairStrategy strategy) const {
-    const Matrix sub = stack_subset(mask);
-    const Matrix& target = matrices_[failed];
-    std::vector<RepairFetch> rows;
-    for (NodeId s = 0; s < num_servers(); ++s) {
-      if (!(mask >> s & 1)) continue;
-      for (std::size_t r = 0; r < matrices_[s].rows(); ++r) {
-        rows.push_back({s, static_cast<std::uint32_t>(r)});
-      }
-    }
-    std::vector<bool> used(rows.size(), false);
-    std::vector<std::vector<std::pair<std::uint32_t, Elem>>> programs(
-        target.rows());
-    std::vector<Elem> t(k_);
-    for (std::size_t r = 0; r < target.rows(); ++r) {
-      for (std::size_t c = 0; c < k_; ++c) t[c] = target(r, c);
-      const auto lambda = linalg::express_in_row_space<F>(
-          sub, std::span<const Elem>(t));
-      CEC_CHECK_MSG(lambda.has_value(),
-                    "repair plan: candidate helper set lost its span");
-      for (std::size_t i = 0; i < lambda->size(); ++i) {
-        if ((*lambda)[i] == F::zero) continue;
-        programs[r].push_back({static_cast<std::uint32_t>(i), (*lambda)[i]});
-        used[i] = true;
-      }
-    }
-    auto plan = std::make_shared<RepairPlanT>();
-    const bool trim = strategy == RepairStrategy::kMinimalFetch;
-    std::vector<std::uint32_t> remap(rows.size(), 0);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      if (!trim || used[i]) {
-        remap[i] = static_cast<std::uint32_t>(plan->fetches.size());
-        plan->fetches.push_back(rows[i]);
-        plan->helper_mask |= 1u << rows[i].server;
-      }
-    }
-    plan->row_ops.resize(target.rows());
-    for (std::size_t r = 0; r < target.rows(); ++r) {
-      for (const auto& [i, coeff] : programs[r]) {
-        plan->row_ops[r].push_back({remap[i], coeff});
-      }
-    }
-    return plan;
-  }
-
-  RepairPlanSummary summarize(const RepairPlanT& plan,
-                              const RepairPlanT* full,
-                              std::uint32_t erased_mask) const {
-    RepairPlanSummary s;
-    s.helper_mask = plan.helper_mask;
-    s.erased_mask = erased_mask;
-    s.fetch_rows = plan.fetches.size();
-    s.fetch_bytes = s.fetch_rows * value_bytes_;
-    s.full_decode_rows = full != nullptr ? full->fetches.size()
-                                         : s.fetch_rows;
-    s.full_decode_bytes = s.full_decode_rows * value_bytes_;
-    return s;
-  }
-
-  void build_stacked() {
-    std::size_t total_rows = 0;
-    for (const auto& m : matrices_) total_rows += m.rows();
-    stacked_ = Matrix(total_rows, k_);
-    std::size_t r = 0;
-    for (const auto& m : matrices_) {
-      for (std::size_t lr = 0; lr < m.rows(); ++lr, ++r) {
-        for (std::size_t c = 0; c < k_; ++c) stacked_(r, c) = m(lr, c);
-      }
-    }
-  }
-
   void build_supports() {
     supports_.resize(num_servers());
     support_masks_.assign(num_servers(), 0);
@@ -754,8 +635,8 @@ class LinearCodeT final : public Code {
   }
 
   /// Gamma_{i,k} flattened: the nonzero column-k coefficients of each
-  /// server matrix, bound to their rows, so reencode() touches exactly the
-  /// affected symbol rows without scanning the matrix.
+  /// server matrix, bound to their rows, so reencode_batch() touches
+  /// exactly the affected symbol rows without scanning the matrix.
   void build_reencode_plans() {
     reencode_plans_.resize(num_servers());
     for (NodeId s = 0; s < num_servers(); ++s) {
@@ -773,11 +654,7 @@ class LinearCodeT final : public Code {
 
   /// Stack the rows of the servers in `mask` (server ascending order).
   Matrix stack_subset(std::uint32_t mask) const {
-    std::size_t rows = 0;
-    for (NodeId s = 0; s < num_servers(); ++s) {
-      if (mask >> s & 1) rows += matrices_[s].rows();
-    }
-    Matrix out(rows, k_);
+    Matrix out(rows_in_mask(mask), k_);
     std::size_t r = 0;
     for (NodeId s = 0; s < num_servers(); ++s) {
       if (!(mask >> s & 1)) continue;
@@ -835,86 +712,19 @@ class LinearCodeT final : public Code {
     }
   }
 
-  /// One Gaussian elimination: lambda * stacked(minimal_mask) = e_object,
-  /// flattened to the nonzero (server, row, coeff) steps.
-  Plan build_plan(ObjectId object, std::uint32_t minimal_mask) const {
-    std::vector<Elem> target(k_, F::zero);
-    target[object] = F::one;
-    const Matrix sub = stack_subset(minimal_mask);
-    const auto lambda = linalg::express_in_row_space<F>(
-        sub, std::span<const Elem>(target));
-    CEC_CHECK_MSG(lambda.has_value(),
-                  "decode plan: enumerated recovery set lost its rank");
-    Plan plan;
-    plan.set_mask = minimal_mask;
-    std::size_t lambda_idx = 0;
-    for (NodeId s = 0; s < num_servers(); ++s) {
-      if (!(minimal_mask >> s & 1)) continue;
-      for (std::size_t r = 0; r < matrices_[s].rows(); ++r, ++lambda_idx) {
-        const Elem coeff = (*lambda)[lambda_idx];
-        if (coeff == F::zero) continue;
-        plan.steps.push_back({s, static_cast<std::uint32_t>(r), coeff});
-      }
-    }
-    CEC_DCHECK(lambda_idx == lambda->size());
-    return plan;
-  }
-
-  Value apply_plan(const Plan& plan, std::span<const NodeId> servers,
-                   std::span<const Symbol> symbols) const {
-    if constexpr (std::is_same_v<F, gf::GF256>) {
-      // GF(2^8): feed the symbol rows to the fused multi-axpy in place --
-      // no unpack, and the accumulator is written once per chunk instead
-      // of once per step.
-      std::vector<gf::AxpyTerm<F>> terms;
-      terms.reserve(plan.steps.size());
-      for (const auto& step : plan.steps) {
-        const Symbol& sym = symbols[locate_server(servers, step.server)];
-        CEC_CHECK_MSG(sym.size() == symbol_bytes(step.server),
-                      "decode: bad symbol size from server " << step.server);
-        terms.push_back({step.coeff,
-                         std::span<const std::uint8_t>(sym).subspan(
-                             step.row * value_bytes_, value_bytes_)});
-      }
-      Value out(value_bytes_);
-      gf::axpy_batch<F>(out.mutable_span(),
-                        std::span<const gf::AxpyTerm<F>>(terms));
-      return out;
-    } else {
-      std::vector<Elem> acc(elems_per_value_, F::zero);
-      std::vector<Elem> row(elems_per_value_);
-      for (const auto& step : plan.steps) {
-        const Symbol& sym = symbols[locate_server(servers, step.server)];
-        CEC_CHECK_MSG(sym.size() == symbol_bytes(step.server),
-                      "decode: bad symbol size from server " << step.server);
-        detail::unpack<F>(std::span<const std::uint8_t>(sym).subspan(
-                              step.row * value_bytes_, value_bytes_),
-                          std::span<Elem>(row));
-        gf::axpy<F>(std::span<Elem>(acc), step.coeff,
-                    std::span<const Elem>(row));
-      }
-      Value out(value_bytes_);
-      detail::pack<F>(std::span<const Elem>(acc), out.mutable_span());
-      return out;
-    }
-  }
-
   std::vector<Matrix> matrices_;
   std::size_t value_bytes_;
   std::string name_;
   std::size_t k_ = 0;
   std::size_t elems_per_value_ = 0;
-  Matrix stacked_;
   std::vector<std::vector<ObjectId>> supports_;
   std::vector<std::uint64_t> support_masks_;
   std::vector<std::vector<std::vector<ReencodeStep>>> reencode_plans_;
   std::vector<std::vector<RecoverySet>> recovery_sets_;
   std::vector<std::vector<std::uint32_t>> recovery_masks_;  // minimal, per obj
   std::vector<std::uint64_t> local_;  // per object: bitmask of local servers
-  mutable DecodePlanCache<Elem> plan_cache_;
-  mutable RepairPlanCache<Elem> repair_cache_;
-  mutable std::atomic<RepairPlanMode> repair_mode_{
-      RepairPlanMode::kMinimalFetch};
+  mutable PlanCache<Elem> decode_cache_;
+  mutable PlanCache<Elem> repair_cache_;
 };
 
 }  // namespace causalec::erasure

@@ -20,9 +20,10 @@
 // it (the client connection is closed -- a forwarded write must never be
 // retried, a duplicate apply would corrupt the recorded history) and
 // re-routes in-flight *reads* to the next live candidate (reads are
-// idempotent). Links redial every 100 ms; sessions survive a router
-// restart because the causal frontier lives in the client's token, not in
-// router state.
+// idempotent). A lost link redials every 100 ms (a link that has never
+// been up redials from 1 ms, doubling up to 100 ms); sessions survive a
+// router restart because the causal frontier lives in the client's token,
+// not in router state.
 #pragma once
 
 #include <atomic>

@@ -2,6 +2,7 @@
 
 #include <sys/epoll.h>
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/expect.h"
@@ -12,7 +13,13 @@ namespace causalec::net {
 
 namespace {
 
+// Redial delay once a link has been up: a peer that accepts and then drops
+// the link cannot make the loop redial hot.
 constexpr auto kReconnectDelay = std::chrono::milliseconds(100);
+// Until the first establishment the peer is most likely still binding its
+// listener at cluster start-up, so the delay starts here and doubles up to
+// kReconnectDelay.
+constexpr auto kFirstRedialDelay = std::chrono::milliseconds(1);
 
 }  // namespace
 
@@ -26,7 +33,8 @@ PeerLink::PeerLink(EventLoop* loop, NodeId peer, std::string host,
       port_(port),
       hello_(hello),
       on_liveness_(std::move(on_liveness)),
-      on_frame_(std::move(on_frame)) {}
+      on_frame_(std::move(on_frame)),
+      startup_redial_delay_(kFirstRedialDelay) {}
 
 void PeerLink::start() {
   loop_->post([this] { dial(); });
@@ -129,8 +137,16 @@ void PeerLink::on_lost(const std::shared_ptr<Connection>& dead) {
 }
 
 void PeerLink::retry_later() {
-  if (is_shut_down()) return;
-  loop_->schedule_after(kReconnectDelay, [this] { dial(); });
+  std::chrono::milliseconds delay = kReconnectDelay;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (shutdown_) return;
+    if (!ever_established_) {
+      delay = startup_redial_delay_;
+      startup_redial_delay_ = std::min(2 * delay, kReconnectDelay);
+    }
+  }
+  loop_->schedule_after(delay, [this] { dial(); });
 }
 
 NetTransport::NetTransport(std::vector<PeerLink*> links,

@@ -7,7 +7,10 @@
 // about after crashes.
 //
 // PeerLink is one such outbound link; frontdoor::Router dials its backends
-// with it too. Its shard's event loop dials, re-dials and watches it;
+// with it too. Its shard's event loop dials, re-dials and watches it (until
+// the first establishment the redial delay starts at 1 ms and doubles up to
+// 100 ms, so a peer that is still binding its listener costs milliseconds;
+// after that, a lost link redials every 100 ms);
 // frames are written by the sending thread (the automaton, or the router's
 // shard) straight through Connection::send. Its delivery semantics match
 // the crash-stop channel model of the in-process runtimes:
@@ -19,6 +22,7 @@
 //     automaton can set_peer_down until the link re-establishes.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -86,6 +90,8 @@ class PeerLink {
   Connection::FrameHandler on_frame_;
 
   ScopedFd connecting_;  // fd mid-connect (watched for EPOLLOUT); loop only
+  /// Next redial delay before the first establishment; loop only.
+  std::chrono::milliseconds startup_redial_delay_;
 
   /// Guards the send-side state below. Held across the Hello and the
   /// start-up flush, so no frame can overtake them on a new connection.

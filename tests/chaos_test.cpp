@@ -96,12 +96,11 @@ TEST(ChaosRunnerTest, GeneratedPlansRunClean) {
   }
 }
 
-// Satellite of the decoder-plan-cache change: a chaos smoke seed run with
-// the cache in its default-enabled state. Crashes and partitions force
-// degraded reads through many distinct recovery-set shapes, so a cached
-// plan that differed from fresh elimination would surface as a consistency
-// violation here.
-TEST(ChaosRunnerTest, SmokeSeedRunsCleanWithDecodePlanCache) {
+// A chaos smoke seed run with the plan caches in their default-enabled
+// state. Crashes and partitions force degraded reads through many distinct
+// recovery-set shapes, so a cached plan that differed from fresh
+// elimination would surface as a consistency violation here.
+TEST(ChaosRunnerTest, SmokeSeedRunsCleanWithPlanCache) {
   const FaultPlan plan = FaultPlan::generate(20260806);
   const RunOutcome outcome = run_plan(plan);
   EXPECT_TRUE(outcome.ok) << outcome.violations.front();

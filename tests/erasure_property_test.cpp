@@ -14,7 +14,7 @@
 #include "common/random.h"
 #include "erasure/codes.h"
 #include "erasure/linear_code.h"
-#include "erasure/repair_plan.h"
+#include "erasure/plan.h"
 #include "gf/gf2_16.h"
 #include "gf/gf256.h"
 #include "gf/kernels.h"
@@ -105,8 +105,9 @@ void run_sweep(std::uint64_t seed) {
   for (int step = 0; step < 10; ++step) {
     const ObjectId x = static_cast<ObjectId>(rng.next_below(k));
     Value next = random_value<F>(rng, elems);
+    const Code::ReencodeEntry entry{x, current[x], next};
     for (NodeId s = 0; s < n; ++s) {
-      code->reencode(s, evolving[s], x, current[x], next);
+      code->reencode_batch(s, evolving[s], {&entry, 1});
     }
     current[x] = next;
   }
@@ -165,10 +166,13 @@ void run_sweep(std::uint64_t seed) {
   const ObjectId x = static_cast<ObjectId>(rng.next_below(k));
   Value replacement = random_value<F>(rng, elems);
   Symbol direct = evolving[0];
-  code->reencode(0, direct, x, current[x], replacement);
+  const Code::ReencodeEntry direct_entry{x, current[x], replacement};
+  code->reencode_batch(0, direct, {&direct_entry, 1});
   Symbol two_step = evolving[0];
-  code->reencode(0, two_step, x, current[x], {});
-  code->reencode(0, two_step, x, {}, replacement);
+  const Code::ReencodeEntry cancel{x, current[x], {}};
+  const Code::ReencodeEntry apply{x, {}, replacement};
+  code->reencode_batch(0, two_step, {&cancel, 1});
+  code->reencode_batch(0, two_step, {&apply, 1});
   EXPECT_EQ(direct, two_step);
 }
 
@@ -310,12 +314,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RepairPlanPropertyTest,
                          ::testing::Range<std::uint64_t>(1, 11));
 
 // ---------------------------------------------------------------------------
-// Repair-plan cache stats stay consistent under concurrent lookups: every
-// find counts exactly one hit or miss, entries never exceed the distinct
-// keys probed, and racing threads all observe the same canonical plan.
+// Plan-cache stats stay consistent under concurrent repair-plan lookups:
+// every lookup counts exactly one hit or miss, entries never exceed the
+// distinct keys probed, and racing threads all observe the same canonical
+// plan.
 // ---------------------------------------------------------------------------
 
-TEST(RepairPlanCacheConcurrencyTest, StatsConsistentUnderConcurrentLookups) {
+TEST(PlanCacheConcurrencyTest, StatsConsistentUnderConcurrentLookups) {
   const auto code = std::dynamic_pointer_cast<const LinearCodeT<gf::GF256>>(
       make_azure_lrc_6_2_2(8));
   ASSERT_NE(code, nullptr);

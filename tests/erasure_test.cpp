@@ -119,6 +119,14 @@ TEST(Paper53CodeTest, UncodedServersStoreThePlainValue) {
 // Re-encoding functions Gamma_{i,k} (Definition 4).
 // ---------------------------------------------------------------------------
 
+/// One Gamma_{i,k}: a reencode_batch of a single entry.
+void reencode(const Code& code, NodeId server, Symbol& sym, ObjectId object,
+              std::span<const std::uint8_t> old_value,
+              std::span<const std::uint8_t> new_value) {
+  const Code::ReencodeEntry entry{object, old_value, new_value};
+  code.reencode_batch(server, sym, {&entry, 1});
+}
+
 template <typename MakeValue>
 void check_reencode_identities(const Code& code, Rng& rng, MakeValue mk) {
   const std::size_t k = code.num_objects();
@@ -131,16 +139,16 @@ void check_reencode_identities(const Code& code, Rng& rng, MakeValue mk) {
       const Symbol target = code.encode(s, x_prime);
       // Gamma(Phi(x), x_k, x'_k) == Phi(x').
       Symbol sym = code.encode(s, x);
-      code.reencode(s, sym, changed, x[changed], x_prime[changed]);
+      reencode(code, s, sym, changed, x[changed], x_prime[changed]);
       EXPECT_EQ(sym, target) << "server " << s << " object " << changed;
       // Two-step form: cancel then apply (the form CausalEC uses).
       sym = code.encode(s, x);
-      code.reencode(s, sym, changed, x[changed], {});  // -> value 0
-      code.reencode(s, sym, changed, {}, x_prime[changed]);
+      reencode(code, s, sym, changed, x[changed], {});  // -> value 0
+      reencode(code, s, sym, changed, {}, x_prime[changed]);
       EXPECT_EQ(sym, target);
       // Gamma with equal values is the identity.
       sym = code.encode(s, x);
-      code.reencode(s, sym, changed, x[changed], x[changed]);
+      reencode(code, s, sym, changed, x[changed], x[changed]);
       EXPECT_EQ(sym, code.encode(s, x));
     }
   }
@@ -175,7 +183,7 @@ TEST(ReencodeTest, NonSupportObjectIsNoOp) {
   const auto values = random_values(rng, 3, 16);
   Symbol sym = code->encode(0, values);  // server 0 stores only X1
   const Symbol before = sym;
-  code->reencode(0, sym, 1, values[1], random_value(rng, 16));
+  reencode(*code, 0, sym, 1, values[1], random_value(rng, 16));
   EXPECT_EQ(sym, before);
 }
 

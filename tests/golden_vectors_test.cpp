@@ -113,7 +113,8 @@ TEST(GoldenVectorsTest, RsReencodeMatchesGolden) {
   for (const auto tier : available_tiers()) {
     gf::kernels::ScopedTierForTesting guard(tier);
     Symbol sym = from_hex(kRsSymbols[5]);
-    code->reencode(5, sym, 2, vals[2], newv);
+    const Code::ReencodeEntry entry{2, vals[2], newv};
+    code->reencode_batch(5, sym, {&entry, 1});
     EXPECT_EQ(to_hex(sym), "8409cd00532bf032ef527704d3164fee")
         << "tier " << gf::kernels::tier_name(tier);
     EXPECT_EQ(sym, code->encode(5, updated));
@@ -184,7 +185,8 @@ TEST(GoldenVectorsTest, Paper53ReencodeMatchesGolden) {
   for (const auto tier : available_tiers()) {
     gf::kernels::ScopedTierForTesting guard(tier);
     Symbol sym = from_hex(kP53Symbols[4]);
-    code->reencode(4, sym, 1, vals[1], newv);
+    const Code::ReencodeEntry entry{1, vals[1], newv};
+    code->reencode_batch(4, sym, {&entry, 1});
     // Hand-checkable: delta = new - old = (66,72,78,84); Y5 gains 2*delta,
     // so elements (136,164,192,220) become (11,51,91,131) mod 257.
     EXPECT_EQ(to_hex(sym), "0b0033005b008300")

@@ -2,13 +2,17 @@
 // in-process EventLoop so TSan sees the loop thread and every sending and
 // closing thread. Sends write through on the calling thread; only a full
 // socket buffer queues frames for the loop's EPOLLOUT drain. A peer that
-// has paused reading forces that path here.
+// has paused reading forces that path here. Also: how soon a PeerLink's
+// first link comes up once its peer starts listening.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -18,6 +22,7 @@
 #include "net/connection.h"
 #include "net/event_loop.h"
 #include "net/frame.h"
+#include "net/net_transport.h"
 #include "net/socket.h"
 
 namespace causalec::net {
@@ -165,6 +170,45 @@ TEST_F(ConnectionTest, CloseMidBacklogFiresTheHandlerOnce) {
   EXPECT_EQ(conn_->write_backlog(), 0u);
   sync_loop();
   EXPECT_EQ(closes_.load(), 1);
+}
+
+// Cluster start-up: a daemon may dial a peer that has not begun listening.
+// The peer's port is bound at once but listens only 20 ms after the first
+// dial, so that dial is refused; the link must report itself up within
+// 50 ms of the listen, not a flat 100 ms redial later.
+TEST(PeerLinkTest, FirstLinkComesUpSoonAfterThePeerListens) {
+  using Clock = std::chrono::steady_clock;
+  ScopedFd peer(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  ASSERT_TRUE(peer.valid());
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(peer.get(), reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  const std::uint16_t port = local_port(peer.get());
+
+  EventLoop loop;
+  loop.start();
+  std::promise<Clock::time_point> up;
+  std::atomic<bool> reported{false};
+  PeerLink link(&loop, /*peer=*/1, "127.0.0.1", port, Hello{},
+                [&](NodeId, bool down) {
+                  if (!down && !reported.exchange(true)) {
+                    up.set_value(Clock::now());
+                  }
+                });
+  link.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_EQ(::listen(peer.get(), 16), 0);
+  const Clock::time_point listening = Clock::now();
+
+  std::future<Clock::time_point> came_up = up.get_future();
+  ASSERT_EQ(came_up.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  EXPECT_LT(came_up.get() - listening, std::chrono::milliseconds(50));
+  link.shutdown();
+  loop.stop();
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Tests for the decoder-plan cache (erasure/plan_cache.h + LinearCodeT).
+// Tests for the decode plans and their cache (erasure/plan.h + LinearCodeT).
 //
 // The load-bearing property: for every (object, provided-server-mask) pair,
-// the cached plan must be identical -- same recovery set, same coefficient
-// steps -- to a fresh Gaussian elimination, and decode() through the cache
+// the cached plan must be identical -- same recovery set, same fetched rows
+// and coefficients -- to a fresh Gaussian elimination, and decode() through
+// the cache
 // must return the same bytes as with the cache disabled. We sweep every
 // mask of the six-DC cross-object code (63 non-empty subsets x 4 objects)
 // so no shape is left unpinned.
@@ -47,14 +48,29 @@ std::vector<NodeId> servers_of(std::uint32_t mask) {
 }
 
 template <typename Elem>
-void expect_same_plan(const DecodePlan<Elem>& a, const DecodePlan<Elem>& b) {
-  EXPECT_EQ(a.set_mask, b.set_mask);
-  ASSERT_EQ(a.steps.size(), b.steps.size());
-  for (std::size_t i = 0; i < a.steps.size(); ++i) {
-    EXPECT_EQ(a.steps[i].server, b.steps[i].server) << "step " << i;
-    EXPECT_EQ(a.steps[i].row, b.steps[i].row) << "step " << i;
-    EXPECT_EQ(a.steps[i].coeff, b.steps[i].coeff) << "step " << i;
+void expect_same_plan(const Plan<Elem>& a, const Plan<Elem>& b) {
+  EXPECT_EQ(a.helper_mask, b.helper_mask);
+  EXPECT_EQ(a.fetches, b.fetches);
+  ASSERT_EQ(a.row_ops.size(), b.row_ops.size());
+  for (std::size_t r = 0; r < a.row_ops.size(); ++r) {
+    ASSERT_EQ(a.row_ops[r].size(), b.row_ops[r].size());
+    for (std::size_t i = 0; i < a.row_ops[r].size(); ++i) {
+      EXPECT_EQ(a.row_ops[r][i].fetch, b.row_ops[r][i].fetch) << "op " << i;
+      EXPECT_EQ(a.row_ops[r][i].coeff, b.row_ops[r][i].coeff) << "op " << i;
+    }
   }
+}
+
+/// The first minimal recovery set of `obj` inside `mask`, in the code's
+/// stored (size, lexicographic) order: the set a decode plan must read.
+std::uint32_t first_minimal_set(const Code256& code, ObjectId obj,
+                                std::uint32_t mask) {
+  for (const auto& rs : code.recovery_sets(obj)) {
+    std::uint32_t set = 0;
+    for (const NodeId s : rs) set |= 1u << s;
+    if ((set & mask) == set) return set;
+  }
+  return 0;
 }
 
 TEST(PlanCacheTest, CachedPlanEqualsFreshEliminationForEveryMask) {
@@ -70,12 +86,15 @@ TEST(PlanCacheTest, CachedPlanEqualsFreshEliminationForEveryMask) {
       ASSERT_NE(fresh, nullptr) << "obj " << obj << " mask " << mask;
       const auto cached = code->decode_plan(obj, mask);
       expect_same_plan(*cached, *fresh);
-      // The plan decodes from a minimal subset of what was provided, and
-      // every coefficient is stored nonzero.
-      EXPECT_EQ(cached->set_mask & mask, cached->set_mask);
-      for (const auto& step : cached->steps) {
-        EXPECT_NE(step.coeff, GF256::zero);
-        EXPECT_TRUE(cached->set_mask >> step.server & 1);
+      // The plan decodes one output row from the first minimal recovery
+      // set inside what was provided, and every coefficient is stored
+      // nonzero.
+      ASSERT_EQ(cached->row_ops.size(), 1u);
+      EXPECT_EQ(cached->helper_mask, first_minimal_set(*code, obj, mask));
+      for (const auto& op : cached->row_ops[0]) {
+        EXPECT_NE(op.coeff, GF256::zero);
+        EXPECT_TRUE(cached->helper_mask >> cached->fetches[op.fetch].server &
+                    1);
       }
     }
   }
@@ -173,10 +192,12 @@ TEST(PlanCacheTest, PlanUsesMinimalRecoverySetFromOversizedMask) {
   // the plan must read exactly one row from server 2.
   const std::uint32_t all = (1u << 6) - 1;
   const auto plan = code->decode_plan(0, all);
-  EXPECT_EQ(std::popcount(plan->set_mask), 1);
-  ASSERT_EQ(plan->steps.size(), 1u);
-  EXPECT_EQ(plan->steps[0].server, 2u);
-  EXPECT_EQ(plan->steps[0].coeff, GF256::one);
+  EXPECT_EQ(std::popcount(plan->helper_mask), 1);
+  ASSERT_EQ(plan->fetches.size(), 1u);
+  EXPECT_EQ(plan->fetches[0].server, 2u);
+  ASSERT_EQ(plan->row_ops.size(), 1u);
+  ASSERT_EQ(plan->row_ops[0].size(), 1u);
+  EXPECT_EQ(plan->row_ops[0][0].coeff, GF256::one);
 }
 
 TEST(PlanCacheTest, StatsAggregateAcrossPolymorphicCode) {

@@ -1,4 +1,4 @@
-// Differential battery for the repair-plan layer (erasure/repair_plan.h).
+// Differential battery for the repair plans (erasure/plan.h).
 //
 // Every RepairPlan output must be byte-identical to what a fresh
 // Gaussian-elimination full decode produces: rebuild the failed symbol by
@@ -18,7 +18,7 @@
 
 #include "erasure/codes.h"
 #include "erasure/linear_code.h"
-#include "erasure/repair_plan.h"
+#include "erasure/plan.h"
 #include "gf/gf256.h"
 #include "gf/kernels.h"
 
@@ -268,22 +268,25 @@ TEST(RepairPlanTest, LrcDegradedReadUsesLocalGroup) {
   EXPECT_EQ(summary->fetch_rows, 3u);
 }
 
-TEST(RepairPlanTest, RepairModeOffDisablesPlanning) {
-  const auto code = as_linear(make_systematic_rs(6, 4, kValueBytes));
-  code->set_repair_mode_for_testing(RepairPlanMode::kOff);
-  EXPECT_FALSE(code->plan_symbol_repair(0, 1u << 0).has_value());
-  EXPECT_FALSE(code->plan_object_repair(0, 1u << 0, 5).has_value());
-  code->set_repair_mode_for_testing(RepairPlanMode::kMinimalFetch);
-  EXPECT_TRUE(code->plan_symbol_repair(0, 1u << 0).has_value());
-}
-
 TEST(RepairPlanTest, FullDecodeStrategySelectsFullRankSet) {
   const auto code = as_linear(make_azure_lrc_6_2_2(kValueBytes));
-  code->set_repair_mode_for_testing(RepairPlanMode::kFullDecode);
-  const auto summary = code->plan_symbol_repair(0, 1u << 0);
-  ASSERT_TRUE(summary.has_value());
-  EXPECT_EQ(summary->fetch_rows, 6u);  // k rows: decode-all baseline
-  code->set_repair_mode_for_testing(RepairPlanMode::kMinimalFetch);
+  const auto plan =
+      code->symbol_repair_plan(0, 1u << 0, RepairStrategy::kFullDecode);
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(plan->fetches.size(), 6u);  // k rows: decode-all baseline
+  EXPECT_EQ(code->plan_symbol_repair(0, 1u << 0)->full_decode_rows, 6u);
+  // The baseline's program rebuilds the same bytes as the minimal one.
+  const auto vals = pattern_values(code->num_objects());
+  std::vector<NodeId> helpers;
+  std::vector<Symbol> helper_symbols;
+  for (NodeId s = 0; s < code->num_servers(); ++s) {
+    if (plan->helper_mask >> s & 1) {
+      helpers.push_back(s);
+      helper_symbols.push_back(code->encode(s, vals));
+    }
+  }
+  EXPECT_EQ(code->apply_plan(*plan, helpers, helper_symbols),
+            code->encode(0, vals));
 }
 
 TEST(RepairPlanTest, CacheCountsHitsAndMisses) {
@@ -301,11 +304,11 @@ TEST(RepairPlanTest, CacheCountsHitsAndMisses) {
 
 TEST(RepairPlanTest, DisabledCacheStoresNothing) {
   const auto code = as_linear(make_systematic_rs(6, 4, kValueBytes));
-  code->set_repair_plan_cache_enabled(false);
+  code->set_plan_cache_enabled(false);
   (void)code->symbol_repair_plan(2, 1u << 2, RepairStrategy::kMinimalFetch);
   const PlanCacheStats stats = code->repair_plan_cache_stats();
   EXPECT_EQ(stats.entries, 0u);
-  code->set_repair_plan_cache_enabled(true);
+  code->set_plan_cache_enabled(true);
 }
 
 TEST(RepairPlanTest, EmptySymbolServerRepairsTrivially) {

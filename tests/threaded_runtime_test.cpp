@@ -125,9 +125,9 @@ TEST(ThreadedRuntimeTest, ConcurrentReadersDuringWrites) {
   EXPECT_EQ(cluster.total_error_events(), 0u);
 }
 
-TEST(ThreadedRuntimeTest, ConcurrentReadsShareDecodePlanCache) {
+TEST(ThreadedRuntimeTest, ConcurrentReadsSharePlanCache) {
   // Many reader threads decoding through one shared Code instance: the
-  // decoder-plan cache is hit concurrently from the server threads (TSan
+  // decode-plan cache is hit concurrently from the server threads (TSan
   // covers the shared_mutex + shared_ptr handoff via the sanitizer suite).
   // Keeping our own CodePtr lets us inspect cache counters afterwards.
   const erasure::CodePtr code =

@@ -14,9 +14,11 @@
 #       # shared tracer/metrics sinks across node threads (the wall-clock
 #       # obs_bench_smoke ratio gate is skipped in sanitized builds)
 #   tools/run_sanitized_tests.sh thread -L repair
-#       # the repair-plan battery (differential plans vs fresh Gaussian
-#       # elimination, golden repair vectors, degraded reads); under tsan
-#       # this exercises the shared-mutex repair-plan cache from
+#       # the plan battery (decode and repair plans vs fresh Gaussian
+#       # elimination, golden encode/re-encode/repair vectors, the
+#       # batched re-encode property sweep, degraded reads); under tsan
+#       # this exercises the shared-mutex plan cache -- one class, one
+#       # instance for decode plans and one for repair plans -- from
 #       # concurrent lookup threads
 #   tools/run_sanitized_tests.sh thread -L "net|frontdoor"
 #       # the real-socket and front-door batteries (DESIGN.md §11, §12):
