@@ -594,7 +594,7 @@ int run_obs_bench(bool smoke) {
 
 // ---------------------------------------------------------------------------
 // --repair: repair-plan traffic and degraded-read latency per code shape
-// (DESIGN.md §5.4, EXPERIMENTS.md E13). For each of RS(6,4), Azure-
+// (DESIGN.md §5.2, EXPERIMENTS.md E13). For each of RS(6,4), Azure-
 // LRC(6,2,2) and wide RS(14,10) the planner's single-data-failure summary
 // is emitted (fetched rows/bytes vs the full-decode baseline -- exact,
 // machine-independent integers), plus wall-clock MB/s of executing the

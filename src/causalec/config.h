@@ -26,7 +26,7 @@ enum class ReadFanout { kBroadcast, kNearestRecoverySet };
 /// price of an extra hop; assumes a non-halting leader).
 enum class DelRouting { kDirect, kViaLeader };
 
-/// Rejoin catch-up sizing (DESIGN.md §9/§5.4): pull missed state from every
+/// Rejoin catch-up sizing (DESIGN.md §9/§5.2): pull missed state from every
 /// live peer (the original behavior), or only from the repair-plan helper
 /// set that suffices to rebuild this server's symbol, falling back to a
 /// full pull when no plan exists. Any single up-to-date peer's push already

@@ -93,7 +93,7 @@ struct ServerCounters {
   std::uint64_t catchup_bytes = 0;         // wire bytes of received pushes
   std::uint64_t catchup_history_entries = 0;
   std::uint64_t stale_app_dropped = 0;     // duplicate/covered app messages
-  // Repair-plan consumers (DESIGN.md §5.4).
+  // Repair-plan consumers (DESIGN.md §5.2).
   std::uint64_t degraded_reads = 0;     // fan-outs routed by an object plan
   std::uint64_t repair_plan_hits = 0;   // successful plan lookups (any kind)
   std::uint64_t repair_bytes = 0;       // bytes the chosen plans move

@@ -107,7 +107,7 @@ struct FaultPlan {
 
   /// The degraded-read scenario: nearest-recovery-set fanout with the full
   /// n - k crash budget spent early in the run, so most reads after the
-  /// crashes must route through repair plans (DESIGN.md §5.4) around the
+  /// crashes must route through repair plans (DESIGN.md §5.2) around the
   /// dead servers. The causal / session / convergence checkers must hold
   /// exactly as in any other plan.
   static FaultPlan degraded_read_scenario(std::uint64_t seed);

@@ -53,7 +53,7 @@ struct RunOutcome {
   /// server id). Dumped into replay bundles so a shrunk reproducer carries
   /// the last protocol events every node saw before the failure.
   std::vector<std::vector<obs::FlightEvent>> flight;
-  /// Repair-plan consumption summed across servers (DESIGN.md §5.4): reads
+  /// Repair-plan consumption summed across servers (DESIGN.md §5.2): reads
   /// served through a degraded fan-out, plan-cache consultations that
   /// produced a plan, and the symbol bytes those plans moved.
   std::uint64_t degraded_reads = 0;

@@ -322,8 +322,10 @@ class LinearCodeT final : public Code {
     const PlanPtr plan = object_repair_plan(object, erased_mask, local,
                                             RepairStrategy::kMinimalFetch);
     if (plan == nullptr) return std::nullopt;
+    // The baseline picks among the same surviving sets, so it exists too.
     const PlanPtr full = object_repair_plan(object, erased_mask, local,
                                             RepairStrategy::kFullDecode);
+    CEC_DCHECK(full != nullptr);
     // An object plan fetches every row of its helpers but the reader's own.
     const std::uint32_t remote = ~(1u << local);
     return summarize(plan->helper_mask, erased_mask,

@@ -107,7 +107,7 @@ TEST(ChaosRunnerTest, SmokeSeedRunsCleanWithPlanCache) {
   EXPECT_GT(outcome.ops_completed, 0u);
 }
 
-// Satellite of the repair-plan change (DESIGN.md §5.4): the degraded-read
+// Satellite of the repair-plan change (DESIGN.md §5.2): the degraded-read
 // scenario burns the full n - k crash budget early under nearest-fanout,
 // so the surviving coordinators must serve reads through repair plans for
 // the rest of the run. The causal / session / convergence checkers must

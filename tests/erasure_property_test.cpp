@@ -249,7 +249,7 @@ TEST_P(RsThresholdTest, DecodesFromKNotFromKMinus1) {
 }
 
 // ---------------------------------------------------------------------------
-// Repair-plan properties over random codes (DESIGN.md Sec. 5.4): a minimal
+// Repair-plan properties over random codes (DESIGN.md Sec. 5.2): a minimal
 // plan never moves more rows than the full-decode baseline, its byte
 // accounting is exact, and executing it rebuilds the failed symbol
 // byte-for-byte.

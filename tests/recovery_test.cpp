@@ -147,7 +147,7 @@ TEST(RecoveryTest, RecoveredServerCatchesUpOnMissedWrites) {
   EXPECT_EQ(counters.error2_events, 0u);
 }
 
-// Rejoin catch-up through repair plans (DESIGN.md §5.4): under
+// Rejoin catch-up through repair plans (DESIGN.md §5.2): under
 // RejoinCatchup::kRepairPlan the recovering node pulls only from the
 // symbol-repair helper set instead of every peer. Runs one scripted
 // crash+recover round and returns the recovered server's counters.

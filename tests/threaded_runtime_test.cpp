@@ -167,7 +167,7 @@ TEST(ThreadedRuntimeTest, ConcurrentReadsSharePlanCache) {
 }
 
 TEST(ThreadedRuntimeTest, WarmDataPathRecyclesPayloadArenas) {
-  // The arena-pool property counted (DESIGN.md §5.5): once every node's
+  // The arena-pool property counted (DESIGN.md §5.4): once every node's
   // BufferPool is warm, 4 KiB writes and reads on the serialized data path
   // take far fewer than one fresh payload arena per operation: 0.003-0.33
   // under ctest -j4 load. With no pool on the automaton thread it takes
