@@ -33,7 +33,7 @@ std::optional<std::size_t> write_from(int fd, const erasure::Buffer& frame,
 
 }  // namespace
 
-Connection::Connection(EventLoop* loop, ScopedFd fd)
+Connection::Connection(runtime::EventLoop* loop, ScopedFd fd)
     : loop_(loop), fd_(std::move(fd)) {}
 
 void Connection::open(FrameHandler on_frame, CloseHandler on_close) {
@@ -44,6 +44,24 @@ void Connection::open(FrameHandler on_frame, CloseHandler on_close) {
   auto self = shared_from_this();
   loop_->watch(fd_.get(), /*want_read=*/true, /*want_write=*/false,
                [self](std::uint32_t events) { self->handle_events(events); });
+  // The watch fires in a later round, so these go before the next read.
+  deliver_buffered();
+}
+
+std::shared_ptr<Connection> Connection::hand_off(runtime::EventLoop* target) {
+  CEC_DCHECK(loop_->on_loop_thread());
+  CEC_CHECK(!closed_);
+  closed_ = true;  // the read loop in handle_readable stops here
+  loop_->unwatch(fd_.get());
+  ScopedFd fd;
+  {
+    std::lock_guard<std::mutex> lock(write_mu_);
+    CEC_DCHECK(write_queue_.empty());
+    fd = std::move(fd_);
+  }
+  auto moved = std::make_shared<Connection>(target, std::move(fd));
+  moved->reader_ = std::move(reader_);
+  return moved;
 }
 
 void Connection::send(erasure::Buffer frame) {
@@ -153,20 +171,25 @@ void Connection::handle_readable() {
       close_on_loop();
       return;
     }
-    auto self = shared_from_this();  // a frame handler may close us
-    while (auto payload = reader_.next()) {
-      on_frame_(self, std::move(*payload));
-      if (closed_) return;
-    }
-    if (reader_.failed()) {
-      // Framing violation (oversized length prefix): hostile or broken
-      // peer; drop the connection rather than guess at resync.
-      close_on_loop();
-      return;
-    }
+    if (!deliver_buffered()) return;
     // A short read means the socket is drained.
     if (static_cast<std::size_t>(n) < kReadChunkBytes) return;
   }
+}
+
+bool Connection::deliver_buffered() {
+  auto self = shared_from_this();  // a frame handler may close us
+  while (auto payload = reader_.next()) {
+    on_frame_(self, std::move(*payload));
+    if (closed_) return false;
+  }
+  if (reader_.failed()) {
+    // Framing violation (oversized length prefix): hostile or broken
+    // peer; drop the connection rather than guess at resync.
+    close_on_loop();
+    return false;
+  }
+  return true;
 }
 
 void Connection::close_on_loop() {

@@ -3,7 +3,10 @@
 // outbound write backlog.
 //
 // Thread model: reads, the close handler and the EPOLLOUT backlog drain run
-// on the owning loop's thread. send() may be called from any thread and
+// on the owning loop's thread. The owner may move a connection to another
+// loop once, from inside a frame handler (hand_off): a daemon moves each
+// inbound peer connection from the shard that ran its Hello to the
+// automaton's loop. send() may be called from any thread and
 // writes through: the calling thread puts the frame on the socket itself,
 // under the per-connection write mutex, whenever nothing is queued ahead of
 // it. Only a send that meets a full socket buffer queues the rest and arms
@@ -22,9 +25,9 @@
 #include <mutex>
 
 #include "erasure/buffer.h"
-#include "net/event_loop.h"
 #include "net/frame.h"
 #include "net/socket.h"
+#include "runtime/event_loop.h"
 
 namespace causalec::net {
 
@@ -38,11 +41,19 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// (peer hangup, read/write error, framing violation, or local close()).
   using CloseHandler = std::function<void(const std::shared_ptr<Connection>&)>;
 
-  Connection(EventLoop* loop, ScopedFd fd);
+  Connection(runtime::EventLoop* loop, ScopedFd fd);
   ~Connection() = default;
 
-  /// Registers with the loop and starts reading. Loop thread only.
+  /// Registers with the loop and starts reading; frames already buffered
+  /// (see hand_off) are delivered first, in order. Loop thread only.
   void open(FrameHandler on_frame, CloseHandler on_close);
+
+  /// Loop thread, from inside this connection's frame handler: moves the
+  /// connection to `target`. This loop stops watching the fd at once; the
+  /// fd and every byte read but not yet delivered go to the returned
+  /// connection, which must be open()ed on `target`'s thread. This one is
+  /// closed from here on, without its close handler.
+  std::shared_ptr<Connection> hand_off(runtime::EventLoop* target);
 
   /// Write a ready-made frame (header + payload, see encode_frame). Any
   /// thread; the frame is written on the calling thread unless a backlog
@@ -55,8 +66,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// Any thread. Drops the fd and fires the close handler (on the loop
   /// thread) if the connection is still alive.
   void close();
-
-  EventLoop* loop() const { return loop_; }
 
   /// Bytes queued behind a full socket buffer and not yet written. Any
   /// thread.
@@ -71,10 +80,13 @@ class Connection : public std::enable_shared_from_this<Connection> {
   void arm_backlog();
   void handle_events(std::uint32_t events);
   void handle_readable();
+  /// Delivers every complete frame the reader holds; false once the
+  /// connection is closed (by a handler, or for a framing violation).
+  bool deliver_buffered();
   void close_on_loop();
   void post_close();
 
-  EventLoop* loop_;
+  runtime::EventLoop* loop_;
   FrameHandler on_frame_;
   CloseHandler on_close_;
   FrameReader reader_;

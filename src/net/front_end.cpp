@@ -9,14 +9,16 @@
 namespace causalec::net {
 
 FrontEnd::FrontEnd(std::string name, std::size_t shards,
-                   FrameHandler on_frame, HelloCheck accept_hello)
+                   FrameHandler on_frame, HelloCheck accept_hello,
+                   ServerHandoff take_server)
     : name_(std::move(name)),
       on_frame_(std::move(on_frame)),
-      accept_hello_(std::move(accept_hello)) {
+      accept_hello_(std::move(accept_hello)),
+      take_server_(std::move(take_server)) {
   CEC_CHECK(shards >= 1);
   for (std::size_t i = 0; i < shards; ++i) {
     auto shard = std::make_unique<Shard>();
-    shard->loop = std::make_unique<EventLoop>();
+    shard->loop = std::make_unique<runtime::EventLoop>();
     shards_.push_back(std::move(shard));
   }
 }
@@ -101,6 +103,9 @@ void FrontEnd::handle_frame(Inbound& in,
     in.helloed = true;
     in.peer.role = hello->role;
     in.peer.node = hello->node;
+    if (in.peer.role == PeerRole::kServer && take_server_) {
+      take_server_(in.peer.node, conn);
+    }
     return;
   }
   if (in.peer.role == PeerRole::kClient &&

@@ -7,9 +7,12 @@
 // On each accepted connection it runs the Hello handshake and answers a
 // client's Pings from its ready flag, both on the shard thread, so
 // readiness probing works while the owner's automaton is still replaying a
-// journal. Every other frame goes to the owner's handler on the same shard
-// thread; the owner validates it there, so a hostile frame never gets
-// further than the shard.
+// journal. Every other frame of a client goes to the owner's handler on
+// the same shard thread; the owner validates it there, so a hostile frame
+// never gets further than the shard. A connection whose Hello names a
+// server can be taken over by the owner right after the Hello (a daemon
+// moves it to its automaton's loop); shards then read client connections
+// only.
 #pragma once
 
 #include <atomic>
@@ -24,8 +27,8 @@
 #include "erasure/buffer.h"
 #include "net/client_proto.h"
 #include "net/connection.h"
-#include "net/event_loop.h"
 #include "net/socket.h"
+#include "runtime/event_loop.h"
 
 namespace causalec::net {
 
@@ -47,10 +50,16 @@ class FrontEnd {
   /// Shard thread: false rejects a well-formed Hello (and closes the
   /// connection). Null accepts every Hello.
   using HelloCheck = std::function<bool(const Hello& hello)>;
+  /// Shard thread, right after an accepted Hello that names server `node`:
+  /// the owner takes the connection over (Connection::hand_off). Null
+  /// leaves it on the shard, its frames going to the FrameHandler.
+  using ServerHandoff = std::function<void(
+      NodeId node, const std::shared_ptr<Connection>& conn)>;
 
   /// `name` prefixes the log lines ("net", "router").
   FrontEnd(std::string name, std::size_t shards, FrameHandler on_frame,
-           HelloCheck accept_hello = nullptr);
+           HelloCheck accept_hello = nullptr,
+           ServerHandoff take_server = nullptr);
   ~FrontEnd();
 
   FrontEnd(const FrontEnd&) = delete;
@@ -66,7 +75,7 @@ class FrontEnd {
   void stop();
 
   std::size_t shards() const { return shards_.size(); }
-  EventLoop* loop(std::size_t shard) const {
+  runtime::EventLoop* loop(std::size_t shard) const {
     return shards_[shard]->loop.get();
   }
   /// The resolved listening port (after listen()).
@@ -80,7 +89,7 @@ class FrontEnd {
 
  private:
   struct Shard {
-    std::unique_ptr<EventLoop> loop;
+    std::unique_ptr<runtime::EventLoop> loop;
     ScopedFd listener;
     /// Installed on the loop thread. Outlives the loop: stop() joins loop
     /// threads before shards are destroyed.
@@ -100,6 +109,7 @@ class FrontEnd {
   const std::string name_;
   const FrameHandler on_frame_;
   const HelloCheck accept_hello_;
+  const ServerHandoff take_server_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::uint16_t port_ = 0;
   std::atomic<bool> ready_{false};

@@ -23,7 +23,7 @@ constexpr auto kFirstRedialDelay = std::chrono::milliseconds(1);
 
 }  // namespace
 
-PeerLink::PeerLink(EventLoop* loop, NodeId peer, std::string host,
+PeerLink::PeerLink(runtime::EventLoop* loop, NodeId peer, std::string host,
                    std::uint16_t port, Hello hello,
                    std::function<void(NodeId, bool)> on_liveness,
                    Connection::FrameHandler on_frame)

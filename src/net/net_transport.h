@@ -37,8 +37,8 @@
 #include "erasure/buffer.h"
 #include "net/client_proto.h"
 #include "net/connection.h"
-#include "net/event_loop.h"
 #include "runtime/automaton_loop.h"
+#include "runtime/event_loop.h"
 
 namespace causalec::net {
 
@@ -50,7 +50,7 @@ class PeerLink {
   /// the first time included) and each time one is lost (down = true).
   /// `on_frame`, when set, gets the frames the peer sends back, on the
   /// loop thread; without it they are ignored.
-  PeerLink(EventLoop* loop, NodeId peer, std::string host,
+  PeerLink(runtime::EventLoop* loop, NodeId peer, std::string host,
            std::uint16_t port, Hello hello,
            std::function<void(NodeId peer, bool down)> on_liveness,
            Connection::FrameHandler on_frame = nullptr);
@@ -81,7 +81,7 @@ class PeerLink {
   void retry_later();
   bool is_shut_down();
 
-  EventLoop* loop_;
+  runtime::EventLoop* loop_;
   NodeId peer_;
   std::string host_;
   std::uint16_t port_;

@@ -30,6 +30,9 @@ NodeDaemon::NodeDaemon(erasure::CodePtr code, NodeDaemonConfig config)
             return hello.role != PeerRole::kServer ||
                    (hello.node < code_->num_servers() &&
                     hello.node != config_.node);
+          },
+          [this](NodeId node, const std::shared_ptr<Connection>& conn) {
+            adopt_peer(node, conn);
           }),
       shard_ops_(std::make_unique<ShardOps[]>(config_.shards)),
       loop_(config_.node, config_.server.obs, config_.gc_period,
@@ -112,22 +115,44 @@ void NodeDaemon::stop() {
   started_ = false;
 }
 
+void NodeDaemon::adopt_peer(NodeId from,
+                            const std::shared_ptr<Connection>& conn) {
+  // The shard stops watching the fd here, before the automaton starts.
+  // Frames that arrived with the Hello stay in the moved connection's
+  // reader and are delivered, in order, before its first read.
+  std::shared_ptr<Connection> moved = conn->hand_off(&loop_.event_loop());
+  loop_.post([this, from, moved] {
+    moved->open(
+        [this, from](const std::shared_ptr<Connection>& c,
+                     erasure::Buffer payload) {
+          handle_peer_frame(from, c, std::move(payload));
+        },
+        nullptr);
+  });
+}
+
+void NodeDaemon::handle_peer_frame(NodeId from,
+                                   const std::shared_ptr<Connection>& conn,
+                                   erasure::Buffer payload) {
+  // A CausalEC protocol frame, attributed to the node the channel's Hello
+  // named and decoded here, aliasing the read's arena. Anything else on a
+  // protocol link closes it.
+  if (payload.empty() || payload.data()[0] >= kClientProtoBase) {
+    CEC_LOG(kWarn) << "net: closing peer connection from node " << from
+                   << " after a non-protocol frame";
+    conn->close();
+    return;
+  }
+  loop_.dispatch_frame(from, std::move(payload));
+}
+
 bool NodeDaemon::handle_frame(const FrontEnd::Peer& peer,
                               const std::shared_ptr<Connection>& conn,
                               erasure::Buffer payload) {
-  const std::uint8_t type = payload.data()[0];
-  if (peer.role == PeerRole::kServer) {
-    // A CausalEC protocol frame: attribute it to the channel's node and
-    // hand the still-serialized bytes to the automaton (deserialization
-    // happens there, aliasing this frame's arena). A client frame on a
-    // protocol link is refused.
-    if (type >= kClientProtoBase) return false;
-    loop_.deliver_frame(peer.node, std::move(payload));
-    return true;
-  }
-  // Client connection. Requests are validated here on the shard thread so
-  // a hostile frame can never reach (and abort) the automaton.
-  switch (static_cast<ClientMsgType>(type)) {
+  // Client connection (peers are handed to the automaton after their
+  // Hello). Requests are validated here on the shard thread so a hostile
+  // frame can never reach (and abort) the automaton.
+  switch (static_cast<ClientMsgType>(payload.data()[0])) {
     case ClientMsgType::kWriteReq:
       return post_request(decode_write_req(std::move(payload)), peer.shard,
                           conn);

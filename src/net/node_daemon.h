@@ -6,16 +6,18 @@
 //   * the `shards` event-loop threads of a net::FrontEnd, each owning a
 //     SO_REUSEPORT listener on the same port (the kernel load-balances
 //     accepted connections across shards) plus the outbound peer links
-//     assigned to it. Shard threads do all socket reads, frame reassembly,
-//     the Hello handshake, Pongs and client-request validation, and drain
-//     write backlogs; frames are written by the thread that sends them, so
-//     the automaton's acks and protocol frames reach the sockets without a
-//     handoff;
+//     assigned to it. Shard threads accept, run the Hello handshake, read
+//     client connections (Pongs, client-request validation), dial the peer
+//     links and drain write backlogs; frames are written by the thread
+//     that sends them, so the automaton's acks and protocol frames reach
+//     the sockets without a handoff;
 //   * one runtime::AutomatonLoop thread hosting the single-threaded Server
-//     -- the same driver as runtime/threaded_cluster: batched inbox, one
-//     Apply/Encoding fixpoint per batch, wall-clock GC and snapshot
+//     -- the same driver as runtime/threaded_cluster: one EventLoop, one
+//     Apply/Encoding fixpoint per round, wall-clock GC and snapshot
 //     timers, phase metrics -- with parked requests retried after every
-//     batch.
+//     round. After a peer's Hello its inbound connection moves from the
+//     shard to this loop, so protocol frames are read, decoded and
+//     dispatched on the automaton thread with no handoff.
 //
 // Durability: a non-empty data_dir attaches a persist::DirBackend journal;
 // on start, existing durable state is restored (Server::
@@ -109,8 +111,14 @@ class NodeDaemon {
     std::atomic<std::uint64_t> count{0};
   };
 
-  /// Shard thread: hands protocol frames to the automaton, and validates
-  /// client requests before posting them to it.
+  /// Shard thread, right after a peer's Hello: moves the connection to
+  /// the automaton's loop.
+  void adopt_peer(NodeId from, const std::shared_ptr<Connection>& conn);
+  /// Automaton thread: decodes and dispatches a peer's protocol frame.
+  void handle_peer_frame(NodeId from, const std::shared_ptr<Connection>& conn,
+                         erasure::Buffer payload);
+  /// Shard thread: validates client requests before posting them to the
+  /// automaton.
   bool handle_frame(const FrontEnd::Peer& peer,
                     const std::shared_ptr<Connection>& conn,
                     erasure::Buffer payload);

@@ -1,6 +1,5 @@
 #include "runtime/automaton_loop.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -22,50 +21,39 @@ AutomatonLoop::AutomatonLoop(NodeId id, const obs::ObsHooks& obs,
     m_mailbox_depth_ =
         &metrics->gauge("runtime.mailbox_depth.s" + std::to_string(id));
   }
+  loop_.set_after_round([this] { end_round(); });
 }
 
 AutomatonLoop::~AutomatonLoop() { stop(); }
 
 void AutomatonLoop::start(Server& server) {
-  CEC_CHECK_MSG(!thread_.joinable(), "AutomatonLoop " << id_
-                                                      << " is already running");
   server_ = &server;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = false;
+  loop_.schedule_after(gc_period_, [this] { collect_garbage(); });
+  if (server.durable()) {
+    loop_.schedule_after(snapshot_period_, [this] { checkpoint(); });
   }
-  thread_ = std::thread([this] { run(); });
+  loop_.start([this] {
+    set_log_thread_node(static_cast<int>(id_));
+    pool_.install();
+  });
+  // Opened once the loop takes posts, so every batch gets its drain task.
+  std::lock_guard<std::mutex> lock(inbox_mu_);
+  inbox_open_ = true;
 }
 
 void AutomatonLoop::stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  // Destroyed outside the locks: a dropped closure may own anything.
-  std::deque<std::function<void()>> dropped_tasks;
-  std::vector<Inbound> dropped_frames;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    dropped_tasks.swap(tasks_);
-  }
+  std::vector<Inbound> dropped;  // destroyed outside the lock
   {
     std::lock_guard<std::mutex> lock(inbox_mu_);
-    dropped_frames.swap(inbox_);
-    inbox_ready_.store(false, std::memory_order_release);
+    inbox_open_ = false;
+    dropped.swap(inbox_);
   }
-  timers_.clear();
+  loop_.stop();
+  round_messages_ = 0;
 }
 
 void AutomatonLoop::post(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return;
-    tasks_.push_back(std::move(task));
-  }
-  cv_.notify_all();
+  loop_.post(std::move(task));
 }
 
 void AutomatonLoop::deliver_frame(NodeId from, erasure::Buffer frame) {
@@ -78,18 +66,78 @@ void AutomatonLoop::deliver_message(NodeId from, sim::MessagePtr message) {
                   m_queue_wait_ != nullptr ? now() : 0});
 }
 
-/// Producer side of the inbox. The data lock (`inbox_mu_`) is disjoint from
-/// the consumer's wait lock (`mu_`); the empty lock_guard on `mu_` fences
-/// against the lost-wakeup race (the consumer either sees `inbox_ready_` in
-/// its predicate or is already waiting when we notify).
 void AutomatonLoop::enqueue(Inbound in) {
+  bool first = false;
   {
     std::lock_guard<std::mutex> lock(inbox_mu_);
+    if (!inbox_open_) return;
+    first = inbox_.empty();
     inbox_.push_back(std::move(in));
-    inbox_ready_.store(true, std::memory_order_release);
   }
-  { std::lock_guard<std::mutex> lock(mu_); }
-  cv_.notify_all();
+  // One drain task per batch: later frames join the queued batch.
+  if (first) loop_.post([this] { drain_inbox(); });
+}
+
+void AutomatonLoop::drain_inbox() {
+  {
+    std::lock_guard<std::mutex> lock(inbox_mu_);
+    draining_.swap(inbox_);
+  }
+  for (Inbound& in : draining_) {
+    if (m_queue_wait_ != nullptr) {
+      m_queue_wait_->observe(static_cast<std::uint64_t>(now() - in.enqueued_at));
+    }
+    sim::MessagePtr message = std::move(in.message);
+    if (message == nullptr) {
+      message = decode(in.from, std::move(in.frame));
+      if (message == nullptr) continue;
+    }
+    deliver(in.from, std::move(message));
+  }
+  draining_.clear();
+}
+
+void AutomatonLoop::dispatch_frame(NodeId from, erasure::Buffer frame) {
+  if (m_queue_wait_ != nullptr) {
+    // The frame waited, since the round's wait returned, behind the
+    // round's tasks and the frames read before it.
+    m_queue_wait_->observe(static_cast<std::uint64_t>(
+        (EventLoop::Clock::now() - loop_.round_start()).count()));
+  }
+  sim::MessagePtr message = decode(from, std::move(frame));
+  if (message != nullptr) deliver(from, std::move(message));
+}
+
+void AutomatonLoop::deliver(NodeId from, sim::MessagePtr message) {
+  if (tracer_ != nullptr) trace_deliver(from, *message);
+  server_->dispatch_message(from, std::move(message));
+  ++round_messages_;
+}
+
+void AutomatonLoop::end_round() {
+  if (round_messages_ > 0) {
+    if (m_mailbox_depth_ != nullptr) {
+      // Messages the round found waiting: queue buildup shows here before
+      // it becomes tail latency.
+      m_mailbox_depth_->set(static_cast<std::int64_t>(round_messages_));
+    }
+    round_messages_ = 0;
+    // One Apply/Encoding fixpoint for the whole round.
+    server_->run_internal_actions();
+  }
+  if (post_batch_) post_batch_();
+}
+
+void AutomatonLoop::collect_garbage() {
+  // Re-armed first, so the period runs from this firing, not from the end
+  // of the collection.
+  loop_.schedule_after(gc_period_, [this] { collect_garbage(); });
+  server_->run_garbage_collection();
+}
+
+void AutomatonLoop::checkpoint() {
+  loop_.schedule_after(snapshot_period_, [this] { checkpoint(); });
+  server_->checkpoint();
 }
 
 erasure::Buffer AutomatonLoop::serialize(const sim::Message& message) const {
@@ -101,86 +149,13 @@ erasure::Buffer AutomatonLoop::serialize(const sim::Message& message) const {
 }
 
 void AutomatonLoop::schedule_after(SimTime delta_ns, std::function<void()> fn) {
-  timers_.push_back(
-      {Clock::now() + std::chrono::nanoseconds(delta_ns), std::move(fn)});
+  loop_.schedule_after(std::chrono::nanoseconds(delta_ns), std::move(fn));
 }
 
 SimTime AutomatonLoop::now() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             Clock::now().time_since_epoch())
+             EventLoop::Clock::now().time_since_epoch())
       .count();
-}
-
-void AutomatonLoop::run() {
-  set_log_thread_node(static_cast<int>(id_));
-  // Node-local arena recycling: payload buffers allocated while the server
-  // handles its messages come from (and return to) this pool, so the
-  // steady-state data path stops malloc'ing. A restarted loop gets a fresh
-  // pool; the old one folds its counters on close.
-  erasure::BufferPool buffer_pool;
-  erasure::BufferPool::ScopedInstall pool_installed(buffer_pool);
-  auto next_gc = Clock::now() + gc_period_;
-  auto next_snapshot = Clock::now() + snapshot_period_;
-  std::deque<std::function<void()>> tasks;
-  std::vector<Inbound> inbound;
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      auto deadline = next_gc;
-      if (server_->durable()) deadline = std::min(deadline, next_snapshot);
-      for (const Timer& timer : timers_) {
-        deadline = std::min(deadline, timer.at);
-      }
-      cv_.wait_until(lock, deadline, [this] {
-        return stop_ || !tasks_.empty() ||
-               inbox_ready_.load(std::memory_order_acquire);
-      });
-      if (stop_) return;
-      tasks.swap(tasks_);
-    }
-    {
-      std::lock_guard<std::mutex> lock(inbox_mu_);
-      inbound.swap(inbox_);
-      inbox_ready_.store(false, std::memory_order_release);
-    }
-    for (auto& task : tasks) task();
-    tasks.clear();
-    if (!inbound.empty()) dispatch(inbound);
-    if (post_batch_) post_batch_();
-    const auto now = Clock::now();
-    fire_due_timers(now);
-    if (now >= next_gc) {
-      server_->run_garbage_collection();
-      next_gc = now + gc_period_;
-    }
-    if (server_->durable() && now >= next_snapshot) {
-      server_->checkpoint();
-      next_snapshot = now + snapshot_period_;
-    }
-  }
-}
-
-void AutomatonLoop::dispatch(std::vector<Inbound>& batch) {
-  if (m_mailbox_depth_ != nullptr) {
-    // Depth the drain found waiting: queue buildup shows here before it
-    // becomes tail latency.
-    m_mailbox_depth_->set(static_cast<std::int64_t>(batch.size()));
-  }
-  for (Inbound& in : batch) {
-    if (m_queue_wait_ != nullptr) {
-      m_queue_wait_->observe(static_cast<std::uint64_t>(now() - in.enqueued_at));
-    }
-    sim::MessagePtr message = std::move(in.message);
-    if (message == nullptr) {
-      message = decode(in.from, std::move(in.frame));
-      if (message == nullptr) continue;
-    }
-    if (tracer_ != nullptr) trace_deliver(in.from, *message);
-    server_->dispatch_message(in.from, std::move(message));
-  }
-  // One Apply/Encoding fixpoint for the whole batch.
-  server_->run_internal_actions();
-  batch.clear();
 }
 
 sim::MessagePtr AutomatonLoop::decode(NodeId from, erasure::Buffer frame) {
@@ -207,20 +182,6 @@ void AutomatonLoop::trace_deliver(NodeId from, const sim::Message& message) {
     tracer_->flow_finish(std::string("flow.") + message.type_name(), id_,
                          now_ns, message.trace.span_id,
                          {{"trace", message.trace.trace_id}});
-  }
-}
-
-void AutomatonLoop::fire_due_timers(Clock::time_point now) {
-  // A fired timer may schedule another; it lands at the back and is
-  // checked in this same pass.
-  for (std::size_t i = 0; i < timers_.size();) {
-    if (timers_[i].at <= now) {
-      auto fn = std::move(timers_[i].fn);
-      timers_.erase(timers_.begin() + static_cast<std::ptrdiff_t>(i));
-      fn();
-    } else {
-      ++i;
-    }
   }
 }
 

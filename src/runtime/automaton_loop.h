@@ -3,38 +3,43 @@
 //
 // The paper's server is one single-threaded automaton (Algorithms 1-3)
 // driven by inbound messages, internal actions and a GC timer. The loop
-// runs that drive on a dedicated OS thread and owns everything around it:
-//   * a two-lock swap-and-drain MPSC inbox: producers append frames under
-//     `inbox_mu_` (no closure allocation, no contention with the consumer's
-//     wait mutex); the loop thread swaps the whole batch out under one lock
-//     acquisition, dispatches every message, and runs the Apply/Encoding
-//     fixpoint once per batch instead of once per message;
-//   * a FIFO task deque for everything else (client operations, liveness
-//     changes, the rejoin round);
-//   * the wall-clock timer list behind Transport::schedule_after/now;
-//   * the GC cadence and, for a durable server, the snapshot cadence;
-//   * a per-thread erasure::BufferPool, so the data path recycles arenas;
+// runs that drive on one runtime::EventLoop thread, the same wait
+// primitive the daemon's shards use, and owns everything around it:
+//   * two ways in for peer messages. A daemon hands its inbound peer
+//     connections to event_loop(), so their frames are read, decoded and
+//     dispatched on this thread (dispatch_frame) with no handoff. Other
+//     threads deliver through a swap-and-drain MPSC inbox (deliver_frame,
+//     deliver_message; ThreadedCluster's channels): producers append under
+//     `inbox_mu_` with no closure allocation, and the first frame of a
+//     batch posts the one task that drains the whole batch. Either way the
+//     Apply/Encoding fixpoint runs once per loop round, after every message
+//     of the round, not once per message;
+//   * tasks (client operations, liveness changes, the rejoin round), which
+//     are EventLoop posts;
+//   * the GC cadence, the snapshot cadence of a durable server, and
+//     Transport::schedule_after, which are EventLoop timers;
+//   * a per-thread erasure::BufferPool, so the data path, socket reads
+//     included, recycles arenas;
 //   * the codec boundary: frames are untrusted bytes, so a malformed one
 //     is logged and dropped, never fatal;
 //   * instrumentation read from ServerConfig::obs: phase.queue_wait_ns,
 //     phase.deserialize_ns, phase.serialize_ns, the
-//     runtime.mailbox_depth.s<id> gauge and msg.deliver trace events. Null
-//     hooks cost one branch per site.
+//     runtime.mailbox_depth.s<id> gauge and msg.deliver trace events
+//     (DESIGN.md §10 says what the first and the gauge mean for frames the
+//     loop reads itself). Null hooks cost one branch per site.
 #pragma once
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <functional>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "causalec/server.h"
+#include "erasure/arena_pool.h"
 #include "erasure/buffer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "runtime/event_loop.h"
 
 namespace causalec::runtime {
 
@@ -50,7 +55,7 @@ class AutomatonLoop {
   AutomatonLoop(const AutomatonLoop&) = delete;
   AutomatonLoop& operator=(const AutomatonLoop&) = delete;
 
-  /// Runs after every drained batch (tasks, then messages and their
+  /// Runs after every loop round (tasks, then messages and their
   /// fixpoint), before due timers fire. Set before start().
   void set_post_batch(std::function<void()> hook) {
     post_batch_ = std::move(hook);
@@ -69,11 +74,17 @@ class AutomatonLoop {
   void post(std::function<void()> task);
 
   /// Enqueue a serialized protocol frame from `from` (any thread). It is
-  /// decoded on the loop thread, and its payloads alias the frame.
+  /// decoded on the loop thread, and its payloads alias the frame. Dropped
+  /// while the loop is stopped.
   void deliver_frame(NodeId from, erasure::Buffer frame);
 
   /// Enqueue an in-memory message (a runtime that skips the codec).
   void deliver_message(NodeId from, sim::MessagePtr message);
+
+  /// Loop thread: a protocol frame from `from` that this loop read itself
+  /// (a socket watched by event_loop()). Decoded and dispatched at once;
+  /// the round's fixpoint follows.
+  void dispatch_frame(NodeId from, erasure::Buffer frame);
 
   /// Codec frame of an outbound message, timed into phase.serialize_ns.
   /// Any thread.
@@ -86,9 +97,11 @@ class AutomatonLoop {
   /// Transport::now: steady-clock nanoseconds.
   static SimTime now();
 
- private:
-  using Clock = std::chrono::steady_clock;
+  /// The loop the automaton runs on: fds watched here are read on the
+  /// automaton thread.
+  EventLoop& event_loop() { return loop_; }
 
+ private:
   /// One inbound message: still-serialized (`frame`) or an in-memory
   /// object (`message`).
   struct Inbound {
@@ -98,19 +111,18 @@ class AutomatonLoop {
     SimTime enqueued_at;  // 0 unless phase.queue_wait_ns is recorded
   };
 
-  struct Timer {
-    Clock::time_point at;
-    std::function<void()> fn;
-  };
-
   void enqueue(Inbound in);
-  void run();
-  /// Dispatches one drained inbox batch, then runs the fixpoint once.
-  void dispatch(std::vector<Inbound>& batch);
+  /// Dispatches the whole inbox batch.
+  void drain_inbox();
+  void deliver(NodeId from, sim::MessagePtr message);
+  /// The after-round hook: one fixpoint if the round dispatched anything,
+  /// then the post-batch hook.
+  void end_round();
+  void collect_garbage();
+  void checkpoint();
   /// try_deserialize_message, timed; null (logged) for a malformed frame.
   sim::MessagePtr decode(NodeId from, erasure::Buffer frame);
   void trace_deliver(NodeId from, const sim::Message& message);
-  void fire_due_timers(Clock::time_point now);
 
   const NodeId id_;
   const std::chrono::milliseconds gc_period_;
@@ -118,15 +130,15 @@ class AutomatonLoop {
   std::function<void()> post_batch_;
   Server* server_ = nullptr;  // set by start()
 
-  std::mutex mu_;  // guards stop_ and tasks_; the loop thread waits on it
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> tasks_;
-  bool stop_ = true;
-  std::vector<Timer> timers_;  // loop thread only (or while stopped)
-
   std::mutex inbox_mu_;
   std::vector<Inbound> inbox_;
-  std::atomic<bool> inbox_ready_{false};
+  bool inbox_open_ = false;  // guarded by inbox_mu_; false while stopped
+
+  // Loop thread only.
+  std::vector<Inbound> draining_;
+  std::size_t round_messages_ = 0;  // dispatched since the last fixpoint
+  /// Node-local arena recycling, installed on the loop thread.
+  erasure::BufferPool pool_;
 
   // Instrumentation (null when the hooks are off).
   obs::Tracer* tracer_ = nullptr;
@@ -135,7 +147,7 @@ class AutomatonLoop {
   obs::Histogram* m_serialize_ = nullptr;
   obs::Gauge* m_mailbox_depth_ = nullptr;
 
-  std::thread thread_;  // declared last: it uses every member above
+  EventLoop loop_;  // declared last: its thread uses every member above
 };
 
 }  // namespace causalec::runtime

@@ -20,10 +20,10 @@
 #include <vector>
 
 #include "net/connection.h"
-#include "net/event_loop.h"
 #include "net/frame.h"
 #include "net/net_transport.h"
 #include "net/socket.h"
+#include "runtime/event_loop.h"
 
 namespace causalec::net {
 namespace {
@@ -112,7 +112,7 @@ class ConnectionTest : public ::testing::Test {
     done.get_future().wait();
   }
 
-  EventLoop loop_;
+  runtime::EventLoop loop_;
   ScopedFd peer_;
   std::shared_ptr<Connection> conn_;
   std::atomic<int> closes_{0};
@@ -188,7 +188,7 @@ TEST(PeerLinkTest, FirstLinkComesUpSoonAfterThePeerListens) {
             0);
   const std::uint16_t port = local_port(peer.get());
 
-  EventLoop loop;
+  runtime::EventLoop loop;
   loop.start();
   std::promise<Clock::time_point> up;
   std::atomic<bool> reported{false};

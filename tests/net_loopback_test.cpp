@@ -11,6 +11,7 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -256,6 +257,9 @@ TEST_F(NetLoopbackTest, DaemonsRecordTheRuntimePhases) {
   // The daemons drive their servers through the same AutomatonLoop as
   // ThreadedCluster, so they fill the same runtime metrics that
   // ObsFlowTest.ThreadedClusterFlowsPhasesAndMailboxGauge checks there.
+  // Here the automaton thread reads its peers' connections itself: a
+  // frame's queue wait runs from the wake of the loop round that read it
+  // to its dispatch, and the mailbox gauge counts a round's peer frames.
   Session writer(300, 0, endpoints_[0]);
   ASSERT_TRUE(writer.connected);
   for (ObjectId x = 0; x < kObjects; ++x) ASSERT_TRUE(writer.write_op(x));
@@ -274,7 +278,7 @@ TEST_F(NetLoopbackTest, DaemonsRecordTheRuntimePhases) {
   // once per target would bring it down to 1.
   EXPECT_GE(deserialized, 2 * serialized)
       << deserialized << " frames decoded for " << serialized << " encoded";
-  // Every server drained at least one peer frame (apps or dels).
+  // Every server's automaton read at least one peer frame (apps or dels).
   for (std::size_t s = 0; s < kServers; ++s) {
     const auto gauge =
         snap.gauges.find("runtime.mailbox_depth.s" + std::to_string(s));
@@ -409,6 +413,69 @@ TEST_F(NetLoopbackTest, HelloDecidesWhatAConnectionMaySend) {
   ASSERT_TRUE(session.write_op(0));
   ASSERT_TRUE(await_convergence(endpoints_, 15s));
   EXPECT_EQ(total_error_events(endpoints_), 0u);
+}
+
+// A PeerLink flushes its start-up queue right behind its Hello, so the
+// Hello and a peer's first protocol frames often arrive in one read. The
+// shard that reads them moves the connection to the automaton's loop after
+// the Hello; every frame already read must still be applied, in order.
+// A raw socket plays server 1, which never comes up, and sends its Hello
+// and kWrites writes in one send(2).
+TEST(NetPeerHandoffTest, FramesThatArriveWithTheHelloAreAllApplied) {
+  constexpr std::uint64_t kWrites = 64;
+  const std::vector<std::uint16_t> ports = reserve_loopback_ports(kServers);
+  ASSERT_EQ(ports.size(), kServers);
+  std::vector<std::string> peers;
+  for (const std::uint16_t port : ports) {
+    peers.push_back("127.0.0.1:" + std::to_string(port));
+  }
+  NodeDaemonConfig config;
+  config.node = 0;
+  config.listen_port = ports[0];
+  config.peers = peers;
+  NodeDaemon daemon(
+      erasure::make_systematic_rs(kServers, kObjects, kValueBytes), config);
+  daemon.start();
+  ASSERT_TRUE(await_ready({peers[0]}, 10s));
+
+  std::vector<std::uint8_t> bytes;
+  const auto append = [&bytes](std::span<const std::uint8_t> payload) {
+    const erasure::Buffer frame = encode_frame(payload);
+    bytes.insert(bytes.end(), frame.data(), frame.data() + frame.size());
+  };
+  append(encode_hello(Hello{PeerRole::kServer, 1}));
+  for (std::uint64_t seq = 1; seq <= kWrites; ++seq) {
+    VectorClock ts(kServers);
+    ts.set(1, seq);
+    append(serialize_message(AppMessage(static_cast<ObjectId>(seq % kObjects),
+                                        value_for(900, seq),
+                                        Tag(std::move(ts), 900),
+                                        WireModel{})));
+  }
+  const auto addr = parse_host_port(peers[0]);
+  ASSERT_TRUE(addr.has_value());
+  ScopedFd fd = connect_tcp_blocking(addr->first, addr->second, 2000);
+  ASSERT_TRUE(fd.valid());
+  ASSERT_EQ(::send(fd.get(), bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+
+  NetClient client(901);
+  ASSERT_TRUE(client.connect(peers[0], 2000));
+  client.set_io_timeout_ms(5000);
+  std::optional<StatsResp> stats;
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (true) {
+    stats = client.stats();
+    ASSERT_TRUE(stats.has_value());
+    if (stats->vc[1] >= kWrites ||
+        std::chrono::steady_clock::now() >= deadline) {
+      break;
+    }
+    std::this_thread::sleep_for(5ms);
+  }
+  EXPECT_EQ(stats->vc[1], kWrites);
+  EXPECT_EQ(stats->error_events, 0u);
+  daemon.stop();
 }
 
 constexpr std::size_t kMaxParked = 4;

@@ -20,20 +20,24 @@
 #       # this exercises the shared-mutex plan cache -- one class, one
 #       # instance for decode plans and one for repair plans -- from
 #       # concurrent lookup threads
-#   tools/run_sanitized_tests.sh thread -L "net|frontdoor"
-#       # the real-socket and front-door batteries (DESIGN.md §11, §12):
-#       # frame reassembly sweep, in-process daemons over loopback TCP,
-#       # hash-ring properties, the frontier-gated edge cache,
-#       # cluster-config parsing, sessions through an in-process router
-#       # under the consistency checkers, and the multi-process
-#       # SIGKILL/rejoin and router-restart chaos tests. Daemons and
-#       # routers share one listener (net::FrontEnd) and one dialer
-#       # (net::PeerLink), so under tsan this exercises every shard loop,
-#       # peer and backend link, the automaton inbox, the shared edge
+#   tools/run_sanitized_tests.sh thread -L "net|frontdoor|runtime"
+#       # the real-socket, front-door and threaded-runtime batteries
+#       # (DESIGN.md §5.3, §11, §12): frame reassembly sweep, in-process
+#       # daemons over loopback TCP, the peer-connection hand-off to the
+#       # automaton loop, hash-ring properties, the frontier-gated edge
+#       # cache, cluster-config parsing, sessions through an in-process
+#       # router under the consistency checkers, the multi-process
+#       # SIGKILL/rejoin and router-restart chaos tests, and
+#       # ThreadedCluster. Every loop thread -- each server's automaton
+#       # loop in both runtimes, and the shards daemons and routers share
+#       # through net::FrontEnd -- is one runtime::EventLoop, so under tsan
+#       # this exercises the wakeup protocol, every shard and automaton
+#       # loop, peer and backend link, the automaton inbox, the shared edge
 #       # cache, and every client session thread (the forked servers are
 #       # instrumented too; tsan just cannot see across the processes)
 #   tools/run_sanitized_tests.sh --net-smoke
-#       # fast path: the net and frontdoor labels, asan+ubsan then tsan
+#       # fast path: the net, frontdoor and runtime labels, asan+ubsan
+#       # then tsan
 #
 # After an unfiltered run, each config additionally reruns the GF kernel
 # differential suite once per tier available on this machine, looping
@@ -51,10 +55,10 @@ cd "$(dirname "$0")/.."
 
 configs=()
 if [[ $# -ge 1 && $1 == --net-smoke ]]; then
-  # Fast path: the real-socket and front-door batteries, which share one
-  # listener and one dialer, under both sanitizer configs.
+  # Fast path: the real-socket, front-door and threaded-runtime batteries,
+  # which share one loop class, under both sanitizer configs.
   shift
-  set -- -L "net|frontdoor" "$@"
+  set -- -L "net|frontdoor|runtime" "$@"
   configs=("address,undefined" "thread")
 elif [[ $# -ge 1 && $1 != -* ]]; then
   configs=("$1")
