@@ -61,7 +61,7 @@ NodeDaemon::NodeDaemon(erasure::CodePtr code, NodeDaemonConfig config)
   server_ = std::make_unique<causalec::Server>(config_.node, code_,
                                                config_.server,
                                                transport_.get());
-  // A batch may have advanced the clock (applied writes, anti-entropy), so
+  // A round may have advanced the clock (applied writes, anti-entropy), so
   // parked requests get one retry after each.
   loop_.set_post_batch([this] { retry_parked(); });
   // Seed the opid counter from wall-clock seconds (see header); the mask
@@ -128,6 +128,7 @@ void NodeDaemon::adopt_peer(NodeId from,
           handle_peer_frame(from, c, std::move(payload));
         },
         nullptr);
+    loop_.settle();  // before the next task, such as a client write
   });
 }
 

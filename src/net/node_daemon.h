@@ -98,7 +98,7 @@ class NodeDaemon {
  private:
   /// A request waiting for the server clock to reach its session frontier
   /// (automaton thread only). The automaton loop wakes at least every
-  /// gc_period and retries parked ops after every batch, so the retry
+  /// gc_period and retries parked ops after every round, so the retry
   /// latency after the clock advances is bounded by that period.
   struct ParkedOp {
     std::variant<WriteReq, ReadReq> req;

@@ -49,7 +49,7 @@ void AutomatonLoop::stop() {
     dropped.swap(inbox_);
   }
   loop_.stop();
-  round_messages_ = 0;
+  unsettled_ = 0;
 }
 
 void AutomatonLoop::post(std::function<void()> task) {
@@ -95,6 +95,7 @@ void AutomatonLoop::drain_inbox() {
     deliver(in.from, std::move(message));
   }
   draining_.clear();
+  settle();
 }
 
 void AutomatonLoop::dispatch_frame(NodeId from, erasure::Buffer frame) {
@@ -111,20 +112,23 @@ void AutomatonLoop::dispatch_frame(NodeId from, erasure::Buffer frame) {
 void AutomatonLoop::deliver(NodeId from, sim::MessagePtr message) {
   if (tracer_ != nullptr) trace_deliver(from, *message);
   server_->dispatch_message(from, std::move(message));
-  ++round_messages_;
+  ++unsettled_;
+}
+
+void AutomatonLoop::settle() {
+  if (unsettled_ == 0) return;
+  if (m_mailbox_depth_ != nullptr) {
+    // Messages the batch found waiting: queue buildup shows here before it
+    // becomes tail latency.
+    m_mailbox_depth_->set(static_cast<std::int64_t>(unsettled_));
+  }
+  unsettled_ = 0;
+  // One Apply/Encoding fixpoint for the whole batch.
+  server_->run_internal_actions();
 }
 
 void AutomatonLoop::end_round() {
-  if (round_messages_ > 0) {
-    if (m_mailbox_depth_ != nullptr) {
-      // Messages the round found waiting: queue buildup shows here before
-      // it becomes tail latency.
-      m_mailbox_depth_->set(static_cast<std::int64_t>(round_messages_));
-    }
-    round_messages_ = 0;
-    // One Apply/Encoding fixpoint for the whole round.
-    server_->run_internal_actions();
-  }
+  settle();
   if (post_batch_) post_batch_();
 }
 

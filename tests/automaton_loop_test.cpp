@@ -236,6 +236,27 @@ TEST_F(AutomatonLoopTest, PostBatchHookRunsAfterEveryBatch) {
   }
 }
 
+TEST_F(AutomatonLoopTest, TasksFindEveryDispatchedMessageApplied) {
+  // A task queued behind a batch of frames must not see them dispatched
+  // but unapplied: a client write there would take a tag without them,
+  // then apply them into the clock it answers with.
+  constexpr std::uint64_t kFrames = 8;
+  std::promise<std::pair<std::size_t, std::uint64_t>> seen;
+  loop_.start(server_);
+  loop_.post([&] {
+    // The batch's drain task and the probe are queued for the same round.
+    for (std::uint64_t seq = 1; seq <= kFrames; ++seq) {
+      loop_.deliver_frame(1, app_frame(1, seq));
+    }
+    loop_.post([&] {
+      seen.set_value({server_.storage().inqueue_entries, server_.clock()[1]});
+    });
+  });
+  const auto [inqueue, clock] = seen.get_future().get();
+  EXPECT_EQ(inqueue, 0u);
+  EXPECT_TRUE(clock == 0 || clock == kFrames) << clock;
+}
+
 TEST_F(AutomatonLoopTest, BurstFromOtherThreadsIsDispatchedInFull) {
   constexpr std::uint64_t kBurst = 3000;
   loop_.start(server_);
