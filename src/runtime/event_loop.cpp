@@ -1,7 +1,9 @@
 #include "runtime/event_loop.h"
 
+#include <linux/futex.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/syscall.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -15,6 +17,11 @@ namespace causalec::runtime {
 namespace {
 
 constexpr std::chrono::nanoseconds kIdleWait = std::chrono::milliseconds(500);
+
+timespec to_timespec(std::chrono::nanoseconds wait) {
+  return {static_cast<time_t>(wait.count() / 1'000'000'000),
+          static_cast<long>(wait.count() % 1'000'000'000)};
+}
 
 std::uint32_t to_epoll(bool want_read, bool want_write) {
   std::uint32_t events = 0;
@@ -58,7 +65,7 @@ void EventLoop::stop() {
     std::lock_guard<std::mutex> lock(post_mu_);
     running_ = false;
   }
-  stopping_.store(true, std::memory_order_release);
+  stopping_.store(true, std::memory_order_seq_cst);
   wake();
   thread_.join();
   stopping_.store(false, std::memory_order_relaxed);
@@ -77,12 +84,23 @@ void EventLoop::post(std::function<void()> fn) {
     if (!running_) return;
     posted_.push_back(std::move(fn));
   }
-  if (sleeping_.load(std::memory_order_seq_cst)) wake();
+  if (sleep_.load(std::memory_order_seq_cst) != kAwake) wake();
 }
 
 void EventLoop::wake() {
-  std::uint64_t one = 1;
-  [[maybe_unused]] const auto n = ::write(wakeup_, &one, sizeof(one));
+  switch (sleep_.exchange(kAwake, std::memory_order_seq_cst)) {
+    case kInEpoll: {
+      std::uint64_t one = 1;
+      [[maybe_unused]] const auto n = ::write(wakeup_, &one, sizeof(one));
+      break;
+    }
+    case kOnFutex:
+      ::syscall(SYS_futex, &sleep_, FUTEX_WAKE_PRIVATE, 1, nullptr, nullptr,
+                0);
+      break;
+    default:  // awake, or another poster already woke it
+      break;
+  }
 }
 
 void EventLoop::watch(int fd, bool want_read, bool want_write,
@@ -153,23 +171,26 @@ void EventLoop::run(const std::function<void()>& on_thread_start) {
   };
   while (true) {
     take_posted();
+    const bool on_futex = handlers_.empty();
     if (tasks.empty()) {
       // Announce the sleep, then look again: a post that lands after this
-      // look finds the flag and writes the eventfd, one that landed
-      // before it is in `tasks`.
-      sleeping_.store(true, std::memory_order_seq_cst);
+      // look finds the flag and wakes the loop, one that landed before it
+      // is in `tasks`. stop() sets stopping_ before it wakes.
+      sleep_.store(on_futex ? kOnFutex : kInEpoll, std::memory_order_seq_cst);
       take_posted();
+      if (stopping_.load(std::memory_order_seq_cst)) break;
     }
     int n = 0;
-    if (tasks.empty() || !handlers_.empty()) {
-      const std::chrono::nanoseconds wait =
-          tasks.empty() ? next_timeout() : std::chrono::nanoseconds::zero();
-      const timespec timeout{
-          static_cast<time_t>(wait.count() / 1'000'000'000),
-          static_cast<long>(wait.count() % 1'000'000'000)};
+    if (tasks.empty() && on_futex) {
+      const timespec timeout = to_timespec(next_timeout());
+      ::syscall(SYS_futex, &sleep_, FUTEX_WAIT_PRIVATE, kOnFutex, &timeout,
+                nullptr, 0);
+    } else if (!on_futex) {
+      const timespec timeout = to_timespec(
+          tasks.empty() ? next_timeout() : std::chrono::nanoseconds::zero());
       n = ::epoll_pwait2(epoll_, events, kMaxEvents, &timeout, nullptr);
     }
-    sleeping_.store(false, std::memory_order_relaxed);
+    sleep_.store(kAwake, std::memory_order_relaxed);
     if (stopping_.load(std::memory_order_acquire)) break;
     if (n < 0) {
       if (errno != EINTR) break;

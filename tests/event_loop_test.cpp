@@ -3,14 +3,18 @@
 // skipped the write while the loop went to sleep would strand its task
 // until the loop's 500 ms idle wait ran out; four threads posting with
 // short random gaps to an otherwise idle loop race it against the loop
-// going to sleep tens of thousands of times.
+// going to sleep tens of thousands of times, once on each way a loop
+// sleeps.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <barrier>
 #include <chrono>
+#include <future>
 #include <random>
 #include <thread>
 #include <vector>
@@ -23,15 +27,15 @@ namespace {
 using namespace std::chrono_literals;
 using Clock = EventLoop::Clock;
 
-TEST(EventLoopTest, EveryPostRunsWithoutWaitingOutTheIdleWait) {
+/// Four threads post kTasksPerThread tasks each to `loop`; every one must
+/// run, none after waiting as long as a missed wakeup costs.
+void post_in_rounds(EventLoop& loop) {
   constexpr int kThreads = 4;
   constexpr int kTasksPerThread = 20000;
   // Well under the 500 ms a missed wakeup costs, well over what a loaded
   // host delays a runnable thread.
   constexpr auto kMaxWait = 250ms;
 
-  EventLoop loop;
-  loop.start();
   std::atomic<int> ran{0};
   Clock::duration longest{};  // loop thread only until the posters joined
   // Each round every thread posts one task after its own random gap and
@@ -71,7 +75,33 @@ TEST(EventLoopTest, EveryPostRunsWithoutWaitingOutTheIdleWait) {
       << std::chrono::duration_cast<std::chrono::milliseconds>(longest)
              .count()
       << " ms";
+}
+
+TEST(EventLoopTest, EveryPostRunsWithoutWaitingOutTheIdleWait) {
+  // No fd watched: the loop sleeps on its futex word.
+  EventLoop loop;
+  loop.start();
+  post_in_rounds(loop);
   loop.stop();
+}
+
+TEST(EventLoopTest, EveryPostRunsWithoutWaitingOutTheIdleWaitInEpoll) {
+  // A watched fd that never becomes readable: the loop sleeps in epoll.
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe2(pipe_fds, O_CLOEXEC | O_NONBLOCK), 0);
+  EventLoop loop;
+  loop.start();
+  std::promise<void> watching;
+  loop.post([&] {
+    loop.watch(pipe_fds[0], /*want_read=*/true, /*want_write=*/false,
+               [](std::uint32_t) {});
+    watching.set_value();
+  });
+  watching.get_future().wait();
+  post_in_rounds(loop);
+  loop.stop();
+  ::close(pipe_fds[0]);
+  ::close(pipe_fds[1]);
 }
 
 }  // namespace
