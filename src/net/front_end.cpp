@@ -42,10 +42,9 @@ void FrontEnd::listen(const std::string& host, std::uint16_t port) {
 }
 
 void FrontEnd::start() {
-  for (auto& shard : shards_) shard->loop->start();
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard* s = shards_[i].get();
-    s->loop->post([this, s, i] {
+    s->loop->start([this, s, i] {
       // Installed once; the loop thread's TLS reference keeps the core
       // alive until join.
       s->pool.install();

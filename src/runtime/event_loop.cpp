@@ -1,9 +1,7 @@
 #include "runtime/event_loop.h"
 
-#include <linux/futex.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
-#include <sys/syscall.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -62,10 +60,12 @@ void EventLoop::start(std::function<void()> on_thread_start) {
 void EventLoop::stop() {
   if (!thread_.joinable()) return;
   {
+    // Set with the posts closed: a poster that finds its task dropped also
+    // finds the loop stopping, so nothing queued before runs after.
     std::lock_guard<std::mutex> lock(post_mu_);
+    stopping_.store(true, std::memory_order_seq_cst);
     running_ = false;
   }
-  stopping_.store(true, std::memory_order_seq_cst);
   wake();
   thread_.join();
   stopping_.store(false, std::memory_order_relaxed);
@@ -84,23 +84,15 @@ void EventLoop::post(std::function<void()> fn) {
     if (!running_) return;
     posted_.push_back(std::move(fn));
   }
-  if (sleep_.load(std::memory_order_seq_cst) != kAwake) wake();
+  if (sleeping_.load(std::memory_order_seq_cst)) wake();
 }
 
 void EventLoop::wake() {
-  switch (sleep_.exchange(kAwake, std::memory_order_seq_cst)) {
-    case kInEpoll: {
-      std::uint64_t one = 1;
-      [[maybe_unused]] const auto n = ::write(wakeup_, &one, sizeof(one));
-      break;
-    }
-    case kOnFutex:
-      ::syscall(SYS_futex, &sleep_, FUTEX_WAKE_PRIVATE, 1, nullptr, nullptr,
-                0);
-      break;
-    default:  // awake, or another poster already woke it
-      break;
-  }
+  // Only the first poster to find the loop asleep writes; the others find
+  // the flag clear.
+  if (!sleeping_.exchange(false, std::memory_order_seq_cst)) return;
+  std::uint64_t one = 1;
+  [[maybe_unused]] const auto n = ::write(wakeup_, &one, sizeof(one));
 }
 
 void EventLoop::watch(int fd, bool want_read, bool want_write,
@@ -171,26 +163,22 @@ void EventLoop::run(const std::function<void()>& on_thread_start) {
   };
   while (true) {
     take_posted();
-    const bool on_futex = handlers_.empty();
     if (tasks.empty()) {
       // Announce the sleep, then look again: a post that lands after this
       // look finds the flag and wakes the loop, one that landed before it
       // is in `tasks`. stop() sets stopping_ before it wakes.
-      sleep_.store(on_futex ? kOnFutex : kInEpoll, std::memory_order_seq_cst);
+      sleeping_.store(true, std::memory_order_seq_cst);
       take_posted();
       if (stopping_.load(std::memory_order_seq_cst)) break;
     }
     int n = 0;
-    if (tasks.empty() && on_futex) {
-      const timespec timeout = to_timespec(next_timeout());
-      ::syscall(SYS_futex, &sleep_, FUTEX_WAIT_PRIVATE, kOnFutex, &timeout,
-                nullptr, 0);
-    } else if (!on_futex) {
+    // With tasks queued and no fd watched there is nothing to poll.
+    if (tasks.empty() || !handlers_.empty()) {
       const timespec timeout = to_timespec(
           tasks.empty() ? next_timeout() : std::chrono::nanoseconds::zero());
       n = ::epoll_pwait2(epoll_, events, kMaxEvents, &timeout, nullptr);
     }
-    sleep_.store(kAwake, std::memory_order_relaxed);
+    sleeping_.store(false, std::memory_order_relaxed);
     if (stopping_.load(std::memory_order_acquire)) break;
     if (n < 0) {
       if (errno != EINTR) break;

@@ -15,18 +15,15 @@
 // handlers -> the after-round hook -> due timers. All of them run on the
 // loop thread; post() is the only cross-thread entry.
 //
-// A wakeup costs one syscall, and only when the loop is asleep or about to
-// sleep: the loop sets `sleep_` (seq_cst) before it takes the queue for
-// the last time and waits, and a poster queues its task before it reads
-// the flag (seq_cst), so either the loop finds the task or the poster
-// finds the flag; the first poster to find it clears it and wakes the
-// loop. A loop that watches fds waits in epoll_pwait2 and is woken through
-// an eventfd registered edge-triggered and never read: every write is a
-// new edge, so a wake costs no read(2). A loop that watches none
-// (ThreadedCluster's) waits on the flag word itself with futex(2), which
-// costs less per wake than epoll; a wake that clears the word before the
-// loop sleeps makes its wait return at once. While tasks are queued and no
-// fd is watched, a round makes no syscall at all.
+// A wakeup costs one eventfd write, and only when the loop is asleep or
+// about to sleep: the loop sets `sleeping_` (seq_cst) before it takes the
+// queue for the last time and waits, and a poster queues its task before
+// it reads the flag (seq_cst), so either the loop finds the task or the
+// poster finds the flag; the first poster to find it clears it and wakes
+// the loop. The eventfd is registered edge-triggered and never read: every
+// write is a new edge, so a wake costs no read(2). While tasks are queued
+// and no fd is watched (ThreadedCluster's automaton loops), a round makes
+// no syscall at all.
 #pragma once
 
 #include <atomic>
@@ -107,11 +104,9 @@ class EventLoop {
   std::thread thread_;
   std::atomic<std::thread::id> loop_thread_{};
   std::atomic<bool> stopping_{false};
-  /// How the loop sleeps, set before its last look at the queue; a poster
-  /// that finds it set clears it and wakes the loop that way. Also the
-  /// futex word of a loop without fds.
-  enum Sleep : std::uint32_t { kAwake, kInEpoll, kOnFutex };
-  std::atomic<std::uint32_t> sleep_{kAwake};
+  /// Set before the loop's last look at the queue; a poster that finds it
+  /// set clears it and writes the eventfd.
+  std::atomic<bool> sleeping_{false};
 
   std::mutex post_mu_;
   std::deque<std::function<void()>> posted_;

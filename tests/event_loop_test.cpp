@@ -3,18 +3,14 @@
 // skipped the write while the loop went to sleep would strand its task
 // until the loop's 500 ms idle wait ran out; four threads posting with
 // short random gaps to an otherwise idle loop race it against the loop
-// going to sleep tens of thousands of times, once on each way a loop
-// sleeps.
-#include <fcntl.h>
+// going to sleep tens of thousands of times.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <barrier>
 #include <chrono>
-#include <future>
 #include <random>
 #include <thread>
 #include <vector>
@@ -27,23 +23,26 @@ namespace {
 using namespace std::chrono_literals;
 using Clock = EventLoop::Clock;
 
-/// Four threads post kTasksPerThread tasks each to `loop`; every one must
-/// run, none after waiting as long as a missed wakeup costs.
-void post_in_rounds(EventLoop& loop) {
+TEST(EventLoopTest, EveryPostRunsWithoutWaitingOutTheIdleWait) {
+  // Four threads post kTasksPerThread tasks each; every one must run, none
+  // after waiting as long as a missed wakeup costs.
   constexpr int kThreads = 4;
   constexpr int kTasksPerThread = 20000;
   // Well under the 500 ms a missed wakeup costs, well over what a loaded
   // host delays a runnable thread.
   constexpr auto kMaxWait = 250ms;
 
+  EventLoop loop;
+  loop.start();
   std::atomic<int> ran{0};
-  Clock::duration longest{};  // loop thread only until the posters joined
+  Clock::duration longest{};  // loop thread only until it stopped
   // Each round every thread posts one task after its own random gap and
   // waits for it to run; the round ends when all four did. So no later
   // post can rescue a stranded task: it waits out the idle wait.
   std::barrier round(kThreads);
-  // done[t]: how many of thread t's tasks ran. Outlives the loop thread,
-  // which may still be in notify_one() when its poster moves on.
+  // done[t]: how many of thread t's tasks ran. Outlives the loop thread
+  // (stopped below), which may still be in notify_one() when its poster
+  // moves on.
   std::array<std::atomic<int>, kThreads> done{};
   std::vector<std::thread> posters;
   for (int t = 0; t < kThreads; ++t) {
@@ -69,39 +68,13 @@ void post_in_rounds(EventLoop& loop) {
     });
   }
   for (std::thread& poster : posters) poster.join();
+  loop.stop();
   EXPECT_EQ(ran.load(std::memory_order_relaxed), kThreads * kTasksPerThread);
   EXPECT_LT(longest, kMaxWait)
       << "a task waited "
       << std::chrono::duration_cast<std::chrono::milliseconds>(longest)
              .count()
       << " ms";
-}
-
-TEST(EventLoopTest, EveryPostRunsWithoutWaitingOutTheIdleWait) {
-  // No fd watched: the loop sleeps on its futex word.
-  EventLoop loop;
-  loop.start();
-  post_in_rounds(loop);
-  loop.stop();
-}
-
-TEST(EventLoopTest, EveryPostRunsWithoutWaitingOutTheIdleWaitInEpoll) {
-  // A watched fd that never becomes readable: the loop sleeps in epoll.
-  int pipe_fds[2];
-  ASSERT_EQ(::pipe2(pipe_fds, O_CLOEXEC | O_NONBLOCK), 0);
-  EventLoop loop;
-  loop.start();
-  std::promise<void> watching;
-  loop.post([&] {
-    loop.watch(pipe_fds[0], /*want_read=*/true, /*want_write=*/false,
-               [](std::uint32_t) {});
-    watching.set_value();
-  });
-  watching.get_future().wait();
-  post_in_rounds(loop);
-  loop.stop();
-  ::close(pipe_fds[0]);
-  ::close(pipe_fds[1]);
 }
 
 }  // namespace
