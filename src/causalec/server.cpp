@@ -186,6 +186,10 @@ Tag Server::client_write(ClientId client, OpId opid, ObjectId object,
     journal_->record_client_write(client, opid, object, value);
     if (m_phase_persist_ != nullptr) m_phase_persist_->observe(wall_ns() - pt0);
   }
+  // A batching runtime dispatches messages and runs the fixpoint later.
+  // Apply them before the tag is taken: the fixpoint at the end of this
+  // call would otherwise move them into the clock past the write's tag.
+  if (!inqueue_.empty()) run_internal_actions();
   ++counters_.writes;
   const SimTime obs_t0 = obs_now();
   active_trace_ = tracer_ != nullptr ? tracer_->new_id() : 0;

@@ -114,7 +114,9 @@ class Server final : public sim::Actor {
   // -- Client-facing operations (Alg. 1) ----------------------------------
 
   /// Local write (Alg. 1, on receive <write>); returns the write's tag
-  /// (the acknowledgement is synchronous -- Property (I)).
+  /// (the acknowledgement is synchronous -- Property (I)). Dispatched
+  /// messages still in the InQueue are applied first, so the tag dominates
+  /// every write that clock() includes when the call returns.
   Tag client_write(ClientId client, OpId opid, ObjectId object,
                    erasure::Value value);
 
@@ -128,9 +130,10 @@ class Server final : public sim::Actor {
   void on_message(NodeId from, sim::MessagePtr message) override;
 
   /// Handler dispatch without the trailing internal-action fixpoint.
-  /// Batch-draining runtimes (runtime/threaded_cluster.cpp) dispatch every
-  /// message of a mailbox batch through this and then run the fixpoint
-  /// once; on_message == dispatch_message + run_internal_actions.
+  /// Batch-draining runtimes (runtime/automaton_loop.cpp) dispatch every
+  /// message of a loop round through this and then run the fixpoint once
+  /// (a client_write in between applies them first); on_message ==
+  /// dispatch_message + run_internal_actions.
   void dispatch_message(NodeId from, sim::MessagePtr message);
 
   /// Apply_InQueue + Encoding, run to a fixed point. Invoked automatically

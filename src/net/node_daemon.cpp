@@ -128,7 +128,6 @@ void NodeDaemon::adopt_peer(NodeId from,
           handle_peer_frame(from, c, std::move(payload));
         },
         nullptr);
-    loop_.settle();  // before the next task, such as a client write
   });
 }
 

@@ -95,7 +95,6 @@ void AutomatonLoop::drain_inbox() {
     deliver(in.from, std::move(message));
   }
   draining_.clear();
-  settle();
 }
 
 void AutomatonLoop::dispatch_frame(NodeId from, erasure::Buffer frame) {
@@ -115,20 +114,17 @@ void AutomatonLoop::deliver(NodeId from, sim::MessagePtr message) {
   ++unsettled_;
 }
 
-void AutomatonLoop::settle() {
-  if (unsettled_ == 0) return;
-  if (m_mailbox_depth_ != nullptr) {
-    // Messages the batch found waiting: queue buildup shows here before it
-    // becomes tail latency.
-    m_mailbox_depth_->set(static_cast<std::int64_t>(unsettled_));
-  }
-  unsettled_ = 0;
-  // One Apply/Encoding fixpoint for the whole batch.
-  server_->run_internal_actions();
-}
-
 void AutomatonLoop::end_round() {
-  settle();
+  if (unsettled_ != 0) {
+    if (m_mailbox_depth_ != nullptr) {
+      // Messages the round found waiting: queue buildup shows here before
+      // it becomes tail latency.
+      m_mailbox_depth_->set(static_cast<std::int64_t>(unsettled_));
+    }
+    unsettled_ = 0;
+    // One Apply/Encoding fixpoint for the whole round.
+    server_->run_internal_actions();
+  }
   if (post_batch_) post_batch_();
 }
 

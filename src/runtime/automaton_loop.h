@@ -12,10 +12,10 @@
 //     deliver_message; ThreadedCluster's channels): producers append under
 //     `inbox_mu_` with no closure allocation, and the first frame of a
 //     batch posts the one task that drains the whole batch. The
-//     Apply/Encoding fixpoint runs once per batch, not once per message:
-//     after a round's socket frames, and at the end of a task that
-//     dispatched (the inbox drain, a connection hand-off), so every task
-//     finds the server settled;
+//     Apply/Encoding fixpoint runs once per loop round, after the round's
+//     tasks and socket frames, not once per message; a client write in
+//     between applies what is pending before it takes its tag
+//     (Server::client_write);
 //   * tasks (client operations, liveness changes, the rejoin round), which
 //     are EventLoop posts;
 //   * the GC cadence, the snapshot cadence of a durable server, and
@@ -85,15 +85,8 @@ class AutomatonLoop {
 
   /// Loop thread: a protocol frame from `from` that this loop read itself
   /// (a socket watched by event_loop()). Decoded and dispatched at once;
-  /// the round's fixpoint follows. A task that dispatches calls settle()
-  /// before it returns.
+  /// the round's fixpoint follows.
   void dispatch_frame(NodeId from, erasure::Buffer frame);
-
-  /// Loop thread: runs the Apply/Encoding fixpoint if a message was
-  /// dispatched since the last one. No task may run on an unsettled
-  /// server: a client write's tag would miss messages that its own
-  /// internal actions then apply into the clock it answers with.
-  void settle();
 
   /// Codec frame of an outbound message, timed into phase.serialize_ns.
   /// Any thread.
@@ -124,7 +117,8 @@ class AutomatonLoop {
   /// Dispatches the whole inbox batch.
   void drain_inbox();
   void deliver(NodeId from, sim::MessagePtr message);
-  /// The after-round hook: settle(), then the post-batch hook.
+  /// The after-round hook: the fixpoint if the round dispatched, then the
+  /// post-batch hook.
   void end_round();
   void collect_garbage();
   void checkpoint();
@@ -144,7 +138,7 @@ class AutomatonLoop {
 
   // Loop thread only.
   std::vector<Inbound> draining_;
-  std::size_t unsettled_ = 0;  // dispatched since the last fixpoint
+  std::size_t unsettled_ = 0;  // dispatched this round
   /// Node-local arena recycling, installed on the loop thread.
   erasure::BufferPool pool_;
 

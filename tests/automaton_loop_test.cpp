@@ -1,10 +1,10 @@
 // The contract of runtime::AutomatonLoop, the driver thread both threaded
 // runtimes share (DESIGN.md §5.3): what a stopped loop does with tasks,
 // frames and timers, what stop() throws away, when the post-batch hook
-// runs, and that a burst of frames from other threads is dispatched in
-// full. The loop drives a real Server whose outbound traffic goes nowhere;
-// peer messages are app writes, so the server's clock counts the ones it
-// applied.
+// runs, that a client write behind a batch of frames tags them, and that
+// a burst of frames from other threads is dispatched in full. The loop
+// drives a real Server whose outbound traffic goes nowhere; peer messages
+// are app writes, so the server's clock counts the ones it applied.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -236,25 +236,29 @@ TEST_F(AutomatonLoopTest, PostBatchHookRunsAfterEveryBatch) {
   }
 }
 
-TEST_F(AutomatonLoopTest, TasksFindEveryDispatchedMessageApplied) {
-  // A task queued behind a batch of frames must not see them dispatched
-  // but unapplied: a client write there would take a tag without them,
-  // then apply them into the clock it answers with.
+TEST_F(AutomatonLoopTest, ClientWriteBehindDispatchedFramesTagsThem) {
+  // The loop runs the fixpoint once per round, so a task queued behind a
+  // batch of frames finds them dispatched but not applied. A client write
+  // there must apply them before it takes its tag: otherwise its own
+  // fixpoint moves them into the clock it is answered with, past the tag.
   constexpr std::uint64_t kFrames = 8;
-  std::promise<std::pair<std::size_t, std::uint64_t>> seen;
+  std::promise<std::pair<Tag, VectorClock>> seen;
   loop_.start(server_);
   loop_.post([&] {
-    // The batch's drain task and the probe are queued for the same round.
+    // The batch's drain task and the write are queued for the same round.
     for (std::uint64_t seq = 1; seq <= kFrames; ++seq) {
       loop_.deliver_frame(1, app_frame(1, seq));
     }
     loop_.post([&] {
-      seen.set_value({server_.storage().inqueue_entries, server_.clock()[1]});
+      const Tag tag = server_.client_write(
+          /*client=*/7, /*opid=*/1, /*object=*/0,
+          erasure::Value(kValueBytes, 0xAB));
+      seen.set_value({tag, server_.clock()});
     });
   });
-  const auto [inqueue, clock] = seen.get_future().get();
-  EXPECT_EQ(inqueue, 0u);
-  EXPECT_TRUE(clock == 0 || clock == kFrames) << clock;
+  const auto [tag, clock] = seen.get_future().get();
+  EXPECT_EQ(tag.ts[1], kFrames);
+  EXPECT_TRUE(clock.leq(tag.ts));
 }
 
 TEST_F(AutomatonLoopTest, BurstFromOtherThreadsIsDispatchedInFull) {
