@@ -49,6 +49,7 @@ void AutomatonLoop::stop() {
     dropped.swap(inbox_);
   }
   loop_.stop();
+  inbox_due_ = false;
   unsettled_ = 0;
 }
 
@@ -74,8 +75,10 @@ void AutomatonLoop::enqueue(Inbound in) {
     first = inbox_.empty();
     inbox_.push_back(std::move(in));
   }
-  // One drain task per batch: later frames join the queued batch.
-  if (first) loop_.post([this] { drain_inbox(); });
+  // One task per batch wakes the loop and marks the inbox due; the batch,
+  // with every frame that joins it meanwhile, is drained at the end of
+  // that round, after the round's tasks.
+  if (first) loop_.post([this] { inbox_due_ = true; });
 }
 
 void AutomatonLoop::drain_inbox() {
@@ -115,6 +118,10 @@ void AutomatonLoop::deliver(NodeId from, sim::MessagePtr message) {
 }
 
 void AutomatonLoop::end_round() {
+  if (inbox_due_) {
+    inbox_due_ = false;
+    drain_inbox();
+  }
   if (unsettled_ != 0) {
     if (m_mailbox_depth_ != nullptr) {
       // Messages the round found waiting: queue buildup shows here before

@@ -11,11 +11,13 @@
 //     threads deliver through a swap-and-drain MPSC inbox (deliver_frame,
 //     deliver_message; ThreadedCluster's channels): producers append under
 //     `inbox_mu_` with no closure allocation, and the first frame of a
-//     batch posts the one task that drains the whole batch. The
+//     batch posts the one task that wakes the loop; the whole batch is
+//     drained at the end of that round, after its tasks, so a client
+//     operation queued with it does not wait behind the batch. The
 //     Apply/Encoding fixpoint runs once per loop round, after the round's
-//     tasks and socket frames, not once per message; a client write in
-//     between applies what is pending before it takes its tag
-//     (Server::client_write);
+//     tasks, socket frames and inbox batch, not once per message; a client
+//     write behind a task that dispatched (a connection hand-off) applies
+//     what is pending before it takes its tag (Server::client_write);
 //   * tasks (client operations, liveness changes, the rejoin round), which
 //     are EventLoop posts;
 //   * the GC cadence, the snapshot cadence of a durable server, and
@@ -117,8 +119,8 @@ class AutomatonLoop {
   /// Dispatches the whole inbox batch.
   void drain_inbox();
   void deliver(NodeId from, sim::MessagePtr message);
-  /// The after-round hook: the fixpoint if the round dispatched, then the
-  /// post-batch hook.
+  /// The after-round hook: the inbox batch if one is due, the fixpoint if
+  /// the round dispatched, then the post-batch hook.
   void end_round();
   void collect_garbage();
   void checkpoint();
@@ -137,6 +139,7 @@ class AutomatonLoop {
   bool inbox_open_ = false;  // guarded by inbox_mu_; false while stopped
 
   // Loop thread only.
+  bool inbox_due_ = false;  // a batch's task ran: drain at the round's end
   std::vector<Inbound> draining_;
   std::size_t unsettled_ = 0;  // dispatched this round
   /// Node-local arena recycling, installed on the loop thread.

@@ -1,7 +1,9 @@
 #include "runtime/event_loop.h"
 
+#include <linux/futex.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/syscall.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -15,6 +17,9 @@ namespace causalec::runtime {
 namespace {
 
 constexpr std::chrono::nanoseconds kIdleWait = std::chrono::milliseconds(500);
+
+// futex(2) waits on a plain 32-bit word.
+static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t));
 
 timespec to_timespec(std::chrono::nanoseconds wait) {
   return {static_cast<time_t>(wait.count() / 1'000'000'000),
@@ -84,15 +89,25 @@ void EventLoop::post(std::function<void()> fn) {
     if (!running_) return;
     posted_.push_back(std::move(fn));
   }
-  if (sleeping_.load(std::memory_order_seq_cst)) wake();
+  if (sleep_.load(std::memory_order_seq_cst) != kAwake) wake();
 }
 
 void EventLoop::wake() {
-  // Only the first poster to find the loop asleep writes; the others find
-  // the flag clear.
-  if (!sleeping_.exchange(false, std::memory_order_seq_cst)) return;
-  std::uint64_t one = 1;
-  [[maybe_unused]] const auto n = ::write(wakeup_, &one, sizeof(one));
+  // Only the first poster to find the loop asleep makes the syscall; the
+  // others find the word back at kAwake.
+  switch (sleep_.exchange(kAwake, std::memory_order_seq_cst)) {
+    case kInEpoll: {
+      std::uint64_t one = 1;
+      [[maybe_unused]] const auto n = ::write(wakeup_, &one, sizeof(one));
+      break;
+    }
+    case kOnFutex:
+      ::syscall(SYS_futex, &sleep_, FUTEX_WAKE_PRIVATE, 1, nullptr, nullptr,
+                0);
+      break;
+    default:
+      break;
+  }
 }
 
 void EventLoop::watch(int fd, bool want_read, bool want_write,
@@ -163,27 +178,40 @@ void EventLoop::run(const std::function<void()>& on_thread_start) {
   };
   while (true) {
     take_posted();
+    // Only the loop thread watches fds, so this holds until the wait ends.
+    const bool on_futex = handlers_.empty();
     if (tasks.empty()) {
       // Announce the sleep, then look again: a post that lands after this
-      // look finds the flag and wakes the loop, one that landed before it
+      // look finds the word and wakes the loop, one that landed before it
       // is in `tasks`. stop() sets stopping_ before it wakes.
-      sleeping_.store(true, std::memory_order_seq_cst);
+      sleep_.store(on_futex ? kOnFutex : kInEpoll, std::memory_order_seq_cst);
       take_posted();
       if (stopping_.load(std::memory_order_seq_cst)) break;
     }
     int n = 0;
-    // With tasks queued and no fd watched there is nothing to poll.
-    if (tasks.empty() || !handlers_.empty()) {
+    const bool idle = tasks.empty();
+    if (on_futex) {
+      // Nothing to poll: sleep on the word unless a task is queued. A wake
+      // that came first left kAwake there, and the wait returns at once.
+      if (idle) {
+        const timespec timeout = to_timespec(next_timeout());
+        ::syscall(SYS_futex, &sleep_, FUTEX_WAIT_PRIVATE, kOnFutex, &timeout,
+                  nullptr, 0);
+      }
+    } else {
       const timespec timeout = to_timespec(
-          tasks.empty() ? next_timeout() : std::chrono::nanoseconds::zero());
+          idle ? next_timeout() : std::chrono::nanoseconds::zero());
       n = ::epoll_pwait2(epoll_, events, kMaxEvents, &timeout, nullptr);
     }
-    sleeping_.store(false, std::memory_order_relaxed);
+    sleep_.store(kAwake, std::memory_order_relaxed);
     if (stopping_.load(std::memory_order_acquire)) break;
     if (n < 0) {
       if (errno != EINTR) break;
       n = 0;
     }
+    // What woke an idle loop is usually a post: it runs in this round, not
+    // after a round with nothing to do.
+    if (idle) take_posted();
     round_start_ = Clock::now();
     // Posted tasks first: a close or an EPOLLOUT arm takes effect before
     // this round's socket events.

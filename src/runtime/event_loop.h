@@ -10,20 +10,27 @@
 //     causalec_router's), which own the listeners, the client connections
 //     and the outbound peer links.
 //
-// One round: wait (epoll_pwait2, timed to the nanosecond up to the
-// earliest timer, at most 500 ms) -> posted tasks in FIFO order -> fd
-// handlers -> the after-round hook -> due timers. All of them run on the
-// loop thread; post() is the only cross-thread entry.
+// One round: wait (timed to the nanosecond up to the earliest timer, at
+// most 500 ms) -> posted tasks in FIFO order, the ones that woke the loop
+// included -> fd handlers -> the after-round hook -> due timers. All of
+// them run on the loop thread; post() is the only cross-thread entry.
 //
-// A wakeup costs one eventfd write, and only when the loop is asleep or
-// about to sleep: the loop sets `sleeping_` (seq_cst) before it takes the
-// queue for the last time and waits, and a poster queues its task before
-// it reads the flag (seq_cst), so either the loop finds the task or the
-// poster finds the flag; the first poster to find it clears it and wakes
-// the loop. The eventfd is registered edge-triggered and never read: every
-// write is a new edge, so a wake costs no read(2). While tasks are queued
-// and no fd is watched (ThreadedCluster's automaton loops), a round makes
-// no syscall at all.
+// A wakeup costs one syscall, and only when the loop is asleep or about to
+// sleep: the loop stores how it sleeps in `sleep_` (seq_cst) before it
+// takes the queue for the last time and waits, and a poster queues its
+// task before it reads the word (seq_cst), so either the loop finds the
+// task or the poster finds the word; the first poster to find it puts
+// kAwake back and wakes the loop. A loop that watches fds waits in
+// epoll_pwait2 and is woken through an eventfd registered edge-triggered
+// and never read: every write is a new edge, so a wake costs no read(2).
+// A loop that watches none (ThreadedCluster's automaton loops, a daemon's
+// automaton before its first peer connects) waits on the word itself with
+// futex(2), as the condition variable it replaced did. Such a loop sleeps
+// and wakes several times per client operation, and an eventfd write plus
+// an epoll wake cost it about 1.5 us of CPU per operation more and widened
+// its latency under CPU contention (EXPERIMENTS.md E14). A wake that puts
+// kAwake back before the loop sleeps makes its wait return at once. While
+// tasks are queued and no fd is watched, a round makes no syscall at all.
 #pragma once
 
 #include <atomic>
@@ -104,9 +111,10 @@ class EventLoop {
   std::thread thread_;
   std::atomic<std::thread::id> loop_thread_{};
   std::atomic<bool> stopping_{false};
-  /// Set before the loop's last look at the queue; a poster that finds it
-  /// set clears it and writes the eventfd.
-  std::atomic<bool> sleeping_{false};
+  /// How the loop sleeps, set before its last look at the queue; a poster
+  /// that finds it set puts kAwake back and wakes the loop that way.
+  enum : std::uint32_t { kAwake = 0, kInEpoll = 1, kOnFutex = 2 };
+  std::atomic<std::uint32_t> sleep_{kAwake};  // also the futex word
 
   std::mutex post_mu_;
   std::deque<std::function<void()>> posted_;

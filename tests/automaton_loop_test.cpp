@@ -1,8 +1,9 @@
 // The contract of runtime::AutomatonLoop, the driver thread both threaded
 // runtimes share (DESIGN.md §5.3): what a stopped loop does with tasks,
 // frames and timers, what stop() throws away, when the post-batch hook
-// runs, that a client write behind a batch of frames tags them, and that
-// a burst of frames from other threads is dispatched in full. The loop
+// runs, that a client write behind a batch of frames tags them, that an
+// inbox batch waits for the round's tasks, and that a burst of frames
+// from other threads is dispatched in full. The loop
 // drives a real Server whose outbound traffic goes nowhere; peer messages
 // are app writes, so the server's clock counts the ones it applied.
 #include <gtest/gtest.h>
@@ -237,18 +238,22 @@ TEST_F(AutomatonLoopTest, PostBatchHookRunsAfterEveryBatch) {
 }
 
 TEST_F(AutomatonLoopTest, ClientWriteBehindDispatchedFramesTagsThem) {
-  // The loop runs the fixpoint once per round, so a task queued behind a
-  // batch of frames finds them dispatched but not applied. A client write
-  // there must apply them before it takes its tag: otherwise its own
-  // fixpoint moves them into the clock it is answered with, past the tag.
+  // The loop runs the fixpoint once per round, so a task queued behind one
+  // that dispatched frames -- a daemon's connection hand-off delivers the
+  // frames that came with a peer's Hello that way -- finds them dispatched
+  // but not applied. A client write there must apply them before it takes
+  // its tag: otherwise its own fixpoint moves them into the clock it is
+  // answered with, past the tag.
   constexpr std::uint64_t kFrames = 8;
   std::promise<std::pair<Tag, VectorClock>> seen;
   loop_.start(server_);
   loop_.post([&] {
-    // The batch's drain task and the write are queued for the same round.
-    for (std::uint64_t seq = 1; seq <= kFrames; ++seq) {
-      loop_.deliver_frame(1, app_frame(1, seq));
-    }
+    // The dispatching task and the write are queued for the same round.
+    loop_.post([&] {
+      for (std::uint64_t seq = 1; seq <= kFrames; ++seq) {
+        loop_.dispatch_frame(1, app_frame(1, seq));
+      }
+    });
     loop_.post([&] {
       const Tag tag = server_.client_write(
           /*client=*/7, /*opid=*/1, /*object=*/0,
@@ -259,6 +264,25 @@ TEST_F(AutomatonLoopTest, ClientWriteBehindDispatchedFramesTagsThem) {
   const auto [tag, clock] = seen.get_future().get();
   EXPECT_EQ(tag.ts[1], kFrames);
   EXPECT_TRUE(clock.leq(tag.ts));
+}
+
+TEST_F(AutomatonLoopTest, InboxBatchIsDispatchedAfterTheRoundsTasks) {
+  // A batch delivered from another thread is drained once per round,
+  // after the round's tasks: a client operation queued in the same round
+  // as the batch's wake-up task is not kept waiting while the batch is
+  // decoded and dispatched.
+  constexpr std::uint64_t kFrames = 8;
+  std::promise<std::size_t> pending;  // what the task found dispatched
+  loop_.start(server_);
+  loop_.post([&] {
+    // The batch's task and the probe are queued for the same round.
+    for (std::uint64_t seq = 1; seq <= kFrames; ++seq) {
+      loop_.deliver_frame(1, app_frame(1, seq));
+    }
+    loop_.post([&] { pending.set_value(server_.inqueue().size()); });
+  });
+  EXPECT_EQ(pending.get_future().get(), 0u);
+  EXPECT_EQ(clock_of(1), kFrames);  // applied at the end of that round
 }
 
 TEST_F(AutomatonLoopTest, BurstFromOtherThreadsIsDispatchedInFull) {

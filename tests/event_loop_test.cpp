@@ -1,10 +1,12 @@
-// Liveness of EventLoop's wakeup: post() writes the eventfd only when the
-// loop is asleep or about to sleep (runtime/event_loop.h). A poster that
-// skipped the write while the loop went to sleep would strand its task
-// until the loop's 500 ms idle wait ran out; four threads posting with
-// short random gaps to an otherwise idle loop race it against the loop
-// going to sleep tens of thousands of times.
+// Liveness of EventLoop's wakeup: post() wakes the loop only when it is
+// asleep or about to sleep (runtime/event_loop.h). A poster that skipped
+// the wake while the loop went to sleep would strand its task until the
+// loop's 500 ms idle wait ran out; four threads posting with short random
+// gaps to an otherwise idle loop race it against the loop going to sleep
+// tens of thousands of times, on each of the two ways a loop sleeps.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
@@ -23,17 +25,16 @@ namespace {
 using namespace std::chrono_literals;
 using Clock = EventLoop::Clock;
 
-TEST(EventLoopTest, EveryPostRunsWithoutWaitingOutTheIdleWait) {
-  // Four threads post kTasksPerThread tasks each; every one must run, none
-  // after waiting as long as a missed wakeup costs.
+/// Four threads post kTasksPerThread tasks each to the running `loop`;
+/// every one must run, none after waiting as long as a missed wakeup
+/// costs.
+void post_in_rounds(EventLoop& loop) {
   constexpr int kThreads = 4;
   constexpr int kTasksPerThread = 20000;
   // Well under the 500 ms a missed wakeup costs, well over what a loaded
   // host delays a runnable thread.
   constexpr auto kMaxWait = 250ms;
 
-  EventLoop loop;
-  loop.start();
   std::atomic<int> ran{0};
   Clock::duration longest{};  // loop thread only until it stopped
   // Each round every thread posts one task after its own random gap and
@@ -75,6 +76,30 @@ TEST(EventLoopTest, EveryPostRunsWithoutWaitingOutTheIdleWait) {
       << std::chrono::duration_cast<std::chrono::milliseconds>(longest)
              .count()
       << " ms";
+}
+
+TEST(EventLoopTest, EveryPostRunsWithoutWaitingOutTheIdleWait) {
+  {
+    SCOPED_TRACE("no fd watched: the loop sleeps on its futex word");
+    EventLoop loop;
+    loop.start();
+    post_in_rounds(loop);
+  }
+  {
+    SCOPED_TRACE("a never-readable pipe watched: the loop sleeps in epoll");
+    int pipe_fds[2];
+    ASSERT_EQ(::pipe2(pipe_fds, O_CLOEXEC | O_NONBLOCK), 0);
+    {
+      EventLoop loop;
+      loop.start([&] {
+        loop.watch(pipe_fds[0], /*want_read=*/true, /*want_write=*/false,
+                   [](std::uint32_t) {});
+      });
+      post_in_rounds(loop);
+    }
+    ::close(pipe_fds[0]);
+    ::close(pipe_fds[1]);
+  }
 }
 
 }  // namespace
