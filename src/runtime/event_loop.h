@@ -25,12 +25,12 @@
 // and never read: every write is a new edge, so a wake costs no read(2).
 // A loop that watches none (ThreadedCluster's automaton loops, a daemon's
 // automaton before its first peer connects) waits on the word itself with
-// futex(2), as the condition variable it replaced did. Such a loop sleeps
-// and wakes several times per client operation, and an eventfd write plus
-// an epoll wake cost it about 1.5 us of CPU per operation more and widened
-// its latency under CPU contention (EXPERIMENTS.md E14). A wake that puts
-// kAwake back before the loop sleeps makes its wait return at once. While
-// tasks are queued and no fd is watched, a round makes no syscall at all.
+// futex(2): such a loop sleeps and wakes several times per client
+// operation, and an eventfd write plus an epoll wake cost it about 1.5 us
+// of CPU per operation more and widened its latency under CPU contention
+// (EXPERIMENTS.md E14). A wake that puts kAwake back before the loop
+// sleeps makes its wait return at once. While tasks are queued and no fd
+// is watched, a round makes no syscall at all.
 #pragma once
 
 #include <atomic>
