@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -229,12 +230,16 @@ void BM_Zipf_Next(benchmark::State& state) {
 BENCHMARK(BM_Zipf_Next);
 
 // ---------------------------------------------------------------------------
-// --kernels: the GF kernel-tier microbench. Measures MB/s of mul_region /
-// axpy_region per (field, block size, dispatch tier), the speedup of each
-// tier over the scalar reference, and the decoder-plan cache effect on
-// RS(6,4) decode; emits BENCH_kernels.json (schema causalec-bench-v1).
-// The committed baseline bench/baselines/BENCH_kernels.baseline.json pins
-// conservative speedup floors, enforced by the kernel_bench_smoke ctest.
+// --kernels: the GF kernel-tier microbench. Measures MB/s of a one-term
+// axpy (axpy_batch_gf256 with one term) per (block size, dispatch tier),
+// the speedup of each tier over the scalar reference, the fused 8-term
+// axpy_batch against the same terms applied one at a time, and the
+// decoder-plan cache effect on RS(6,4) decode; emits BENCH_kernels.json
+// (schema causalec-bench-v1). The committed baseline
+// bench/baselines/BENCH_kernels.baseline.json pins conservative floors on
+// the ratios, enforced by the kernel_bench_smoke ctest. Each ratio is the
+// median of per-round ratios over interleaved rounds (as in --obs), so a
+// timing loop that a loaded host preempts moves one round, not the verdict.
 // ---------------------------------------------------------------------------
 
 /// Wall-clock MB/s of `body` (called repeatedly), growing the iteration
@@ -263,76 +268,103 @@ double measure_mb_per_s(Body&& body, std::size_t bytes_per_iter,
   }
 }
 
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// One timed body of a kernel comparison, run with `tier` pinned.
+struct KernelSide {
+  gf::kernels::Tier tier;
+  std::function<void()> body;
+};
+
+/// measure_mb_per_s of every side over `rounds` rounds; result[side][round].
+/// Each round times every side once, forwards on even rounds and backwards
+/// on odd ones, so drift (frequency, a neighbour's load) hits both ends of
+/// a comparison alike and neither side always runs first.
+std::vector<std::vector<double>> interleaved_mb_per_s(
+    const std::vector<KernelSide>& sides, std::size_t bytes_per_iter,
+    double min_seconds, int rounds) {
+  const std::size_t n = sides.size();
+  std::vector<std::vector<double>> mb_per_s(n);
+  for (int r = 0; r < rounds; ++r) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t side = r % 2 == 0 ? i : n - 1 - i;
+      gf::kernels::ScopedTierForTesting guard(sides[side].tier);
+      mb_per_s[side].push_back(
+          measure_mb_per_s(sides[side].body, bytes_per_iter, min_seconds));
+    }
+  }
+  return mb_per_s;
+}
+
+/// Median over rounds of num[r] / den[r].
+double median_ratio(const std::vector<double>& num,
+                    const std::vector<double>& den) {
+  std::vector<double> ratios;
+  for (std::size_t r = 0; r < num.size(); ++r) {
+    ratios.push_back(num[r] / den[r]);
+  }
+  return median(std::move(ratios));
+}
+
 int run_kernel_bench(bool smoke) {
   namespace kn = gf::kernels;
   const double min_seconds = smoke ? 0.005 : 0.05;
+  const int rounds = smoke ? 15 : 7;
   const std::size_t sizes[] = {1024, 4096, 65536};
 
   obs::BenchReport report("kernels");
   report.set_config("smoke", smoke);
   report.set_config("active_tier", kn::tier_name(kn::active_tier()));
-  report.set_config("cpu_ssse3", kn::cpu_features().ssse3);
   report.set_config("cpu_avx2", kn::cpu_features().avx2);
   report.set_config("cpu_gfni_avx512", kn::cpu_features().gfni_avx512);
   report.set_config("gf256_table_threshold", kn::kGf256TableThreshold);
 
-  struct Op {
-    const char* name;
-    void (*run)(std::uint8_t*, const std::uint8_t*, std::size_t);
-  };
-  const Op ops[] = {
-      {"mul",
-       [](std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
-         kn::mul_region_gf256(dst, src, 0x1D, n);
-       }},
-      {"axpy",
-       [](std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
-         kn::axpy_region_gf256(dst, 0x1D, src, n);
-       }},
-  };
-
+  std::vector<kn::Tier> tiers;
+  for (int t = 0; t < kn::kNumTiers; ++t) {
+    const auto tier = static_cast<kn::Tier>(t);
+    if (kn::tier_available(tier)) tiers.push_back(tier);
+  }
+  // One-term axpy per tier; tiers[0] is the scalar reference.
   Rng rng(11);
-  for (const Op& op : ops) {
-    for (const std::size_t n : sizes) {
-      std::vector<std::uint8_t> dst(n), src(n);
-      for (auto& b : dst) b = static_cast<std::uint8_t>(rng.next_u64());
-      for (auto& b : src) b = static_cast<std::uint8_t>(rng.next_u64());
-      double scalar_mb_per_s = 0;
-      double best_mb_per_s = 0;
-      kn::Tier best_tier = kn::Tier::kScalar;
-      for (int t = 0; t < kn::kNumTiers; ++t) {
-        const auto tier = static_cast<kn::Tier>(t);
-        if (!kn::tier_available(tier)) continue;
-        kn::ScopedTierForTesting guard(tier);
-        const double mb_per_s = measure_mb_per_s(
-            [&] {
-              op.run(dst.data(), src.data(), n);
-              benchmark::DoNotOptimize(dst.data());
-            },
-            n, min_seconds);
-        if (tier == kn::Tier::kScalar) scalar_mb_per_s = mb_per_s;
-        if (mb_per_s > best_mb_per_s) {
-          best_mb_per_s = mb_per_s;
-          best_tier = tier;
-        }
-        auto& row = report.add_row(std::string(op.name) + "/gf256/" +
-                                   std::to_string(n) + "/" +
-                                   kn::tier_name(tier));
-        row.metric("mb_per_s", mb_per_s);
-        row.metric("speedup_vs_scalar", mb_per_s / scalar_mb_per_s);
-      }
-      auto& best = report.add_row(std::string("best/") + op.name + "/gf256/" +
-                                  std::to_string(n));
-      best.metric("mb_per_s", best_mb_per_s);
-      best.metric("speedup_vs_scalar", best_mb_per_s / scalar_mb_per_s);
-      best.note("tier", kn::tier_name(best_tier));
+  for (const std::size_t n : sizes) {
+    std::vector<std::uint8_t> dst(n), src(n);
+    for (auto& b : dst) b = static_cast<std::uint8_t>(rng.next_u64());
+    for (auto& b : src) b = static_cast<std::uint8_t>(rng.next_u64());
+    const kn::BatchTerm term{0x1D, src.data()};
+    std::vector<KernelSide> sides;
+    for (const kn::Tier tier : tiers) {
+      sides.push_back({tier, [&] {
+                         kn::axpy_batch_gf256(dst.data(), {&term, 1}, n);
+                         benchmark::DoNotOptimize(dst.data());
+                       }});
     }
+    const auto mb_per_s = interleaved_mb_per_s(sides, n, min_seconds, rounds);
+    double best_speedup = 0;
+    std::size_t best = 0;
+    for (std::size_t i = 0; i < tiers.size(); ++i) {
+      const double speedup = median_ratio(mb_per_s[i], mb_per_s[0]);
+      auto& row = report.add_row("axpy/gf256/" + std::to_string(n) + "/" +
+                                 kn::tier_name(tiers[i]));
+      row.metric("mb_per_s", median(mb_per_s[i]));
+      row.metric("speedup_vs_scalar", speedup);
+      if (speedup > best_speedup) {
+        best_speedup = speedup;
+        best = i;
+      }
+    }
+    auto& row = report.add_row("best/axpy/gf256/" + std::to_string(n));
+    row.metric("mb_per_s", median(mb_per_s[best]));
+    row.metric("speedup_vs_scalar", best_speedup);
+    row.note("tier", kn::tier_name(tiers[best]));
   }
 
   // Fused multi-term axpy (the batched re-encode primitive): dst accumulates
   // kBatchTerms coefficient*src products in one pass, vs. the same terms
-  // applied as kBatchTerms sequential axpy calls at the *same* tier. The
-  // fused win is pure dst-traffic savings (1 load+store per block instead of
+  // applied as kBatchTerms one-term calls at the *same* tier. The fused win
+  // is pure dst-traffic savings (1 load+store per block instead of
   // kBatchTerms of each), so the ratio is machine-portable.
   {
     constexpr std::size_t kBatchTerms = 8;
@@ -351,31 +383,31 @@ int run_kernel_bench(bool smoke) {
       double best_mb_per_s = 0;
       double best_speedup = 0;
       kn::Tier best_tier = kn::Tier::kScalar;
-      for (int t = 0; t < kn::kNumTiers; ++t) {
-        const auto tier = static_cast<kn::Tier>(t);
-        if (!kn::tier_available(tier)) continue;
-        kn::ScopedTierForTesting guard(tier);
-        const double seq_mb_per_s = measure_mb_per_s(
-            [&] {
-              for (const kn::BatchTerm& term : terms) {
-                kn::axpy_region_gf256(dst.data(), term.coeff, term.src, n);
-              }
-              benchmark::DoNotOptimize(dst.data());
-            },
-            kBatchTerms * n, min_seconds);
-        const double fused_mb_per_s = measure_mb_per_s(
-            [&] {
-              kn::axpy_batch_gf256(dst.data(), terms, n);
-              benchmark::DoNotOptimize(dst.data());
-            },
-            kBatchTerms * n, min_seconds);
+      for (const kn::Tier tier : tiers) {
+        const std::vector<KernelSide> sides = {
+            {tier,
+             [&] {
+               for (const kn::BatchTerm& term : terms) {
+                 kn::axpy_batch_gf256(dst.data(), {&term, 1}, n);
+               }
+               benchmark::DoNotOptimize(dst.data());
+             }},
+            {tier, [&] {
+               kn::axpy_batch_gf256(dst.data(), terms, n);
+               benchmark::DoNotOptimize(dst.data());
+             }}};
+        const auto mb_per_s = interleaved_mb_per_s(sides, kBatchTerms * n,
+                                                   min_seconds, rounds);
+        const double fused_mb_per_s = median(mb_per_s[1]);
+        const double speedup = median_ratio(mb_per_s[1], mb_per_s[0]);
         auto& row = report.add_row("axpy_batch8/gf256/" + std::to_string(n) +
                                    "/" + kn::tier_name(tier));
         row.metric("mb_per_s", fused_mb_per_s);
-        row.metric("speedup_vs_sequential", fused_mb_per_s / seq_mb_per_s);
+        row.metric("sequential_mb_per_s", median(mb_per_s[0]));
+        row.metric("speedup_vs_sequential", speedup);
         if (fused_mb_per_s > best_mb_per_s) {
           best_mb_per_s = fused_mb_per_s;
-          best_speedup = fused_mb_per_s / seq_mb_per_s;
+          best_speedup = speedup;
           best_tier = tier;
         }
       }
@@ -578,10 +610,6 @@ int run_obs_bench(bool smoke) {
     flight_vs_off.push_back(rate[1] / rate[0]);
     full_vs_off.push_back(rate[2] / rate[0]);
   }
-  const auto median = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
   for (int m = 0; m < 3; ++m) {
     report.add_row(modes[m].name).metric("ops_per_s", median(rates[m]));
   }

@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "causalec/inqueue.h"
+#include "causalec/messages.h"
 #include "common/expect.h"
 #include "erasure/codes.h"
 
@@ -82,7 +83,7 @@ class IntraObjectStore::Node final : public sim::Actor {
       fragments.push_back(value.slice(f * frag_bytes, frag_bytes));
     }
     const std::size_t wire =
-        config_->header_bytes + frag_bytes + 8 * n_ + 8;
+        kHeaderBytes + frag_bytes + 8 * n_ + 8;
     for (NodeId j = 0; j < n_; ++j) {
       erasure::Symbol frag = code_->encode(j, fragments);
       if (j == id_) {
@@ -113,7 +114,7 @@ class IntraObjectStore::Node final : public sim::Actor {
     for (NodeId t : pending.targets) {
       sim_->send(id_, t,
                  std::make_unique<FragReqMessage>(opid, object,
-                                                  config_->header_bytes + 8));
+                                                  kHeaderBytes + 8));
     }
   }
 
@@ -129,7 +130,7 @@ class IntraObjectStore::Node final : public sim::Actor {
       Tag tag = latest_[req->object] ? latest_[req->object]->first
                                      : Tag::zero(n_);
       const std::size_t wire =
-          config_->header_bytes + frag.size() + 8 * n_ + 8;
+          kHeaderBytes + frag.size() + 8 * n_ + 8;
       sim_->send(id_, from,
                  std::make_unique<FragReplyMessage>(
                      req->opid, req->object, std::move(frag), std::move(tag),
@@ -253,7 +254,7 @@ class IntraObjectStore::Node final : public sim::Actor {
       for (NodeId t : iter->second.targets) {
         sim_->send(id_, t,
                    std::make_unique<FragReqMessage>(
-                       opid, object, config_->header_bytes + 8));
+                       opid, object, kHeaderBytes + 8));
       }
     });
   }

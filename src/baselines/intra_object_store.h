@@ -31,7 +31,6 @@ struct IntraObjectStoreConfig {
   std::size_t k = 0;             // code dimension
   /// rtt_ms[s][t] used to pick the nearest fragment holders; empty = by id.
   std::vector<std::vector<double>> rtt_ms;
-  std::size_t header_bytes = 16;
   /// Re-poll interval for version-skewed responses.
   SimTime retry_ns = 20'000'000;
 };

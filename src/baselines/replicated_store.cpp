@@ -4,6 +4,7 @@
 #include <limits>
 #include <set>
 
+#include "causalec/messages.h"
 #include "common/expect.h"
 
 namespace causalec::baselines {
@@ -74,7 +75,7 @@ class ReplicatedStore::Node final : public sim::Actor {
     Tag tag(vc_, /*client=*/id_ + 1);
     store(object, tag, value);
     const std::size_t wire =
-        config_->header_bytes + value.size() + 8 * n_ + 8;
+        kHeaderBytes + value.size() + 8 * n_ + 8;
     for (NodeId j = 0; j < n_; ++j) {
       if (j == id_) continue;
       sim_->send(id_, j,
@@ -96,7 +97,7 @@ class ReplicatedStore::Node final : public sim::Actor {
     pending_[opid] = std::move(done);
     sim_->send(id_, target,
                std::make_unique<ReadFwdMessage>(opid, object,
-                                                config_->header_bytes + 8));
+                                                kHeaderBytes + 8));
   }
 
   void on_message(NodeId from, sim::MessagePtr message) override {
@@ -110,7 +111,7 @@ class ReplicatedStore::Node final : public sim::Actor {
           slot ? slot->second : erasure::Value(config_->value_bytes, 0);
       Tag tag = slot ? slot->first : Tag::zero(n_);
       const std::size_t wire =
-          config_->header_bytes + value.size() + 8 * n_ + 8;
+          kHeaderBytes + value.size() + 8 * n_ + 8;
       sim_->send(id_, from,
                  std::make_unique<ReadFwdReply>(fwd->opid, fwd->object,
                                                 std::move(value),

@@ -39,7 +39,6 @@ struct ReplicatedStoreConfig {
   /// rtt_ms[s][t] used to pick the nearest replica for forwarded reads;
   /// empty = pick the lowest-id replica.
   std::vector<std::vector<double>> rtt_ms;
-  std::size_t header_bytes = 16;
 };
 
 class ReplicatedStore {

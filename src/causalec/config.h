@@ -91,9 +91,6 @@ struct ServerConfig {
   /// checkers must detect this. Never enable outside tests.
   bool unsafe_skip_rejoin_catchup = false;
 
-  /// Fixed per-message envelope bytes (type, src, dst, object id, opid...).
-  std::size_t header_bytes = 16;
-
   /// Observability sinks (see obs/obs.h). Null members disable the
   /// corresponding instrumentation at the cost of one branch per site.
   obs::ObsHooks obs;

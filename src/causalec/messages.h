@@ -16,16 +16,19 @@
 
 namespace causalec {
 
+/// Fixed per-message envelope bytes (type, src, dst, object id, opid...),
+/// charged alike by CausalEC's messages and by both baselines' stores, so
+/// E1-E3 compare the three under one envelope.
+inline constexpr std::size_t kHeaderBytes = 16;
+
 /// Byte-size model shared by all messages of one cluster.
 struct WireModel {
-  std::size_t header_bytes = 16;
   std::size_t tag_bytes = 0;     // one tag
   std::size_t tagvec_bytes = 0;  // a full K-entry tag vector
 
   static WireModel make(const ServerConfig& config, std::size_t num_servers,
                         std::size_t num_objects) {
     WireModel wm;
-    wm.header_bytes = config.header_bytes;
     wm.tag_bytes = config.metadata == MetadataMode::kLamport
                        ? 16  // Lamport scalar + client id
                        : 8 * num_servers + 8;
@@ -46,7 +49,7 @@ struct AppMessage final : sim::Message {
       : object(object_in),
         value(std::move(value_in)),
         tag(std::move(tag_in)),
-        wire(wm.header_bytes + value.size() + wm.tag_bytes) {}
+        wire(kHeaderBytes + value.size() + wm.tag_bytes) {}
 
   std::size_t wire_bytes() const override { return wire; }
   const char* type_name() const override { return "app"; }
@@ -71,7 +74,7 @@ struct DelMessage final : sim::Message {
         tag(std::move(tag_in)),
         origin(origin_in),
         forward(forward_in),
-        wire(wm.header_bytes + wm.tag_bytes) {}
+        wire(kHeaderBytes + wm.tag_bytes) {}
 
   std::size_t wire_bytes() const override { return wire; }
   const char* type_name() const override { return "del"; }
@@ -92,7 +95,7 @@ struct ValInqMessage final : sim::Message {
         opid(opid_in),
         object(object_in),
         wanted(std::move(wanted_in)),
-        wire(wm.header_bytes + wm.tagvec_bytes) {}
+        wire(kHeaderBytes + wm.tagvec_bytes) {}
 
   std::size_t wire_bytes() const override { return wire; }
   const char* type_name() const override { return "val_inq"; }
@@ -115,7 +118,7 @@ struct ValRespMessage final : sim::Message {
         object(object_in),
         value(std::move(value_in)),
         requested(std::move(requested_in)),
-        wire(wm.header_bytes + value.size() + wm.tagvec_bytes) {}
+        wire(kHeaderBytes + value.size() + wm.tagvec_bytes) {}
 
   std::size_t wire_bytes() const override { return wire; }
   const char* type_name() const override { return "val_resp"; }
@@ -141,7 +144,7 @@ struct RecoverDigestMessage final : sim::Message {
                        const WireModel& wm)
       : epoch(epoch_in),
         vc(std::move(vc_in)),
-        wire(wm.header_bytes + wm.tag_bytes) {}
+        wire(kHeaderBytes + wm.tag_bytes) {}
 
   std::size_t wire_bytes() const override { return wire; }
   const char* type_name() const override { return "recover_digest"; }
@@ -157,7 +160,7 @@ struct RecoverDigestReplyMessage final : sim::Message {
                             const WireModel& wm)
       : epoch(epoch_in),
         vc(std::move(vc_in)),
-        wire(wm.header_bytes + wm.tag_bytes) {}
+        wire(kHeaderBytes + wm.tag_bytes) {}
 
   std::size_t wire_bytes() const override { return wire; }
   const char* type_name() const override { return "recover_digest_reply"; }
@@ -174,7 +177,7 @@ struct RecoverPullMessage final : sim::Message {
                      const WireModel& wm)
       : epoch(epoch_in),
         vc(std::move(vc_in)),
-        wire(wm.header_bytes + wm.tag_bytes) {}
+        wire(kHeaderBytes + wm.tag_bytes) {}
 
   std::size_t wire_bytes() const override { return wire; }
   const char* type_name() const override { return "recover_pull"; }
@@ -220,7 +223,7 @@ struct RecoverPushMessage final : sim::Message {
         history(std::move(history_in)),
         inqueue(std::move(inqueue_in)),
         dels(std::move(dels_in)),
-        wire(wm.header_bytes + wm.tag_bytes) {
+        wire(kHeaderBytes + wm.tag_bytes) {
     for (const auto& h : history) wire += h.value.size() + wm.tag_bytes;
     for (const auto& q : inqueue) wire += q.value.size() + wm.tag_bytes;
     wire += dels.size() * wm.tag_bytes;
@@ -250,7 +253,7 @@ struct ValRespEncodedMessage final : sim::Message {
         symbol(std::move(symbol_in)),
         symbol_tags(std::move(symbol_tags_in)),
         requested(std::move(requested_in)),
-        wire(wm.header_bytes + symbol.size() + 2 * wm.tagvec_bytes) {}
+        wire(kHeaderBytes + symbol.size() + 2 * wm.tagvec_bytes) {}
 
   std::size_t wire_bytes() const override { return wire; }
   const char* type_name() const override { return "val_resp_encoded"; }

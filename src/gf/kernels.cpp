@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/expect.h"
 #include "common/logging.h"
@@ -16,11 +15,11 @@ namespace causalec::gf::kernels {
 namespace {
 
 using detail::KernelTable;
-using detail::NibbleTables;
 
 // ---------------------------------------------------------------------------
-// Scalar tier: the reference. Short vectors multiply through log/exp; long
-// vectors build a full 256-entry product table first (one lookup per byte).
+// Scalar tier: the reference. Each term of a batch is its own pass: short
+// vectors multiply through log/exp; long vectors build a full 256-entry
+// product table first (one lookup per byte).
 // ---------------------------------------------------------------------------
 
 std::array<std::uint8_t, 256> build_product_table(std::uint8_t a) {
@@ -36,16 +35,6 @@ void scalar_xor(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] ^= src[i];
 }
 
-void scalar_mul(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t a,
-                std::size_t n) {
-  if (n >= kGf256TableThreshold) {
-    const auto table = build_product_table(a);
-    for (std::size_t i = 0; i < n; ++i) dst[i] = table[src[i]];
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) dst[i] = GF256::mul(a, src[i]);
-}
-
 void scalar_axpy(std::uint8_t* dst, std::uint8_t a, const std::uint8_t* src,
                  std::size_t n) {
   if (n >= kGf256TableThreshold) {
@@ -54,15 +43,6 @@ void scalar_axpy(std::uint8_t* dst, std::uint8_t a, const std::uint8_t* src,
     return;
   }
   for (std::size_t i = 0; i < n; ++i) dst[i] ^= GF256::mul(a, src[i]);
-}
-
-void scalar_scale(std::uint8_t* dst, std::uint8_t a, std::size_t n) {
-  if (n >= kGf256TableThreshold) {
-    const auto table = build_product_table(a);
-    for (std::size_t i = 0; i < n; ++i) dst[i] = table[dst[i]];
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) dst[i] = GF256::mul(a, dst[i]);
 }
 
 void scalar_axpy_batch(std::uint8_t* dst, const BatchTerm* terms,
@@ -74,8 +54,7 @@ void scalar_axpy_batch(std::uint8_t* dst, const BatchTerm* terms,
   }
 }
 
-constexpr KernelTable kScalarTable = {scalar_xor, scalar_mul, scalar_axpy,
-                                      scalar_scale, scalar_axpy_batch};
+constexpr KernelTable kScalarTable = {scalar_xor, scalar_axpy_batch};
 
 // ---------------------------------------------------------------------------
 // Dispatch.
@@ -85,8 +64,6 @@ const KernelTable* table_for(Tier tier) {
   switch (tier) {
     case Tier::kScalar:
       return &kScalarTable;
-    case Tier::kSsse3:
-      return detail::ssse3_kernel_table();
     case Tier::kAvx2:
       return detail::avx2_kernel_table();
     case Tier::kGfni:
@@ -99,7 +76,6 @@ CpuFeatures detect_cpu() {
   CpuFeatures f;
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
-  f.ssse3 = __builtin_cpu_supports("ssse3");
   f.avx2 = __builtin_cpu_supports("avx2");
   f.gfni_avx512 = __builtin_cpu_supports("gfni") &&
                   __builtin_cpu_supports("avx512bw") &&
@@ -147,8 +123,6 @@ bool tier_available(Tier tier) {
   switch (tier) {
     case Tier::kScalar:
       return true;
-    case Tier::kSsse3:
-      return cpu_features().ssse3 && detail::ssse3_kernel_table() != nullptr;
     case Tier::kAvx2:
       return cpu_features().avx2 && detail::avx2_kernel_table() != nullptr;
     case Tier::kGfni:
@@ -161,7 +135,6 @@ bool tier_available(Tier tier) {
 Tier best_available_tier() {
   if (tier_available(Tier::kGfni)) return Tier::kGfni;
   if (tier_available(Tier::kAvx2)) return Tier::kAvx2;
-  if (tier_available(Tier::kSsse3)) return Tier::kSsse3;
   return Tier::kScalar;
 }
 
@@ -169,8 +142,6 @@ const char* tier_name(Tier tier) {
   switch (tier) {
     case Tier::kScalar:
       return "scalar";
-    case Tier::kSsse3:
-      return "ssse3";
     case Tier::kAvx2:
       return "avx2";
     case Tier::kGfni:
@@ -181,7 +152,6 @@ const char* tier_name(Tier tier) {
 
 std::optional<Tier> parse_tier(std::string_view name) {
   if (name == "scalar") return Tier::kScalar;
-  if (name == "ssse3") return Tier::kSsse3;
   if (name == "avx2") return Tier::kAvx2;
   if (name == "gfni") return Tier::kGfni;
   return std::nullopt;
@@ -249,41 +219,6 @@ void xor_region(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
   if (n == 0) return;
   check_no_overlap(dst, src, n);
   active_table().xor_region(dst, src, n);
-}
-
-void mul_region_gf256(std::uint8_t* dst, const std::uint8_t* src,
-                      std::uint8_t a, std::size_t n) {
-  if (n == 0) return;
-  check_no_overlap(dst, src, n);
-  if (a == 0) {
-    std::memset(dst, 0, n);
-    return;
-  }
-  if (a == 1) {
-    std::memcpy(dst, src, n);
-    return;
-  }
-  active_table().mul_region(dst, src, a, n);
-}
-
-void axpy_region_gf256(std::uint8_t* dst, std::uint8_t a,
-                       const std::uint8_t* src, std::size_t n) {
-  if (n == 0 || a == 0) return;
-  check_no_overlap(dst, src, n);
-  if (a == 1) {
-    active_table().xor_region(dst, src, n);
-    return;
-  }
-  active_table().axpy_region(dst, a, src, n);
-}
-
-void scale_region_gf256(std::uint8_t* dst, std::uint8_t a, std::size_t n) {
-  if (n == 0 || a == 1) return;
-  if (a == 0) {
-    std::memset(dst, 0, n);
-    return;
-  }
-  active_table().scale_region(dst, a, n);
 }
 
 void axpy_batch_gf256(std::uint8_t* dst, std::span<const BatchTerm> terms,

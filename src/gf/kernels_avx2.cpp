@@ -1,7 +1,10 @@
-// AVX2 kernel tier: the split-nibble scheme of kernels_ssse3.cpp widened
-// to 32-byte lanes (VPSHUFB shuffles within each 128-bit lane, which is
-// exactly what the nibble lookup needs -- the same 16-entry table is
-// broadcast into both lanes).
+// AVX2 kernel tier: split-nibble VPSHUFB. Multiplying x by a constant a
+// splits into two 16-entry lookups,
+//   a * x == lo[x & 0xF] ^ hi[x >> 4],
+// because x = xl ^ (xh << 4) and multiplication distributes over XOR.
+// VPSHUFB shuffles within each 128-bit lane, which is exactly what the
+// nibble lookup needs: the same 16-entry table is broadcast into both
+// lanes, and one shuffle pair multiplies 32 bytes.
 //
 // Compiled with -mavx2 (see src/gf/CMakeLists.txt); only installed after
 // __builtin_cpu_supports("avx2") passed.
@@ -11,9 +14,33 @@
 
 #include <immintrin.h>
 
+#include "gf/gf256.h"
+
 namespace causalec::gf::kernels::detail {
 
 namespace {
+
+/// Split-nibble product tables for one coefficient: 32 multiplications to
+/// build, amortized over the whole region.
+struct NibbleTables {
+  alignas(16) std::uint8_t lo[16];
+  alignas(16) std::uint8_t hi[16];
+};
+
+NibbleTables build_nibble_tables(std::uint8_t a) {
+  NibbleTables t;
+  for (int n = 0; n < 16; ++n) {
+    t.lo[n] = GF256::mul(a, static_cast<std::uint8_t>(n));
+    t.hi[n] = GF256::mul(a, static_cast<std::uint8_t>(n << 4));
+  }
+  return t;
+}
+
+/// Per-byte tail product through the nibble tables (identical to
+/// GF256::mul).
+inline std::uint8_t nibble_mul(const NibbleTables& t, std::uint8_t x) {
+  return static_cast<std::uint8_t>(t.lo[x & 0xF] ^ t.hi[x >> 4]);
+}
 
 inline __m256i broadcast_tables(const std::uint8_t* table16) {
   const __m128i t = _mm_loadu_si128(reinterpret_cast<const __m128i*>(table16));
@@ -38,55 +65,6 @@ void avx2_xor(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
                         _mm256_xor_si256(d, s));
   }
   for (; i < n; ++i) dst[i] ^= src[i];
-}
-
-void avx2_mul(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t a,
-              std::size_t n) {
-  const NibbleTables t = build_nibble_tables(a);
-  const __m256i lo = broadcast_tables(t.lo);
-  const __m256i hi = broadcast_tables(t.hi);
-  const __m256i nibble = _mm256_set1_epi8(0x0F);
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        mul32(x, lo, hi, nibble));
-  }
-  for (; i < n; ++i) dst[i] = nibble_mul(t, src[i]);
-}
-
-void avx2_axpy(std::uint8_t* dst, std::uint8_t a, const std::uint8_t* src,
-               std::size_t n) {
-  const NibbleTables t = build_nibble_tables(a);
-  const __m256i lo = broadcast_tables(t.lo);
-  const __m256i hi = broadcast_tables(t.hi);
-  const __m256i nibble = _mm256_set1_epi8(0x0F);
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_xor_si256(d, mul32(x, lo, hi, nibble)));
-  }
-  for (; i < n; ++i) dst[i] ^= nibble_mul(t, src[i]);
-}
-
-void avx2_scale(std::uint8_t* dst, std::uint8_t a, std::size_t n) {
-  const NibbleTables t = build_nibble_tables(a);
-  const __m256i lo = broadcast_tables(t.lo);
-  const __m256i hi = broadcast_tables(t.hi);
-  const __m256i nibble = _mm256_set1_epi8(0x0F);
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        mul32(x, lo, hi, nibble));
-  }
-  for (; i < n; ++i) dst[i] = nibble_mul(t, dst[i]);
 }
 
 /// One fused pass over dst applying up to 4 terms: dst is loaded/stored
@@ -136,8 +114,7 @@ void avx2_axpy_batch(std::uint8_t* dst, const BatchTerm* terms,
   }
 }
 
-constexpr KernelTable kAvx2Table = {avx2_xor, avx2_mul, avx2_axpy,
-                                    avx2_scale, avx2_axpy_batch};
+constexpr KernelTable kAvx2Table = {avx2_xor, avx2_axpy_batch};
 
 }  // namespace
 

@@ -27,7 +27,7 @@ namespace {
 /// GF2P8AFFINEQB: byte (7 - i) of the qword is the row producing output
 /// bit i, and bit j of that row is bit i of a * x^j (the image of basis
 /// element x^j). Built in ~16 shifts per coefficient; amortized over the
-/// region like the nibble tables of the PSHUFB tiers.
+/// region like the AVX2 tier's nibble tables.
 inline std::uint64_t affine_matrix(std::uint8_t a) {
   std::uint8_t m[8];  // m[j] = a * x^j
   std::uint8_t cur = a;
@@ -65,48 +65,6 @@ void gfni_xor(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
   }
 }
 
-void gfni_mul(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t a,
-              std::size_t n) {
-  const __m512i mat =
-      _mm512_set1_epi64(static_cast<long long>(affine_matrix(a)));
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    const __m512i x = _mm512_loadu_si512(src + i);
-    _mm512_storeu_si512(dst + i, _mm512_gf2p8affine_epi64_epi8(x, mat, 0));
-  }
-  if (i < n) {
-    const __mmask64 k = tail_mask(n - i);
-    const __m512i x = _mm512_maskz_loadu_epi8(k, src + i);
-    _mm512_mask_storeu_epi8(dst + i, k,
-                            _mm512_gf2p8affine_epi64_epi8(x, mat, 0));
-  }
-}
-
-void gfni_axpy(std::uint8_t* dst, std::uint8_t a, const std::uint8_t* src,
-               std::size_t n) {
-  const __m512i mat =
-      _mm512_set1_epi64(static_cast<long long>(affine_matrix(a)));
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    const __m512i x = _mm512_loadu_si512(src + i);
-    const __m512i d = _mm512_loadu_si512(dst + i);
-    _mm512_storeu_si512(
-        dst + i, _mm512_xor_si512(d, _mm512_gf2p8affine_epi64_epi8(x, mat, 0)));
-  }
-  if (i < n) {
-    const __mmask64 k = tail_mask(n - i);
-    const __m512i x = _mm512_maskz_loadu_epi8(k, src + i);
-    const __m512i d = _mm512_maskz_loadu_epi8(k, dst + i);
-    _mm512_mask_storeu_epi8(
-        dst + i, k,
-        _mm512_xor_si512(d, _mm512_gf2p8affine_epi64_epi8(x, mat, 0)));
-  }
-}
-
-void gfni_scale(std::uint8_t* dst, std::uint8_t a, std::size_t n) {
-  gfni_mul(dst, dst, a, n);
-}
-
 /// Fused multi-axpy: one pass over dst, one affine+xor per term per block.
 /// At 4 KiB values this is the difference between K streaming passes over
 /// the codeword symbol and one.
@@ -137,8 +95,7 @@ void gfni_axpy_batch(std::uint8_t* dst, const BatchTerm* terms,
   }
 }
 
-constexpr KernelTable kGfniTable = {gfni_xor, gfni_mul, gfni_axpy, gfni_scale,
-                                    gfni_axpy_batch};
+constexpr KernelTable kGfniTable = {gfni_xor, gfni_axpy_batch};
 
 }  // namespace
 

@@ -5,55 +5,24 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "gf/gf256.h"
 #include "gf/kernels.h"
 
 namespace causalec::gf::kernels::detail {
 
-/// One implementation tier = one table of region functions. The dispatcher
+/// One implementation tier = one table of its two kernels. The dispatcher
 /// in kernels.cpp picks a table once and indirect-calls through it.
 /// axpy_batch receives at most kMaxBatchTerms terms, all with nonzero
 /// coefficients (the entry point filters and chunks).
 struct KernelTable {
   void (*xor_region)(std::uint8_t* dst, const std::uint8_t* src,
                      std::size_t n);
-  void (*mul_region)(std::uint8_t* dst, const std::uint8_t* src,
-                     std::uint8_t a, std::size_t n);
-  void (*axpy_region)(std::uint8_t* dst, std::uint8_t a,
-                      const std::uint8_t* src, std::size_t n);
-  void (*scale_region)(std::uint8_t* dst, std::uint8_t a, std::size_t n);
   void (*axpy_batch)(std::uint8_t* dst, const BatchTerm* terms,
                      std::size_t num_terms, std::size_t n);
 };
 
-/// Split-nibble product tables for one coefficient:
-///   a * x == lo[x & 0xF] ^ hi[x >> 4]
-/// because x = xl ^ (xh << 4) and multiplication distributes over XOR.
-/// 32 multiplications to build; amortized over the whole region.
-struct NibbleTables {
-  alignas(16) std::uint8_t lo[16];
-  alignas(16) std::uint8_t hi[16];
-};
-
-inline NibbleTables build_nibble_tables(std::uint8_t a) {
-  NibbleTables t;
-  for (int n = 0; n < 16; ++n) {
-    t.lo[n] = GF256::mul(a, static_cast<std::uint8_t>(n));
-    t.hi[n] = GF256::mul(a, static_cast<std::uint8_t>(n << 4));
-  }
-  return t;
-}
-
-/// Per-byte tail product through the nibble tables (used by every
-/// vector tier for the < block-size remainder; identical to GF256::mul).
-inline std::uint8_t nibble_mul(const NibbleTables& t, std::uint8_t x) {
-  return static_cast<std::uint8_t>(t.lo[x & 0xF] ^ t.hi[x >> 4]);
-}
-
-/// SIMD tiers, defined in kernels_ssse3.cpp / kernels_avx2.cpp /
-/// kernels_gfni.cpp. Return nullptr when the tier was not compiled in
-/// (non-x86 target or the compiler lacks the ISA flags).
-const KernelTable* ssse3_kernel_table();
+/// SIMD tiers, defined in kernels_avx2.cpp / kernels_gfni.cpp. Return
+/// nullptr when the tier was not compiled in (non-x86 target or the
+/// compiler lacks the ISA flags).
 const KernelTable* avx2_kernel_table();
 const KernelTable* gfni_kernel_table();
 

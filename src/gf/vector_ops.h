@@ -4,15 +4,17 @@
 // linear combinations of such vectors. These kernels are the hot path of
 // encode / re-encode / decode.
 //
-// Characteristic-2 fields route through the runtime-dispatched region
-// kernels in gf/kernels.h (scalar / SSSE3 / AVX2 / GFNI); odd-
-// characteristic fields use the elementwise loops below. All tiers are
-// byte-identical to the scalar reference (pinned by tests/gf_kernel_test).
+// Characteristic-2 fields route through the runtime-dispatched kernels in
+// gf/kernels.h (scalar / AVX2 / GFNI): addition of any GF(2^m) is the xor
+// kernel, and every GF(2^8) multiply -- axpy and axpy_batch -- is the fused
+// axpy_batch kernel. Odd-characteristic fields (and GF(2^16) multiplies)
+// use the elementwise loops below. All tiers are byte-identical to an
+// elementwise reference (pinned by tests/gf_kernel_test).
 //
-// dst and src must not overlap: the vectorized tiers operate in 16/32-byte
+// dst and src must not overlap: the vectorized tiers operate in 32/64-byte
 // blocks, so partial overlap silently corrupts data instead of degrading
-// to the shifted scalar answer. The GF(2^8) region kernels CHECK this on
-// every call; the elementwise paths DCHECK it.
+// to the shifted scalar answer. The GF(2^8) kernels CHECK this on every
+// call; the elementwise paths DCHECK it.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +29,6 @@
 namespace causalec::gf {
 
 namespace detail_vec {
-
-inline constexpr std::size_t kGf256TableThreshold =
-    kernels::kGf256TableThreshold;
 
 inline bool overlaps(const void* a, std::size_t a_bytes, const void* b,
                      std::size_t b_bytes) {
@@ -86,7 +85,7 @@ void sub_into(std::span<typename F::Elem> dst,
 }
 
 /// dst += a * src ("axpy"). a == 0 is a no-op; a == 1 degrades to add;
-/// GF(2^8) dispatches to the active region-kernel tier.
+/// GF(2^8) runs a one-term axpy_batch on the active kernel tier.
 template <Field F>
 void axpy(std::span<typename F::Elem> dst, typename F::Elem a,
           std::span<const typename F::Elem> src) {
@@ -97,7 +96,8 @@ void axpy(std::span<typename F::Elem> dst, typename F::Elem a,
     return;
   }
   if constexpr (std::is_same_v<F, GF256>) {
-    kernels::axpy_region_gf256(dst.data(), a, src.data(), dst.size());
+    const kernels::BatchTerm term{a, src.data()};
+    kernels::axpy_batch_gf256(dst.data(), {&term, 1}, dst.size());
   } else {
     CEC_DCHECK(!detail_vec::overlaps(dst.data(), dst.size_bytes(), src.data(),
                                      src.size_bytes()));
@@ -141,17 +141,6 @@ void axpy_batch(std::span<typename F::Elem> dst,
     for (const AxpyTerm<F>& term : terms) {
       axpy<F>(dst, term.coeff, term.src);
     }
-  }
-}
-
-/// dst *= a (in place; no aliasing concern).
-template <Field F>
-void scale(std::span<typename F::Elem> dst, typename F::Elem a) {
-  if (a == F::one) return;
-  if constexpr (std::is_same_v<F, GF256>) {
-    kernels::scale_region_gf256(dst.data(), a, dst.size());
-  } else {
-    for (auto& x : dst) x = F::mul(a, x);
   }
 }
 

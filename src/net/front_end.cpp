@@ -26,15 +26,14 @@ FrontEnd::FrontEnd(std::string name, std::size_t shards,
 FrontEnd::~FrontEnd() { stop(); }
 
 void FrontEnd::listen(const std::string& host, std::uint16_t port) {
-  // Every listener sets SO_REUSEPORT before bind when there are several,
-  // so the kernel spreads accepted connections across the shards.
-  const bool reuseport = shards_.size() > 1;
-  shards_[0]->listener = listen_tcp(host, port, reuseport);
+  // Every listener sets SO_REUSEPORT (listen_tcp does), so the kernel
+  // spreads accepted connections across the shards.
+  shards_[0]->listener = listen_tcp(host, port);
   CEC_CHECK_MSG(shards_[0]->listener.valid(),
                 name_ << ": cannot listen on " << host << ":" << port);
   port_ = local_port(shards_[0]->listener.get());
   for (std::size_t i = 1; i < shards_.size(); ++i) {
-    shards_[i]->listener = listen_tcp(host, port_, /*reuseport=*/true);
+    shards_[i]->listener = listen_tcp(host, port_);
     CEC_CHECK_MSG(shards_[i]->listener.valid(),
                   name_ << ": cannot bind shard " << i
                         << " listener on port " << port_);

@@ -1,13 +1,17 @@
 #include "net/process_cluster.h"
 
+#include <arpa/inet.h>
 #include <fcntl.h>
+#include <netinet/in.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdlib>
+#include <mutex>
 #include <thread>
 
 #include "common/expect.h"
@@ -44,17 +48,31 @@ std::optional<StatsResp> fetch_stats(const std::string& endpoint) {
 }  // namespace
 
 std::vector<std::uint16_t> reserve_loopback_ports(std::size_t n) {
-  std::vector<ScopedFd> holders;
+  static std::mutex mu;
+  static std::vector<ScopedFd> held;  // every reservation, until exit
   std::vector<std::uint16_t> ports;
-  holders.reserve(n);
   ports.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    ScopedFd fd = listen_tcp("127.0.0.1", 0, /*reuseport=*/false);
-    CEC_CHECK_MSG(fd.valid(), "cannot reserve a loopback port");
+    // Bound and never listening, with SO_REUSEPORT but not SO_REUSEADDR:
+    // autobind (bind to port 0, connect's source port) skips a bound port,
+    // only an SO_REUSEPORT bind by the same user may share it, and a
+    // connect is refused until a listener binds it.
+    ScopedFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+    const int one = 1;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    CEC_CHECK_MSG(fd.valid() &&
+                      ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one,
+                                   sizeof(one)) == 0 &&
+                      ::bind(fd.get(), reinterpret_cast<sockaddr*>(&addr),
+                             sizeof(addr)) == 0,
+                  "cannot reserve a loopback port: errno " << errno);
     ports.push_back(local_port(fd.get()));
-    holders.push_back(std::move(fd));
+    std::lock_guard<std::mutex> lock(mu);
+    held.push_back(std::move(fd));
   }
-  return ports;  // holders close here, releasing every port at once
+  return ports;
 }
 
 bool await_ready(const std::vector<std::string>& endpoints,

@@ -20,9 +20,12 @@
 
 namespace causalec::net {
 
-/// Reserve n distinct ephemeral loopback ports: bind them all, read the
-/// assigned ports, then release. The tiny steal-window race is acceptable
-/// for tests; SO_REUSEADDR on the real listeners keeps rebinding reliable.
+/// Reserve n distinct ephemeral loopback ports for daemons to listen on.
+/// Each stays bound by a non-listening SO_REUSEPORT socket for the life of
+/// the process, so no other process (another test under `ctest -j`) can be
+/// handed the port before, while or after the daemons use it. A listener
+/// that binds a reserved port must set SO_REUSEPORT (net::listen_tcp
+/// does); a bind without it fails with EADDRINUSE.
 std::vector<std::uint16_t> reserve_loopback_ports(std::size_t n);
 
 /// Ping every endpoint until it reports ready. False if one is not ready by

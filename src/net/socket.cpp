@@ -60,7 +60,7 @@ bool fill_addr(const std::string& host, std::uint16_t port,
 }  // namespace
 
 ScopedFd listen_tcp(const std::string& host, std::uint16_t port,
-                    bool reuseport, int backlog) {
+                    int backlog) {
   sockaddr_in addr;
   if (!fill_addr(host, port, &addr)) {
     errno = EINVAL;
@@ -70,11 +70,9 @@ ScopedFd listen_tcp(const std::string& host, std::uint16_t port,
   if (!fd.valid()) return ScopedFd();
   int one = 1;
   ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (reuseport) {
-    if (::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one,
-                     sizeof(one)) != 0) {
-      return ScopedFd();
-    }
+  if (::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) !=
+      0) {
+    return ScopedFd();
   }
   if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
           0 ||

@@ -48,12 +48,14 @@ bool set_nonblocking(int fd, bool on = true);
 /// are written coalesced, so Nagle only adds delay).
 bool set_nodelay(int fd);
 
-/// Non-blocking listening socket bound to host:port. `reuseport` lets
-/// several shards of one process bind the same port and have the kernel
-/// load-balance incoming connections across them (the shard-per-core
-/// accept model). Returns an invalid fd on failure with errno set.
+/// Non-blocking listening socket bound to host:port, with SO_REUSEADDR and
+/// SO_REUSEPORT. SO_REUSEPORT lets several shards of one process bind the
+/// same port and have the kernel load-balance incoming connections across
+/// them (the shard-per-core accept model), and lets a listener bind a port
+/// that net::reserve_loopback_ports still holds. Returns an invalid fd on
+/// failure with errno set.
 ScopedFd listen_tcp(const std::string& host, std::uint16_t port,
-                    bool reuseport, int backlog = 128);
+                    int backlog = 128);
 
 /// The port a bound socket actually listens on (resolves port 0).
 std::uint16_t local_port(int fd);

@@ -200,16 +200,6 @@ TEST(VectorOpsTest, ZeroHelpers) {
   EXPECT_TRUE(is_zero<F>(std::span<const std::uint8_t>(v)));
 }
 
-TEST(VectorOpsTest, ScaleByOneAndZero) {
-  using F = GF256;
-  std::vector<std::uint8_t> v{1, 2, 3, 4};
-  const auto original = v;
-  scale<F>(std::span<std::uint8_t>(v), F::one);
-  EXPECT_EQ(v, original);
-  scale<F>(std::span<std::uint8_t>(v), F::from_int(0));
-  EXPECT_TRUE(is_zero<F>(std::span<const std::uint8_t>(v)));
-}
-
 TEST(FieldTest, PowSquareAndMultiply) {
   using F = GF256;
   // a^(order-1) == 1 for nonzero a (Fermat).

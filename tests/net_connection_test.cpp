@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include "net/connection.h"
 #include "net/frame.h"
 #include "net/net_transport.h"
+#include "net/process_cluster.h"
 #include "net/socket.h"
 #include "runtime/event_loop.h"
 
@@ -46,7 +48,7 @@ class ConnectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
     loop_.start();
-    ScopedFd listener = listen_tcp("127.0.0.1", 0, /*reuseport=*/false);
+    ScopedFd listener = listen_tcp("127.0.0.1", 0);
     ASSERT_TRUE(listener.valid());
     peer_ = connect_tcp_blocking("127.0.0.1", local_port(listener.get()),
                                  2000);
@@ -209,6 +211,38 @@ TEST(PeerLinkTest, FirstLinkComesUpSoonAfterThePeerListens) {
   EXPECT_LT(came_up.get() - listening, std::chrono::milliseconds(50));
   link.shutdown();
   loop.stop();
+}
+
+// A reserved port stays held after reserve_loopback_ports returns, so a
+// test running beside this one under `ctest -j` cannot be handed it: a
+// bind without SO_REUSEPORT fails, with or without SO_REUSEADDR, while a
+// daemon's listener (listen_tcp sets SO_REUSEPORT) still binds it.
+TEST(PortReservationTest, HeldPortRefusesABindWithoutReusePort) {
+  const std::vector<std::uint16_t> ports = reserve_loopback_ports(2);
+  ASSERT_EQ(ports.size(), 2u);
+  EXPECT_NE(ports[0], ports[1]);
+  for (const std::uint16_t port : ports) {
+    for (const bool reuseaddr : {false, true}) {
+      ScopedFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+      ASSERT_TRUE(fd.valid());
+      const int one = 1;
+      if (reuseaddr) {
+        ASSERT_EQ(::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one,
+                               sizeof(one)),
+                  0);
+      }
+      sockaddr_in addr{};
+      addr.sin_family = AF_INET;
+      addr.sin_port = htons(port);
+      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+      const int rc = ::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
+                            sizeof(addr));
+      const int err = errno;
+      EXPECT_NE(rc, 0) << "port " << port << " reuseaddr=" << reuseaddr;
+      EXPECT_EQ(err, EADDRINUSE);
+    }
+    EXPECT_TRUE(listen_tcp("127.0.0.1", port).valid()) << "port " << port;
+  }
 }
 
 }  // namespace

@@ -111,7 +111,6 @@ TEST(ServerUnitTest, WriteTriggersEagerReencodeAndDelToContaining) {
 
 TEST(ServerUnitTest, WireSizesFollowTheModel) {
   ServerConfig config;
-  config.header_bytes = 16;
   ServerFixture f(erasure::make_paper_5_3(64), 0, config);
   f.server.client_write(1, 1, 0, val257(1, 64));
   const auto apps = f.transport.of_type<AppMessage>();

@@ -17,7 +17,7 @@
 //
 //   causalec_inspect --gf-tiers
 //       Print the GF kernel tiers available on this CPU/build, one per
-//       line (scalar/ssse3/avx2/gfni). Scripts use this to loop
+//       line (scalar/avx2/gfni). Scripts use this to loop
 //       CAUSALEC_GF_KERNEL over exactly the runnable tiers -- see
 //       tools/run_sanitized_tests.sh.
 #include <cstdio>

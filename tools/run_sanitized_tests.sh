@@ -40,11 +40,11 @@
 #       # then tsan
 #
 # After an unfiltered run, each config additionally reruns the GF kernel
-# differential suite once per tier available on this machine, looping
-# CAUSALEC_GF_KERNEL over `causalec_inspect --gf-tiers` -- so every tier
-# (including gfni where the CPU has it) gets exercised as the *active*
-# dispatch target under sanitizers, not only as a comparison inside the
-# differential tests.
+# differential suite once per tier available on this machine (scalar, then
+# avx2 and gfni where the CPU has them), looping CAUSALEC_GF_KERNEL over
+# `causalec_inspect --gf-tiers` -- so every tier's two kernels, xor and
+# axpy_batch, get exercised as the *active* dispatch target under
+# sanitizers, not only as a comparison inside the differential tests.
 #
 # Each sanitizer config gets its own build tree (build-san-<name>), so the
 # regular build/ directory is never disturbed. Extra arguments after the
@@ -85,10 +85,11 @@ for san in "${configs[@]}"; do
   # tier *available on this machine* (causalec_inspect --gf-tiers asks the
   # dispatch layer, so an unavailable tier is never requested and the
   # fail-fast CAUSALEC_GF_KERNEL check stays quiet). This pins the forced-
-  # dispatch path -- env parsing, set-tier plumbing, and each tier's
-  # kernels as the *active* tier, not just as a comparison target inside
-  # the differential tests. Skipped when the caller passed an explicit
-  # ctest filter (e.g. -L net): their selection should run as given.
+  # dispatch path -- env parsing, set-tier plumbing, and each tier's xor
+  # and axpy_batch as the *active* tier, not just as a comparison target
+  # inside the differential tests. Skipped when the caller passed an
+  # explicit ctest filter (e.g. -L net): their selection should run as
+  # given.
   if [[ $# -eq 0 ]]; then
     echo "=== ${san}: kernel-tier sweep ==="
     tiers=$("$dir/tools/causalec_inspect" --gf-tiers)
