@@ -625,7 +625,13 @@ bool Server::encoding_step() {
       flight(obs::FlightKind::kEncode, p.object, 0, &p.highest);
       if (obs_enabled_) obs_reencode(p.object);
       record_del(p.object, p.highest);
-      send_del_to_containing(p.object, p.highest);
+      // Peers learn the tag at this server's next GC tick (DESIGN.md §2,
+      // note 11). Only where every server stores X, or where the leader
+      // forwards it to everyone, can a receiver act on it sooner.
+      if (containing_servers(p.object).size() == n_ ||
+          config_.del_routing == DelRouting::kViaLeader) {
+        send_del_to_containing(p.object, p.highest);
+      }
     }
     changed = true;
   }
@@ -692,13 +698,11 @@ void Server::run_garbage_collection() {
     counters_.history_entries_collected += removed;
     total_removed += removed;
 
-    // Lines 45-48: containing servers re-announce max(U) to everyone so
-    // non-containing servers can advance their bookkeeping and GC.
-    if (code_->contains(id_, x)) {
-      const auto floor_r = dels_[x].floor_of(containing_servers(x));
-      if (floor_r) {
-        broadcast_del(x, *floor_r, /*dedupe=*/config_.dedupe_del_broadcasts);
-      }
+    // Lines 45-48: a containing server announces its own encoded tag to
+    // everyone; non-containing servers take max(U) over those entries
+    // (DESIGN.md §2, note 11).
+    if (code_->contains(id_, x) && !m_tags_[x].is_zero()) {
+      broadcast_del(x, m_tags_[x], /*dedupe=*/config_.dedupe_del_broadcasts);
     }
 
     if (config_.compact_del_lists) dels_[x].compact(tmax_[x]);

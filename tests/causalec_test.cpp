@@ -468,6 +468,71 @@ TEST(CausalEcTest, LeaderRoutedDelsStillConverge) {
 }
 
 // ---------------------------------------------------------------------------
+// Encoded tags announced at the GC tick (DESIGN.md §2, note 11).
+// ---------------------------------------------------------------------------
+
+constexpr SimTime kGcPeriod = 50 * kMillisecond;
+constexpr SimTime kLinkLatency = 5 * kMillisecond;
+
+/// Twenty bursts of `per_object` writes to every object from rotating
+/// servers, one GC period apart and halfway between two ticks, then `drain`
+/// with no write.
+std::unique_ptr<Cluster> run_write_bursts(erasure::CodePtr code,
+                                          int per_object, SimTime drain) {
+  ClusterConfig config;
+  config.gc_period = kGcPeriod;
+  auto cluster = make_cluster(std::move(code), kLinkLatency, config);
+  const std::size_t n = cluster->num_servers();
+  const std::size_t k = cluster->code().num_objects();
+  std::vector<Client*> clients;
+  for (NodeId s = 0; s < n; ++s) clients.push_back(&cluster->make_client(s));
+  cluster->run_for(kGcPeriod / 2);
+  std::size_t writes = 0;
+  for (int period = 0; period < 20; ++period) {
+    if (period > 0) cluster->run_for(kGcPeriod);
+    for (int i = 0; i < per_object; ++i) {
+      for (ObjectId x = 0; x < k; ++x, ++writes) {
+        clients[writes % n]->write(
+            x, val257(static_cast<std::uint8_t>(writes + 1)));
+      }
+    }
+  }
+  cluster->run_for(drain);
+  return cluster;
+}
+
+TEST(CausalEcTest, DelTrafficFollowsTheGcTickNotTheWriteRate) {
+  // RS(5,3): every object has servers that do not store it. Twice the
+  // writes re-encode twice as often, but each server still announces one
+  // tag per object per tick.
+  const auto dels = [](int per_object) {
+    auto cluster = run_write_bursts(
+        erasure::make_systematic_rs(5, 3, kValueBytes), per_object,
+        kGcPeriod);
+    return cluster->sim().stats().by_type["del"].count;
+  };
+  const std::uint64_t base = dels(1);
+  EXPECT_GT(base, 0u);
+  EXPECT_LE(dels(2), base);
+}
+
+TEST(CausalEcTest, HistoryDrainsWithinThreeGcPeriodsOfTheLastWrite) {
+  // The last version of X reaches every server after one link latency; each
+  // storing server announces it at its next tick (< one period), every
+  // non-storing server answers within two more latencies, and the tick
+  // after that collects: two periods and three latencies, under three
+  // periods. Full replication collects a period sooner.
+  for (auto code : {erasure::make_systematic_rs(5, 3, kValueBytes),
+                    erasure::make_replication(5, 3, kValueBytes)}) {
+    auto cluster = run_write_bursts(code, 1, 3 * kGcPeriod);
+    for (NodeId s = 0; s < cluster->num_servers(); ++s) {
+      EXPECT_EQ(cluster->server(s).storage().history_entries, 0u)
+          << "server " << s << " of " << code->num_servers();
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Randomized stress: random codes, ops, delays. The strict Error1/Error2
 // checks and storage convergence act as oracles.
 // ---------------------------------------------------------------------------

@@ -94,19 +94,51 @@ TEST(ServerUnitTest, WriteBroadcastsAppToAllOthers) {
   EXPECT_EQ(f.transport.count_to(0), 0u);  // never to self
 }
 
-TEST(ServerUnitTest, WriteTriggersEagerReencodeAndDelToContaining) {
+TEST(ServerUnitTest, WriteReencodesAndRecordsItsOwnDelWithoutSendingIt) {
   // Server 3 stores X1+X2+X3: a local write re-encodes M immediately and
-  // announces the version to the servers containing the object.
+  // records the server's own DelL entry. Peers learn the tag at the next GC
+  // tick (DESIGN.md §2, note 11), so the write sends no del.
   ServerFixture f(erasure::make_paper_5_3(16), 3);
   const Tag t = f.server.client_write(9, 1, 1, val257(4));
   EXPECT_EQ(f.server.codeword_tag(1), t);
-  // Symbol now encodes (0, v, 0): for the row [1,1,1] that is just v.
-  const auto dels = f.transport.of_type<DelMessage>();
-  // del goes to the containing servers of X2: {1, 3, 4} minus self.
-  ASSERT_EQ(dels.size(), 2u);
-  EXPECT_EQ(dels[0]->tag, t);
-  // Own DelL entry recorded.
   EXPECT_TRUE(f.server.del_list(1).entries_from(3).count(t) > 0);
+  EXPECT_TRUE(f.transport.of_type<DelMessage>().empty());
+}
+
+TEST(ServerUnitTest, GcTickAnnouncesTheEncodedTagToEveryPeer) {
+  // No peer has announced anything, so max(U) does not exist yet; the
+  // storing server still announces its own encoded tag, to everyone.
+  ServerFixture f(erasure::make_paper_5_3(16), 3);
+  const Tag t = f.server.client_write(9, 1, 1, val257(4));
+  f.transport.clear();
+  f.server.run_garbage_collection();
+  std::vector<NodeId> targets;
+  for (const auto& s : f.transport.sent) {
+    const auto* del = dynamic_cast<const DelMessage*>(s.message.get());
+    ASSERT_NE(del, nullptr);
+    EXPECT_EQ(del->object, 1u);
+    EXPECT_EQ(del->tag, t);
+    EXPECT_EQ(del->origin, 3u);
+    EXPECT_FALSE(del->forward);
+    targets.push_back(s.to);
+  }
+  // Objects 0 and 2 still encode the zero tag: nothing to announce.
+  EXPECT_EQ(targets, (std::vector<NodeId>{0, 1, 2, 4}));
+}
+
+TEST(ServerUnitTest, ReplicationKeepsTheDelAtEncode) {
+  // Every server stores X, so no server waits for a non-storing peer's
+  // announcement: the re-encode announces itself to every peer at once.
+  ServerFixture f(erasure::make_replication(5, 3, 16), 0);
+  const Tag t = f.server.client_write(9, 1, 1, val257(4));
+  std::vector<NodeId> targets;
+  for (const auto& s : f.transport.sent) {
+    if (const auto* del = dynamic_cast<const DelMessage*>(s.message.get())) {
+      EXPECT_EQ(del->tag, t);
+      targets.push_back(s.to);
+    }
+  }
+  EXPECT_EQ(targets, (std::vector<NodeId>{1, 2, 3, 4}));
 }
 
 TEST(ServerUnitTest, WireSizesFollowTheModel) {

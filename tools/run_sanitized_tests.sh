@@ -35,6 +35,14 @@
 #       # loop, peer and backend link, the automaton inbox, the shared edge
 #       # cache, and every client session thread (the forked servers are
 #       # instrumented too; tsan just cannot see across the processes)
+#   tools/run_sanitized_tests.sh address,undefined -L protocol
+#   tools/run_sanitized_tests.sh thread -L protocol
+#       # the automaton battery (Algorithms 1-3): causalec_test,
+#       # server_unit_test, gc_property_test, consistency_test, chaos_test,
+#       # fault_injection_test, inqueue_liveness_test,
+#       # cluster_integration_test and the chaos_smoke fuzz sweep; run it
+#       # after any change to how the Server encodes, announces dels or
+#       # collects garbage
 #   tools/run_sanitized_tests.sh --net-smoke
 #       # fast path: the net, frontdoor and runtime labels, asan+ubsan
 #       # then tsan
