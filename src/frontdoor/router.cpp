@@ -92,10 +92,12 @@ void Router::start() {
 
 void Router::stop() {
   if (!started_) return;
+  // Each shard's loop owns its links: once the loops are joined, the links
+  // close from here.
+  front_end_.stop();
   for (Shard& shard : shards_) {
     for (BackendLink& link : shard.links) link.link->shutdown();
   }
-  front_end_.stop();
   started_ = false;
 }
 

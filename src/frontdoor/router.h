@@ -10,11 +10,14 @@
 // cache; a hit is answered on the shard thread without touching a backend.
 //
 // Thread model: a net::FrontEnd, the same listener, Hello handshake and
-// Pong path NodeDaemon uses -- `shards` event-loop threads, each with a
-// SO_REUSEPORT listener on the same port -- and per shard one
-// net::PeerLink to every backend plus pending-op correlation maps
-// (loop-thread-only, no locking). Cross-shard state is the edge cache
-// (mutex) and the metrics registry (relaxed atomics).
+// Pong path NodeDaemon uses -- `shards` event-loop threads (router-shard<i>),
+// each with a SO_REUSEPORT listener on the same port -- and per shard one
+// net::PeerLink to every backend plus pending-op correlation maps. Every
+// socket has one owner thread: a client connection is served by the shard
+// that accepted it, and that shard's links carry its requests, so the
+// connections, links and maps need no lock. Cross-shard state is the edge
+// cache (mutex) and the metrics registry (relaxed atomics). stop() joins
+// the shards before it shuts the links down.
 //
 // Failure semantics: a backend link death fails every in-flight *write* on
 // it (the client connection is closed -- a forwarded write must never be

@@ -152,8 +152,8 @@ struct RouterStatsResp {
 /// Whether a decoded request fits a cluster of `servers` servers storing
 /// `objects` objects of `value_bytes` each: the object exists, the
 /// frontier is empty or has one entry per server, and a write's value is
-/// one object long. Daemons and routers check it on the shard thread,
-/// before a request can reach an automaton, a backend or the cache.
+/// one object long. Daemons and routers check it on the thread that reads
+/// the request, before it can reach an automaton, a backend or the cache.
 bool fits_cluster(const WriteReq& req, std::size_t servers,
                   std::size_t objects, std::size_t value_bytes);
 bool fits_cluster(const ReadReq& req, std::size_t servers,

@@ -44,30 +44,11 @@ void Connection::open(FrameHandler on_frame, CloseHandler on_close) {
   auto self = shared_from_this();
   loop_->watch(fd_.get(), /*want_read=*/true, /*want_write=*/false,
                [self](std::uint32_t events) { self->handle_events(events); });
-  // The watch fires in a later round, so these go before the next read.
-  deliver_buffered();
-}
-
-std::shared_ptr<Connection> Connection::hand_off(runtime::EventLoop* target) {
-  CEC_DCHECK(loop_->on_loop_thread());
-  CEC_CHECK(!closed_);
-  closed_ = true;  // the read loop in handle_readable stops here
-  loop_->unwatch(fd_.get());
-  ScopedFd fd;
-  {
-    std::lock_guard<std::mutex> lock(write_mu_);
-    CEC_DCHECK(write_queue_.empty());
-    fd = std::move(fd_);
-  }
-  auto moved = std::make_shared<Connection>(target, std::move(fd));
-  moved->reader_ = std::move(reader_);
-  return moved;
 }
 
 void Connection::send(erasure::Buffer frame) {
-  if (frame.empty()) return;
-  std::unique_lock<std::mutex> lock(write_mu_);
-  if (!fd_.valid() || write_failed_) return;
+  CEC_DCHECK(loop_->on_loop_thread());
+  if (frame.empty() || closed_ || write_failed_) return;
   if (!write_queue_.empty()) {
     // Behind a backlog: the EPOLLOUT drain writes it in turn.
     write_queue_.push_back(std::move(frame));
@@ -75,54 +56,49 @@ void Connection::send(erasure::Buffer frame) {
   }
   const std::optional<std::size_t> written = write_from(fd_.get(), frame, 0);
   if (!written.has_value()) {
+    // Closed in a later task, not inside the sender: a link's close
+    // handler reports its peer down, which must not re-enter the
+    // automaton in the middle of the step that sent.
     write_failed_ = true;
-    lock.unlock();
-    post_close();
+    auto self = shared_from_this();
+    loop_->post([self] { self->close(); });
     return;
   }
   if (*written == frame.size()) return;
-  // The socket buffer is full: the loop thread writes the rest once the
-  // peer drains it.
+  // The socket buffer is full: the loop writes the rest once the peer
+  // drains it.
   front_written_ = *written;
   write_queue_.push_back(std::move(frame));
-  lock.unlock();
-  if (loop_->on_loop_thread()) {
-    arm_backlog();
-  } else {
-    auto self = shared_from_this();
-    loop_->post([self] { self->arm_backlog(); });
-  }
+  want_write_ = true;
+  loop_->update(fd_.get(), /*want_read=*/true, /*want_write=*/true);
 }
 
 void Connection::close() {
-  if (loop_->on_loop_thread()) {
-    close_on_loop();
-    return;
+  if (closed_) return;
+  closed_ = true;
+  loop_->unwatch(fd_.get());
+  fd_.reset();
+  write_queue_.clear();
+  front_written_ = 0;
+  // on_frame_ is deliberately left in place: close() may run from inside
+  // it, and destroying an executing std::function is undefined behavior.
+  // The closed_ flag guarantees it is never invoked again.
+  if (on_close_) {
+    auto self = shared_from_this();
+    CloseHandler handler = std::move(on_close_);
+    on_close_ = nullptr;
+    handler(self);
   }
-  post_close();
-}
-
-void Connection::post_close() {
-  auto self = shared_from_this();
-  loop_->post([self] { self->close_on_loop(); });
 }
 
 std::size_t Connection::write_backlog() const {
-  std::lock_guard<std::mutex> lock(write_mu_);
+  CEC_DCHECK(loop_->on_loop_thread());
   std::size_t total = 0;
   for (const auto& b : write_queue_) total += b.size();
   return total - front_written_;
 }
 
-void Connection::arm_backlog() {
-  std::lock_guard<std::mutex> lock(write_mu_);
-  if (want_write_ || write_queue_.empty() || !fd_.valid()) return;
-  want_write_ = true;
-  loop_->update(fd_.get(), /*want_read=*/true, /*want_write=*/true);
-}
-
 bool Connection::drain_backlog() {
-  std::lock_guard<std::mutex> lock(write_mu_);
   while (!write_queue_.empty()) {
     const erasure::Buffer& front = write_queue_.front();
     const std::optional<std::size_t> written =
@@ -146,11 +122,11 @@ bool Connection::drain_backlog() {
 void Connection::handle_events(std::uint32_t events) {
   if (closed_) return;
   if ((events & (EPOLLERR | EPOLLHUP)) != 0) {
-    close_on_loop();
+    close();
     return;
   }
   if ((events & EPOLLOUT) != 0 && !drain_backlog()) {
-    close_on_loop();
+    close();
     return;
   }
   if ((events & EPOLLIN) != 0) handle_readable();
@@ -164,11 +140,11 @@ void Connection::handle_readable() {
     const ssize_t n = recv_into(fd_.get(), reader_);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      close_on_loop();
+      close();
       return;
     }
     if (n == 0) {  // orderly peer shutdown
-      close_on_loop();
+      close();
       return;
     }
     if (!deliver_buffered()) return;
@@ -186,32 +162,10 @@ bool Connection::deliver_buffered() {
   if (reader_.failed()) {
     // Framing violation (oversized length prefix): hostile or broken
     // peer; drop the connection rather than guess at resync.
-    close_on_loop();
+    close();
     return false;
   }
   return true;
-}
-
-void Connection::close_on_loop() {
-  if (closed_) return;
-  closed_ = true;
-  loop_->unwatch(fd_.get());
-  std::deque<erasure::Buffer> dropped;
-  {
-    std::lock_guard<std::mutex> lock(write_mu_);
-    fd_.reset();
-    dropped.swap(write_queue_);
-    front_written_ = 0;
-  }
-  // on_frame_ is deliberately left in place: close() may run from inside
-  // it, and destroying an executing std::function is undefined behavior.
-  // The closed_ flag guarantees it is never invoked again.
-  if (on_close_) {
-    auto self = shared_from_this();
-    CloseHandler handler = std::move(on_close_);
-    on_close_ = nullptr;
-    handler(self);
-  }
 }
 
 }  // namespace causalec::net

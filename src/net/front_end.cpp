@@ -1,5 +1,6 @@
 #include "net/front_end.h"
 
+#include <string>
 #include <utility>
 
 #include "common/expect.h"
@@ -9,12 +10,10 @@
 namespace causalec::net {
 
 FrontEnd::FrontEnd(std::string name, std::size_t shards,
-                   FrameHandler on_frame, HelloCheck accept_hello,
-                   ServerHandoff take_server)
+                   FrameHandler on_frame, HelloCheck accept_hello)
     : name_(std::move(name)),
       on_frame_(std::move(on_frame)),
-      accept_hello_(std::move(accept_hello)),
-      take_server_(std::move(take_server)) {
+      accept_hello_(std::move(accept_hello)) {
   CEC_CHECK(shards >= 1);
   for (std::size_t i = 0; i < shards; ++i) {
     auto shard = std::make_unique<Shard>();
@@ -40,10 +39,15 @@ void FrontEnd::listen(const std::string& host, std::uint16_t port) {
   }
 }
 
-void FrontEnd::start() {
+void FrontEnd::start(runtime::EventLoop* serve_on) {
+  serve_on_ = serve_on;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard* s = shards_[i].get();
     s->loop->start([this, s, i] {
+      std::string thread = name_;
+      thread += "-shard";
+      thread += std::to_string(i);
+      runtime::set_thread_name(thread);
       // Installed once; the loop thread's TLS reference keeps the core
       // alive until join.
       s->pool.install();
@@ -61,19 +65,28 @@ void FrontEnd::stop() {
 
 void FrontEnd::accept_ready(std::size_t shard) {
   Shard& s = *shards_[shard];
+  runtime::EventLoop* serving =
+      serve_on_ != nullptr ? serve_on_ : s.loop.get();
   while (true) {
     ScopedFd fd = accept_nonblocking(s.listener.get());
     if (!fd.valid()) return;
-    auto conn = std::make_shared<Connection>(s.loop.get(), std::move(fd));
-    Inbound in;
-    in.peer.shard = shard;
-    conn->open(
-        [this, in](const std::shared_ptr<Connection>& c,
-                   erasure::Buffer payload) mutable {
-          handle_frame(in, c, std::move(payload));
-        },
-        [](const std::shared_ptr<Connection>&) {});
+    // From here on only the serving loop touches the connection; a post
+    // dropped by a stopped loop closes the fd with it.
+    auto conn = std::make_shared<Connection>(serving, std::move(fd));
+    serving->post([this, conn, shard] { open(conn, shard); });
   }
+}
+
+void FrontEnd::open(const std::shared_ptr<Connection>& conn,
+                    std::size_t shard) {
+  Inbound in;
+  in.peer.shard = shard;
+  conn->open(
+      [this, in](const std::shared_ptr<Connection>& c,
+                 erasure::Buffer payload) mutable {
+        handle_frame(in, c, std::move(payload));
+      },
+      [](const std::shared_ptr<Connection>&) {});
 }
 
 void FrontEnd::handle_frame(Inbound& in,
@@ -101,9 +114,6 @@ void FrontEnd::handle_frame(Inbound& in,
     in.helloed = true;
     in.peer.role = hello->role;
     in.peer.node = hello->node;
-    if (in.peer.role == PeerRole::kServer && take_server_) {
-      take_server_(in.peer.node, conn);
-    }
     return;
   }
   if (in.peer.role == PeerRole::kClient &&

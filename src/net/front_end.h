@@ -1,18 +1,15 @@
 // FrontEnd: the socket front end that NodeDaemon and frontdoor::Router
-// share (DESIGN.md §11). It owns `shards` event-loop threads, each with a
-// SO_REUSEPORT listener on the same port (the kernel load-balances
-// accepted connections across them) and an arena pool installed on the
-// loop thread, where frame reassembly and response encoding allocate.
+// share (DESIGN.md §11). It owns `shards` event-loop threads, named
+// <name>-shard<i>, each with a SO_REUSEPORT listener on the same port (the
+// kernel load-balances accepted connections across them) and an arena pool
+// installed on the loop thread.
 //
-// On each accepted connection it runs the Hello handshake and answers a
-// client's Pings from its ready flag, both on the shard thread, so
-// readiness probing works while the owner's automaton is still replaying a
-// journal. Every other frame of a client goes to the owner's handler on
-// the same shard thread; the owner validates it there, so a hostile frame
-// never gets further than the shard. A connection whose Hello names a
-// server can be taken over by the owner right after the Hello (a daemon
-// moves it to its automaton's loop); shards then read client connections
-// only.
+// Every socket has one owner thread. A shard accepts a connection and
+// opens it on the loop that serves it: the one start() names (a daemon
+// passes its automaton's loop), or else the accepting shard (a router).
+// That loop runs the Hello handshake, answers a client's Pings from the
+// ready flag, and hands every other frame to the owner's handler, which
+// validates it there, so a hostile frame never gets past the decoders.
 #pragma once
 
 #include <atomic>
@@ -40,26 +37,21 @@ class FrontEnd {
     NodeId node = kNoNode;
     std::size_t shard = 0;
   };
-  /// Shard thread: every non-empty frame after the Hello, except a client's
-  /// Ping. Returns false for a malformed or unexpected frame; the
+  /// Serving loop: every non-empty frame after the Hello, except a
+  /// client's Ping. Returns false for a malformed or unexpected frame; the
   /// connection is then logged and closed.
   using FrameHandler =
       std::function<bool(const Peer& peer,
                          const std::shared_ptr<Connection>& conn,
                          erasure::Buffer payload)>;
-  /// Shard thread: false rejects a well-formed Hello (and closes the
+  /// Serving loop: false rejects a well-formed Hello (and closes the
   /// connection). Null accepts every Hello.
   using HelloCheck = std::function<bool(const Hello& hello)>;
-  /// Shard thread, right after an accepted Hello that names server `node`:
-  /// the owner takes the connection over (Connection::hand_off). Null
-  /// leaves it on the shard, its frames going to the FrameHandler.
-  using ServerHandoff = std::function<void(
-      NodeId node, const std::shared_ptr<Connection>& conn)>;
 
-  /// `name` prefixes the log lines ("net", "router").
+  /// `name` prefixes the log lines and the shard threads' names ("s0",
+  /// "router").
   FrontEnd(std::string name, std::size_t shards, FrameHandler on_frame,
-           HelloCheck accept_hello = nullptr,
-           ServerHandoff take_server = nullptr);
+           HelloCheck accept_hello = nullptr);
   ~FrontEnd();
 
   FrontEnd(const FrontEnd&) = delete;
@@ -70,11 +62,13 @@ class FrontEnd {
   /// cannot listen has nothing to offer).
   void listen(const std::string& host, std::uint16_t port);
   /// Starts the shard loops; each installs its arena pool, then accepts.
-  void start();
+  /// Accepted connections are served on `serve_on` (running, and
+  /// outliving the front end's connections) when given, else on the shard
+  /// that accepted them.
+  void start(runtime::EventLoop* serve_on = nullptr);
   /// Clears the ready flag and joins the shard loops. Idempotent.
   void stop();
 
-  std::size_t shards() const { return shards_.size(); }
   runtime::EventLoop* loop(std::size_t shard) const {
     return shards_[shard]->loop.get();
   }
@@ -96,21 +90,23 @@ class FrontEnd {
     erasure::BufferPool pool;
   };
 
-  /// Accepted-connection state (loop thread only).
+  /// Accepted-connection state (serving loop only).
   struct Inbound {
     bool helloed = false;
     Peer peer;
   };
 
   void accept_ready(std::size_t shard);
+  /// Serving loop: registers `conn`, accepted by `shard`, and reads it.
+  void open(const std::shared_ptr<Connection>& conn, std::size_t shard);
   void handle_frame(Inbound& in, const std::shared_ptr<Connection>& conn,
                     erasure::Buffer payload);
 
   const std::string name_;
   const FrameHandler on_frame_;
   const HelloCheck accept_hello_;
-  const ServerHandoff take_server_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  runtime::EventLoop* serve_on_ = nullptr;  // set by start()
   std::uint16_t port_ = 0;
   std::atomic<bool> ready_{false};
 };

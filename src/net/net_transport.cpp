@@ -41,24 +41,17 @@ void PeerLink::start() {
 }
 
 void PeerLink::shutdown() {
-  std::shared_ptr<Connection> conn;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-    conn.swap(conn_);
-    pending_.clear();
+  shutdown_ = true;
+  pending_.clear();
+  if (connecting_.valid()) {
+    loop_->unwatch(connecting_.get());
+    connecting_.reset();
   }
-  if (conn != nullptr) conn->close();
-  loop_->post([this] {
-    if (connecting_.valid()) {
-      loop_->unwatch(connecting_.get());
-      connecting_.reset();
-    }
-  });
+  // Cleared first, so the close reports no loss.
+  if (std::shared_ptr<Connection> conn = std::move(conn_)) conn->close();
 }
 
 void PeerLink::send_frame(erasure::Buffer frame) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (shutdown_) return;
   if (conn_ != nullptr) {
     conn_->send(std::move(frame));
@@ -70,17 +63,8 @@ void PeerLink::send_frame(erasure::Buffer frame) {
   pending_.push_back(std::move(frame));
 }
 
-bool PeerLink::is_shut_down() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return shutdown_;
-}
-
 void PeerLink::dial() {
-  if (connecting_.valid()) return;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_ || conn_ != nullptr) return;
-  }
+  if (shutdown_ || connecting_.valid() || conn_ != nullptr) return;
   connecting_ = connect_tcp_nonblocking(host_, port_);
   if (!connecting_.valid()) {
     retry_later();
@@ -93,58 +77,41 @@ void PeerLink::dial() {
 void PeerLink::on_connect_ready(std::uint32_t events) {
   loop_->unwatch(connecting_.get());
   ScopedFd fd = std::move(connecting_);
-  if (is_shut_down()) return;
   if ((events & (EPOLLERR | EPOLLHUP)) != 0 ||
       take_socket_error(fd.get()) != 0) {
     retry_later();
     return;
   }
-  auto conn = std::make_shared<Connection>(loop_, std::move(fd));
-  conn->open(
+  conn_ = std::make_shared<Connection>(loop_, std::move(fd));
+  conn_->open(
       [this](const std::shared_ptr<Connection>& c, erasure::Buffer payload) {
         if (on_frame_) on_frame_(c, std::move(payload));
       },
       [this](const std::shared_ptr<Connection>& dead) { on_lost(dead); });
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!shutdown_) {
-      // Identify ourselves: a daemon's frames are attributed to the node
-      // its Hello names (the codec's frames carry no sender field; the
-      // channel does).
-      conn->send(encode_frame(encode_hello(hello_)));
-      for (auto& frame : pending_) conn->send(std::move(frame));
-      pending_.clear();
-      ever_established_ = true;
-      conn_ = std::move(conn);
-    }
-  }
-  if (conn != nullptr) {  // shut down while connecting
-    conn->close();
-    return;
-  }
+  // Identify ourselves: a daemon's frames are attributed to the node its
+  // Hello names (the codec's frames carry no sender field; the channel
+  // does). The queued frames follow it, ahead of any later send.
+  conn_->send(encode_frame(encode_hello(hello_)));
+  for (auto& frame : pending_) conn_->send(std::move(frame));
+  pending_.clear();
+  ever_established_ = true;
   on_liveness_(peer_, /*down=*/false);
 }
 
 void PeerLink::on_lost(const std::shared_ptr<Connection>& dead) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // A shut-down link already dropped its connection.
-    if (conn_ != dead) return;
-    conn_ = nullptr;
-  }
+  // A shut-down link already dropped its connection.
+  if (conn_ != dead) return;
+  conn_ = nullptr;
   on_liveness_(peer_, /*down=*/true);
   retry_later();
 }
 
 void PeerLink::retry_later() {
+  if (shutdown_) return;
   std::chrono::milliseconds delay = kReconnectDelay;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) return;
-    if (!ever_established_) {
-      delay = startup_redial_delay_;
-      startup_redial_delay_ = std::min(2 * delay, kReconnectDelay);
-    }
+  if (!ever_established_) {
+    delay = startup_redial_delay_;
+    startup_redial_delay_ = std::min(2 * delay, kReconnectDelay);
   }
   loop_->schedule_after(delay, [this] { dial(); });
 }

@@ -7,13 +7,13 @@
 // about after crashes.
 //
 // PeerLink is one such outbound link; frontdoor::Router dials its backends
-// with it too. Its shard's event loop dials, re-dials and watches it (until
-// the first establishment the redial delay starts at 1 ms and doubles up to
-// 100 ms, so a peer that is still binding its listener costs milliseconds;
-// after that, a lost link redials every 100 ms);
-// frames are written by the sending thread (the automaton, or the router's
-// shard) straight through Connection::send. Its delivery semantics match
-// the crash-stop channel model of the in-process runtimes:
+// with it too. One loop thread owns it: it dials, re-dials, watches and
+// writes the link (a daemon's automaton loop, or the router's shard).
+// Until the first establishment the redial delay starts at 1 ms and
+// doubles up to 100 ms, so a peer that is still binding its listener
+// costs milliseconds; after that, a lost link redials every 100 ms.
+// Frames go straight through Connection::send. Its delivery semantics
+// match the crash-stop channel model of the in-process runtimes:
 //   * before the link is first established (cluster start-up), frames are
 //     queued (bounded) so no protocol traffic is lost to boot-order races;
 //   * after an established link is lost, frames are dropped -- exactly the
@@ -27,7 +27,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <utility>
@@ -57,14 +56,13 @@ class PeerLink {
 
   /// Begin dialing (posts to the loop; any thread).
   void start();
-  /// Drop the connection and stop reconnecting. Any thread: later frames
-  /// are dropped at once; the close and the cancelling of a dial in
-  /// progress are posted to the loop.
+  /// Drop the connection and stop reconnecting; later frames are dropped.
+  /// Loop thread, or any thread once the loop has stopped.
   void shutdown();
 
-  /// Send one ready-made frame on the calling thread (see delivery
-  /// semantics above). Any thread; multicast callers pass the same Buffer
-  /// to every link, so the arena is shared across all n-1 destinations.
+  /// Send one ready-made frame (see delivery semantics above). Loop thread
+  /// only; multicast callers pass the same Buffer to every link, so the
+  /// arena is shared across all n-1 destinations.
   void send_frame(erasure::Buffer frame);
 
   NodeId peer() const { return peer_; }
@@ -74,12 +72,10 @@ class PeerLink {
   static constexpr std::size_t kMaxPendingFrames = 4096;
 
  private:
-  // All of the below runs on the loop thread.
   void dial();
   void on_connect_ready(std::uint32_t events);
   void on_lost(const std::shared_ptr<Connection>& dead);
   void retry_later();
-  bool is_shut_down();
 
   runtime::EventLoop* loop_;
   NodeId peer_;
@@ -89,13 +85,9 @@ class PeerLink {
   std::function<void(NodeId, bool)> on_liveness_;
   Connection::FrameHandler on_frame_;
 
-  ScopedFd connecting_;  // fd mid-connect (watched for EPOLLOUT); loop only
-  /// Next redial delay before the first establishment; loop only.
+  ScopedFd connecting_;  // fd mid-connect (watched for EPOLLOUT)
+  /// Next redial delay before the first establishment.
   std::chrono::milliseconds startup_redial_delay_;
-
-  /// Guards the send-side state below. Held across the Hello and the
-  /// start-up flush, so no frame can overtake them on a new connection.
-  std::mutex mu_;
   std::shared_ptr<Connection> conn_;
   std::deque<erasure::Buffer> pending_;  // pre-first-establishment queue
   bool ever_established_ = false;
@@ -104,11 +96,11 @@ class PeerLink {
 
 /// Transport implementation handed to the Server automaton. send/multicast
 /// serialize through the codec, wrap the bytes in one frame arena
-/// (serialize once, share everywhere), and send on the per-peer links from
-/// the calling thread. Serialization timing and the timers behind
-/// schedule_after/now belong to the automaton loop hosting the server (the
-/// Server only ever calls them from that loop's thread, so the automaton
-/// thread is the only sender of protocol frames and every link is FIFO).
+/// (serialize once, share everywhere), and send on the per-peer links.
+/// Serialization timing and the timers behind schedule_after/now belong to
+/// the automaton loop hosting the server, which also owns every link: the
+/// Server calls them only from that loop's thread, so the automaton thread
+/// is the only sender of protocol frames and every link is FIFO.
 class NetTransport final : public causalec::Transport {
  public:
   /// `links[j]` is the link to node j (null at the self index). `loop`

@@ -1,5 +1,6 @@
 #include "net/node_daemon.h"
 
+#include <string>
 #include <utility>
 
 #include "common/expect.h"
@@ -13,13 +14,21 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// "s<node>": names the daemon's shard threads and prefixes its front
+/// end's log lines.
+std::string node_name(NodeId node) {
+  std::string name = "s";
+  name += std::to_string(node);
+  return name;
+}
+
 }  // namespace
 
 NodeDaemon::NodeDaemon(erasure::CodePtr code, NodeDaemonConfig config)
     : code_(std::move(code)),
       config_(std::move(config)),
       front_end_(
-          "net", config_.shards,
+          node_name(config_.node), config_.shards,
           [this](const FrontEnd::Peer& peer,
                  const std::shared_ptr<Connection>& conn,
                  erasure::Buffer payload) {
@@ -30,11 +39,8 @@ NodeDaemon::NodeDaemon(erasure::CodePtr code, NodeDaemonConfig config)
             return hello.role != PeerRole::kServer ||
                    (hello.node < code_->num_servers() &&
                     hello.node != config_.node);
-          },
-          [this](NodeId node, const std::shared_ptr<Connection>& conn) {
-            adopt_peer(node, conn);
           }),
-      shard_ops_(std::make_unique<ShardOps[]>(config_.shards)),
+      shard_ops_(config_.shards, 0),
       loop_(config_.node, config_.server.obs, config_.gc_period,
             config_.snapshot_period) {
   const std::size_t n = code_->num_servers();
@@ -49,12 +55,9 @@ NodeDaemon::NodeDaemon(erasure::CodePtr code, NodeDaemonConfig config)
     CEC_CHECK_MSG(addr.has_value(),
                   "bad peer address '" << config_.peers[peer] << "'");
     links_.push_back(std::make_unique<PeerLink>(
-        front_end_.loop(peer % front_end_.shards()), peer, addr->first,
-        addr->second, Hello{PeerRole::kServer, config_.node},
-        [this](NodeId who, bool down) {
-          // Shard thread -> automaton thread.
-          loop_.post([this, who, down] { server_->set_peer_down(who, down); });
-        }));
+        &loop_.event_loop(), peer, addr->first, addr->second,
+        Hello{PeerRole::kServer, config_.node},
+        [this](NodeId who, bool down) { server_->set_peer_down(who, down); }));
     link_ptrs_[peer] = links_.back().get();
   }
   transport_ = std::make_unique<NetTransport>(link_ptrs_, &loop_);
@@ -93,9 +96,9 @@ void NodeDaemon::start() {
                      << " restored durable state from " << config_.data_dir;
     }
   }
-  // The automaton loop runs before the shards can hand it work.
+  // The automaton loop runs before the shards open connections on it.
   loop_.start(*server_);
-  front_end_.start();
+  front_end_.start(&loop_.event_loop());
   for (auto& link : links_) link->start();
   // The rejoin digest goes out as the automaton's first real work; frames
   // to still-dialing peers queue in the PeerLink start-up grace window.
@@ -107,81 +110,51 @@ void NodeDaemon::start() {
 
 void NodeDaemon::stop() {
   if (!started_) return;
-  // IO first: shut-down links drop the automaton's protocol frames at
-  // once, and once the loops are joined no new client tasks can arrive.
-  for (auto& link : links_) link->shutdown();
+  // The loops first: once they are joined nothing reads, sends or dials,
+  // and the links, which the automaton's loop owns, close from here.
   front_end_.stop();
   loop_.stop();
+  for (auto& link : links_) link->shutdown();
   started_ = false;
-}
-
-void NodeDaemon::adopt_peer(NodeId from,
-                            const std::shared_ptr<Connection>& conn) {
-  // The shard stops watching the fd here, before the automaton starts.
-  // Frames that arrived with the Hello stay in the moved connection's
-  // reader and are delivered, in order, before its first read.
-  std::shared_ptr<Connection> moved = conn->hand_off(&loop_.event_loop());
-  loop_.post([this, from, moved] {
-    moved->open(
-        [this, from](const std::shared_ptr<Connection>& c,
-                     erasure::Buffer payload) {
-          handle_peer_frame(from, c, std::move(payload));
-        },
-        nullptr);
-  });
-}
-
-void NodeDaemon::handle_peer_frame(NodeId from,
-                                   const std::shared_ptr<Connection>& conn,
-                                   erasure::Buffer payload) {
-  // A CausalEC protocol frame, attributed to the node the channel's Hello
-  // named and decoded here, aliasing the read's arena. Anything else on a
-  // protocol link closes it.
-  if (payload.empty() || payload.data()[0] >= kClientProtoBase) {
-    CEC_LOG(kWarn) << "net: closing peer connection from node " << from
-                   << " after a non-protocol frame";
-    conn->close();
-    return;
-  }
-  loop_.dispatch_frame(from, std::move(payload));
 }
 
 bool NodeDaemon::handle_frame(const FrontEnd::Peer& peer,
                               const std::shared_ptr<Connection>& conn,
                               erasure::Buffer payload) {
-  // Client connection (peers are handed to the automaton after their
-  // Hello). Requests are validated here on the shard thread so a hostile
-  // frame can never reach (and abort) the automaton.
-  switch (static_cast<ClientMsgType>(payload.data()[0])) {
-    case ClientMsgType::kWriteReq:
-      return post_request(decode_write_req(std::move(payload)), peer.shard,
-                          conn);
-    case ClientMsgType::kReadReq:
-      return post_request(decode_read_req(std::move(payload)), peer.shard,
-                          conn);
-    case ClientMsgType::kStatsReq: {
-      if (!decode_stats_req(std::move(payload))) return false;
-      loop_.post([this, conn] { handle_stats_req(conn); });
-      return true;
+  const std::uint8_t type = payload.data()[0];
+  if (peer.role == PeerRole::kServer) {
+    // A CausalEC protocol frame, attributed to the node the channel's
+    // Hello named and decoded here, aliasing the read's arena. Anything
+    // else on a protocol link closes it.
+    if (type >= kClientProtoBase) return false;
+    loop_.dispatch_frame(peer.node, std::move(payload));
+    return true;
+  }
+  // A client's request is decoded and checked against the cluster before
+  // it can reach the Server, so a hostile frame closes its connection
+  // instead of tripping a CEC_CHECK.
+  const auto request = [&](auto req) {
+    if (!req.has_value() ||
+        !fits_cluster(*req, code_->num_servers(), code_->num_objects(),
+                      code_->value_bytes())) {
+      return false;
     }
+    ++shard_ops_[peer.shard];
+    handle_request(std::move(*req), conn);
+    return true;
+  };
+  switch (static_cast<ClientMsgType>(type)) {
+    case ClientMsgType::kWriteReq:
+      return request(decode_write_req(std::move(payload)));
+    case ClientMsgType::kReadReq:
+      return request(decode_read_req(std::move(payload)));
+    case ClientMsgType::kStatsReq:
+      if (!decode_stats_req(std::move(payload))) return false;
+      handle_stats_req(conn);
+      return true;
     default:
       return false;
   }
-}
-
-template <typename Req>
-bool NodeDaemon::post_request(std::optional<Req> req, std::size_t shard,
-                              const std::shared_ptr<Connection>& conn) {
-  if (!req.has_value() ||
-      !fits_cluster(*req, code_->num_servers(), code_->num_objects(),
-                    code_->value_bytes())) {
-    return false;
-  }
-  shard_ops_[shard].count.fetch_add(1, std::memory_order_relaxed);
-  loop_.post([this, req = std::move(*req), conn]() mutable {
-    handle_request(std::move(req), conn);
-  });
-  return true;
 }
 
 OpId NodeDaemon::next_daemon_opid() { return opid_counter_++; }
@@ -288,11 +261,7 @@ void NodeDaemon::handle_stats_req(std::shared_ptr<Connection> conn) {
   s.reads = c.reads;
   s.error_events = c.error1_events + c.error2_events;
   s.recoveries = c.recoveries;
-  s.shard_ops.reserve(config_.shards);
-  for (std::size_t i = 0; i < config_.shards; ++i) {
-    s.shard_ops.push_back(
-        shard_ops_[i].count.load(std::memory_order_relaxed));
-  }
+  s.shard_ops = shard_ops_;
   conn->send(encode_frame(encode_stats_resp(s)));
 }
 

@@ -2,22 +2,21 @@
 // the process core of the causalec_server tool, also embeddable in-process
 // for tests (tests/net_loopback_test.cpp runs several under TSan).
 //
-// Thread model (DESIGN.md §11):
-//   * the `shards` event-loop threads of a net::FrontEnd, each owning a
-//     SO_REUSEPORT listener on the same port (the kernel load-balances
-//     accepted connections across shards) plus the outbound peer links
-//     assigned to it. Shard threads accept, run the Hello handshake, read
-//     client connections (Pongs, client-request validation), dial the peer
-//     links and drain write backlogs; frames are written by the thread
-//     that sends them, so the automaton's acks and protocol frames reach
-//     the sockets without a handoff;
-//   * one runtime::AutomatonLoop thread hosting the single-threaded Server
-//     -- the same driver as runtime/threaded_cluster: one EventLoop, one
-//     Apply/Encoding fixpoint per round, wall-clock GC and snapshot
-//     timers, phase metrics -- with parked requests retried after every
-//     round. After a peer's Hello its inbound connection moves from the
-//     shard to this loop, so protocol frames are read, decoded and
-//     dispatched on the automaton thread with no handoff.
+// Thread model (DESIGN.md §11): every socket has one owner thread, and in
+// a daemon that is the automaton's.
+//   * the `shards` event-loop threads of a net::FrontEnd (s<node>-shard<i>)
+//     only accept: each owns a SO_REUSEPORT listener on the same port (the
+//     kernel load-balances accepted connections across shards) and opens
+//     every connection it accepts on the automaton's loop;
+//   * one runtime::AutomatonLoop thread (s<node>-auto) hosts the
+//     single-threaded Server -- the same driver as runtime/threaded_cluster:
+//     one EventLoop, one Apply/Encoding fixpoint per round, wall-clock GC
+//     and snapshot timers, phase metrics -- and serves every connection:
+//     it runs the Hello, answers Pings, decodes and serves client requests
+//     (parked ones are retried after every round) and dispatches peer
+//     protocol frames, and it dials and writes the outbound peer links. A
+//     client request is a step of the automaton, with no thread between
+//     the socket and the Server.
 //
 // Durability: a non-empty data_dir attaches a persist::DirBackend journal;
 // on start, existing durable state is restored (Server::
@@ -27,7 +26,6 @@
 // coordination.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -60,6 +58,7 @@ struct NodeDaemonConfig {
   /// Empty = no durability (crash-stop). Otherwise a directory for the
   /// persist::DirBackend journal of this node.
   std::string data_dir;
+  /// Accept threads; every connection is served on the automaton's loop.
   std::size_t shards = 2;
   causalec::ServerConfig server;
   std::chrono::milliseconds gc_period{10};
@@ -106,29 +105,13 @@ class NodeDaemon {
     std::chrono::steady_clock::time_point deadline;
   };
 
-  /// Client operations accepted per shard, on a cache line of its own.
-  struct alignas(64) ShardOps {
-    std::atomic<std::uint64_t> count{0};
-  };
-
-  /// Shard thread, right after a peer's Hello: moves the connection to
-  /// the automaton's loop.
-  void adopt_peer(NodeId from, const std::shared_ptr<Connection>& conn);
-  /// Automaton thread: decodes and dispatches a peer's protocol frame.
-  void handle_peer_frame(NodeId from, const std::shared_ptr<Connection>& conn,
-                         erasure::Buffer payload);
-  /// Shard thread: validates client requests before posting them to the
-  /// automaton.
+  // Everything below runs on the automaton thread.
+  /// Every frame after a connection's Hello, but a client's Ping: a peer's
+  /// protocol frame is dispatched to the Server, a client's request
+  /// decoded and served. False for anything malformed or out of place.
   bool handle_frame(const FrontEnd::Peer& peer,
                     const std::shared_ptr<Connection>& conn,
                     erasure::Buffer payload);
-  /// Shard thread: posts a decoded request that fits the cluster to the
-  /// automaton; false for one that failed to decode or does not fit.
-  template <typename Req>
-  bool post_request(std::optional<Req> req, std::size_t shard,
-                    const std::shared_ptr<Connection>& conn);
-
-  // Automaton-side plumbing (runs on the loop thread).
   /// Serves `req` when the clock dominates its frontier, else parks it.
   template <typename Req>
   void handle_request(Req req, std::shared_ptr<Connection> conn);
@@ -148,7 +131,8 @@ class NodeDaemon {
   NodeDaemonConfig config_;
 
   FrontEnd front_end_;
-  std::unique_ptr<ShardOps[]> shard_ops_;
+  /// Client requests per accepting shard (automaton thread only).
+  std::vector<std::uint64_t> shard_ops_;
   std::vector<std::unique_ptr<PeerLink>> links_;
   std::vector<PeerLink*> link_ptrs_;  // indexed by NodeId; self = null
   std::unique_ptr<NetTransport> transport_;

@@ -33,6 +33,10 @@ void AutomatonLoop::start(Server& server) {
     loop_.schedule_after(snapshot_period_, [this] { checkpoint(); });
   }
   loop_.start([this] {
+    std::string name = "s";
+    name += std::to_string(id_);
+    name += "-auto";
+    set_thread_name(name);
     set_log_thread_node(static_cast<int>(id_));
     pool_.install();
   });

@@ -3,11 +3,12 @@
 //
 // The paper's server is one single-threaded automaton (Algorithms 1-3)
 // driven by inbound messages, internal actions and a GC timer. The loop
-// runs that drive on one runtime::EventLoop thread, the same wait
-// primitive the daemon's shards use, and owns everything around it:
-//   * two ways in for peer messages. A daemon hands its inbound peer
-//     connections to event_loop(), so their frames are read, decoded and
-//     dispatched on this thread (dispatch_frame) with no handoff. Other
+// runs that drive on one runtime::EventLoop thread (named s<id>-auto),
+// the same wait primitive the daemon's shards use, and owns everything
+// around it:
+//   * two ways in for peer messages. A daemon serves every connection on
+//     event_loop(), so its peers' frames are read, decoded and dispatched
+//     on this thread (dispatch_frame) with no handoff. Other
 //     threads deliver through a swap-and-drain MPSC inbox (deliver_frame,
 //     deliver_message; ThreadedCluster's channels): producers append under
 //     `inbox_mu_` with no closure allocation, and the first frame of a
@@ -16,10 +17,10 @@
 //     operation queued with it does not wait behind the batch. The
 //     Apply/Encoding fixpoint runs once per loop round, after the round's
 //     tasks, socket frames and inbox batch, not once per message; a client
-//     write behind a task that dispatched (a connection hand-off) applies
-//     what is pending before it takes its tag (Server::client_write);
-//   * tasks (client operations, liveness changes, the rejoin round), which
-//     are EventLoop posts;
+//     write read in the same round as a peer frame applies what is
+//     pending before it takes its tag (Server::client_write);
+//   * tasks (ThreadedCluster's client operations and liveness changes, a
+//     daemon's rejoin round), which are EventLoop posts;
 //   * the GC cadence, the snapshot cadence of a durable server, and
 //     Transport::schedule_after, which are EventLoop timers;
 //   * a per-thread erasure::BufferPool, so the data path, socket reads
@@ -102,7 +103,7 @@ class AutomatonLoop {
   static SimTime now();
 
   /// The loop the automaton runs on: fds watched here are read on the
-  /// automaton thread.
+  /// automaton thread, and connections opened here are served by it.
   EventLoop& event_loop() { return loop_; }
 
  private:

@@ -1,6 +1,7 @@
 #include "runtime/event_loop.h"
 
 #include <linux/futex.h>
+#include <pthread.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/syscall.h>
@@ -34,6 +35,10 @@ std::uint32_t to_epoll(bool want_read, bool want_write) {
 }
 
 }  // namespace
+
+void set_thread_name(const std::string& name) {
+  ::pthread_setname_np(::pthread_self(), name.substr(0, 15).c_str());
+}
 
 EventLoop::EventLoop()
     : epoll_(::epoll_create1(EPOLL_CLOEXEC)),
@@ -131,7 +136,7 @@ void EventLoop::update(int fd, bool want_read, bool want_write) {
 }
 
 void EventLoop::unwatch(int fd) {
-  CEC_DCHECK(on_loop_thread());
+  CEC_DCHECK(on_loop_thread() || !thread_.joinable());
   ::epoll_ctl(epoll_, EPOLL_CTL_DEL, fd, nullptr);
   handlers_.erase(fd);
 }

@@ -4,11 +4,11 @@
 //
 // Two kinds of loop run on it:
 //   * the automaton loop of every server (runtime::AutomatonLoop, for
-//     ThreadedCluster and NodeDaemon alike), which in a daemon also reads
-//     the inbound peer connections;
+//     ThreadedCluster and NodeDaemon alike), which in a daemon also serves
+//     every connection and outbound peer link;
 //   * the shard loops of a net::FrontEnd (a causalec_server daemon's or a
-//     causalec_router's), which own the listeners, the client connections
-//     and the outbound peer links.
+//     causalec_router's), which own the listeners; a router's also serve
+//     its client connections and backend links.
 //
 // One round: wait (timed to the nanosecond up to the earliest timer, at
 // most 500 ms) -> posted tasks in FIFO order, the ones that woke the loop
@@ -40,10 +40,15 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 namespace causalec::runtime {
+
+/// Names the calling thread (pthread_setname_np, cut to the 15 bytes
+/// Linux keeps), so /proc/<pid>/task/*/comm tells loop threads apart.
+void set_thread_name(const std::string& name);
 
 class EventLoop {
  public:
@@ -73,6 +78,8 @@ class EventLoop {
   /// is kept until unwatch(); it receives the raw epoll event mask.
   void watch(int fd, bool want_read, bool want_write, FdHandler handler);
   void update(int fd, bool want_read, bool want_write);
+  /// Loop thread, or while the loop is stopped (its owner then tears down
+  /// what the loop watched).
   void unwatch(int fd);
 
   /// Run `fn` once after `delta`. Loop thread, or while the loop is

@@ -239,9 +239,9 @@ TEST_F(AutomatonLoopTest, PostBatchHookRunsAfterEveryBatch) {
 
 TEST_F(AutomatonLoopTest, ClientWriteBehindDispatchedFramesTagsThem) {
   // The loop runs the fixpoint once per round, so a task queued behind one
-  // that dispatched frames -- a daemon's connection hand-off delivers the
-  // frames that came with a peer's Hello that way -- finds them dispatched
-  // but not applied. A client write there must apply them before it takes
+  // that dispatched frames -- as a daemon's client request read in the
+  // same round as a peer's frames is -- finds them dispatched but not
+  // applied. A client write there must apply them before it takes
   // its tag: otherwise its own fixpoint moves them into the clock it is
   // answered with, past the tag.
   constexpr std::uint64_t kFrames = 8;

@@ -200,8 +200,11 @@ TEST(NetCluster, SurvivesSigkillMidWritesAndRejoins) {
   ASSERT_TRUE(seed.connected);
   for (ObjectId g = 0; g < kObjects; ++g) ASSERT_TRUE(seed.write_op(g));
 
-  // Recording writers pinned to the survivors hammer away while the victim
-  // is killed and restarted underneath them.
+  // Recording writers pinned to the survivors keep writing while the
+  // victim is killed and restarted underneath them. Each is paced at one
+  // operation per kPace, so the history, and the checkers' pairwise work
+  // over it, stays the same size however fast the system runs.
+  constexpr auto kPace = 1ms;
   const std::vector<std::size_t> survivors = {0, 1, 3, 4};
   std::vector<std::unique_ptr<Session>> sessions;
   for (std::size_t t = 0; t < survivors.size(); ++t) {
@@ -218,6 +221,7 @@ TEST(NetCluster, SurvivesSigkillMidWritesAndRejoins) {
     threads.emplace_back([&, t] {
       Session& s = *sessions[t];
       std::uint64_t op = 0;
+      auto next = std::chrono::steady_clock::now();
       while (!stop.load()) {
         const auto object = static_cast<ObjectId>((op + t) % kObjects);
         const bool ok = (op % 3 == 2) ? s.read_op(object)
@@ -227,6 +231,8 @@ TEST(NetCluster, SurvivesSigkillMidWritesAndRejoins) {
           return;
         }
         ++op;
+        next += kPace;
+        std::this_thread::sleep_until(next);
       }
     });
   }

@@ -1,9 +1,9 @@
 // Connection's write backlog, driven directly over loopback TCP on one
-// in-process EventLoop so TSan sees the loop thread and every sending and
-// closing thread. Sends write through on the calling thread; only a full
-// socket buffer queues frames for the loop's EPOLLOUT drain. A peer that
-// has paused reading forces that path here. Also: how soon a PeerLink's
-// first link comes up once its peer starts listening.
+// in-process EventLoop. Every send and close runs in a task posted to the
+// connection's loop, the one thread that may touch it. Sends write
+// through; only a full socket buffer queues frames for the loop's EPOLLOUT
+// drain. A peer that has paused reading forces that path here. Also: how
+// soon a PeerLink's first link comes up once its peer starts listening.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -80,97 +80,103 @@ class ConnectionTest : public ::testing::Test {
 
   void TearDown() override { loop_.stop(); }
 
-  /// Reads frames off the peer until `limit` arrived, the connection hit
-  /// EOF, or 10 s of silence; every frame must equal payload_for(its
-  /// index). Returns how many arrived.
-  std::size_t read_frames(std::size_t limit) {
-    FrameReader reader;
-    std::size_t received = 0;
-    while (received < limit) {
-      if (auto payload = reader.next()) {
-        const std::vector<std::uint8_t> want = payload_for(received);
-        EXPECT_EQ(payload->size(), want.size()) << "frame " << received;
-        EXPECT_TRUE(payload->size() == want.size() &&
-                    std::equal(want.begin(), want.end(), payload->data()))
-            << "frame " << received << " differs";
-        ++received;
-        continue;
-      }
-      EXPECT_FALSE(reader.failed()) << reader.error();
-      pollfd pfd{peer_.get(), POLLIN, 0};
-      if (::poll(&pfd, 1, 10'000) != 1) {
-        ADD_FAILURE() << "peer read timed out after " << received;
-        break;
-      }
-      if (recv_into(peer_.get(), reader) <= 0) break;  // EOF: closed
-    }
-    return received;
+  /// Runs `fn` on the loop thread and returns its result.
+  template <typename Fn>
+  auto on_loop(Fn fn) -> decltype(fn()) {
+    std::packaged_task<decltype(fn())()> task(std::move(fn));
+    auto result = task.get_future();
+    loop_.post([&task] { task(); });
+    return result.get();
   }
 
-  /// Waits until every task posted so far has run on the loop.
-  void sync_loop() {
-    std::promise<void> done;
-    loop_.post([&] { done.set_value(); });
-    done.get_future().wait();
+  /// Frame i for every i in [from, to), sent on the loop thread.
+  void send_frames(std::size_t from, std::size_t to) {
+    on_loop([this, from, to] {
+      for (std::size_t i = from; i < to; ++i) {
+        conn_->send(encode_frame(payload_for(i)));
+      }
+    });
+  }
+
+  std::size_t backlog() {
+    return on_loop([this] { return conn_->write_backlog(); });
+  }
+
+  /// Reads frames off the peer until `limit` arrived in all, the
+  /// connection hit EOF, or 10 s of silence; every frame must equal
+  /// payload_for(its index). Returns how many arrived in all.
+  std::size_t read_frames(std::size_t limit) {
+    while (received_ < limit) {
+      if (auto payload = reader_.next()) {
+        const std::vector<std::uint8_t> want = payload_for(received_);
+        EXPECT_EQ(payload->size(), want.size()) << "frame " << received_;
+        EXPECT_TRUE(payload->size() == want.size() &&
+                    std::equal(want.begin(), want.end(), payload->data()))
+            << "frame " << received_ << " differs";
+        ++received_;
+        continue;
+      }
+      EXPECT_FALSE(reader_.failed()) << reader_.error();
+      pollfd pfd{peer_.get(), POLLIN, 0};
+      if (::poll(&pfd, 1, 10'000) != 1) {
+        ADD_FAILURE() << "peer read timed out after " << received_;
+        break;
+      }
+      if (recv_into(peer_.get(), reader_) <= 0) break;  // EOF: closed
+    }
+    return received_;
   }
 
   runtime::EventLoop loop_;
   ScopedFd peer_;
   std::shared_ptr<Connection> conn_;
   std::atomic<int> closes_{0};
+  FrameReader reader_;  // the peer's side of the stream
+  std::size_t received_ = 0;
 };
 
 TEST_F(ConnectionTest, BacklogDrainsInOrderOnEpollOut) {
-  std::thread sender([this] {
-    for (std::size_t i = 0; i < kFrames; ++i) {
-      conn_->send(encode_frame(payload_for(i)));
-    }
-  });
-  sender.join();
+  send_frames(0, kFrames);
   // The peer has read nothing, so most of the 32 MiB is queued behind
   // the full socket buffer.
-  EXPECT_GT(conn_->write_backlog(), kFrames * kFrameBytes / 2);
+  EXPECT_GT(backlog(), kFrames * kFrameBytes / 2);
 
   EXPECT_EQ(read_frames(kFrames), kFrames);
   // Every byte arrived, so the drain emptied the queue, and the
   // connection carries on once the backlog is gone.
-  EXPECT_EQ(conn_->write_backlog(), 0u);
-  conn_->send(encode_frame(payload_for(0)));
+  EXPECT_EQ(backlog(), 0u);
+  received_ = 0;
+  send_frames(0, 1);
   EXPECT_EQ(read_frames(1), 1u);
-  EXPECT_EQ(conn_->write_backlog(), 0u);
-  sync_loop();
+  EXPECT_EQ(backlog(), 0u);
   EXPECT_EQ(closes_.load(), 0);
 }
 
 TEST_F(ConnectionTest, CloseMidBacklogFiresTheHandlerOnce) {
-  // The closing thread waits for a backlog far larger than the socket
-  // buffers can take, so the queue is still non-empty when the posted
-  // close runs, while the sender keeps queueing and, once the close is
-  // requested, the peer reads and the loop drains.
+  // Half the frames queue far more than the socket buffers can take. The
+  // peer then reads a few of them, so the loop drains on EPOLLOUT, while
+  // the other half joins the queue; the close comes with the backlog
+  // still non-empty.
   constexpr std::size_t kCloseAtBacklog = 8u << 20;
-  std::atomic<bool> close_requested{false};
-  std::thread sender([this] {
-    for (std::size_t i = 0; i < kFrames; ++i) {
-      conn_->send(encode_frame(payload_for(i)));
-    }
-  });
-  std::thread closer([this, &close_requested] {
-    while (conn_->write_backlog() < kCloseAtBacklog) std::this_thread::yield();
+  send_frames(0, kFrames / 2);
+  EXPECT_GT(backlog(), kCloseAtBacklog);
+  EXPECT_EQ(read_frames(4), 4u);
+  send_frames(kFrames / 2, kFrames);
+  const std::size_t backlog_at_close = on_loop([this] {
+    const std::size_t queued = conn_->write_backlog();
     conn_->close();
-    close_requested.store(true);
+    return queued;
   });
-  while (!close_requested.load()) std::this_thread::yield();
+  EXPECT_GT(backlog_at_close, kCloseAtBacklog);
   // The frames that got out before the close are a whole, ordered prefix;
   // then the stream ends instead of stalling.
-  const std::size_t received = read_frames(kFrames);
-  sender.join();
-  closer.join();
-  EXPECT_LT(received, kFrames);
+  EXPECT_LT(read_frames(kFrames), kFrames);
 
-  conn_->close();  // a second close is a no-op
-  conn_->send(encode_frame(payload_for(0)));  // dropped: closed
-  EXPECT_EQ(conn_->write_backlog(), 0u);
-  sync_loop();
+  on_loop([this] {
+    conn_->close();                             // a second close is a no-op
+    conn_->send(encode_frame(payload_for(0)));  // dropped: closed
+  });
+  EXPECT_EQ(backlog(), 0u);
   EXPECT_EQ(closes_.load(), 1);
 }
 
@@ -209,7 +215,13 @@ TEST(PeerLinkTest, FirstLinkComesUpSoonAfterThePeerListens) {
   ASSERT_EQ(came_up.wait_for(std::chrono::seconds(5)),
             std::future_status::ready);
   EXPECT_LT(came_up.get() - listening, std::chrono::milliseconds(50));
-  link.shutdown();
+  // The link belongs to its loop: it is shut down there.
+  std::promise<void> shut;
+  loop.post([&] {
+    link.shutdown();
+    shut.set_value();
+  });
+  shut.get_future().wait();
   loop.stop();
 }
 

@@ -9,6 +9,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <span>
@@ -40,6 +42,35 @@ constexpr std::size_t kValueBytes = 64;
 SimTime next_tick() {
   static std::atomic<SimTime> tick{0};
   return tick.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+/// The voluntary context switches of this process's threads whose names
+/// contain `tag`, summed, and how many such threads there are.
+struct ThreadSwitches {
+  std::size_t threads = 0;
+  std::uint64_t voluntary = 0;
+};
+
+ThreadSwitches voluntary_switches(const std::string& tag) {
+  ThreadSwitches out;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    if (!std::getline(comm, name) || name.find(tag) == std::string::npos) {
+      continue;
+    }
+    std::ifstream status(task.path() / "status");
+    const std::string key = "voluntary_ctxt_switches:";
+    for (std::string line; std::getline(status, line);) {
+      if (line.compare(0, key.size(), key) == 0) {
+        out.voluntary += std::stoull(line.substr(key.size()));
+        ++out.threads;
+        break;
+      }
+    }
+  }
+  return out;
 }
 
 erasure::Value value_for(ClientId client, std::uint64_t seq) {
@@ -253,6 +284,34 @@ TEST_F(NetLoopbackTest, ConcurrentClientsSatisfyTheCheckers) {
   EXPECT_EQ(total_error_events(endpoints_), 0u);
 }
 
+TEST_F(NetLoopbackTest, ShardThreadsSleepWhileRequestsFlow) {
+  // A daemon serves every connection on its automaton's loop; its shard
+  // threads (s<node>-shard<i>) only accept. So once the sessions are
+  // connected, client operations do not wake the shards at all: a shard
+  // that read each request and handed it on would sleep and wake about
+  // once per operation.
+  constexpr std::size_t kOps = 4000;
+  std::vector<std::unique_ptr<Session>> sessions;
+  for (std::size_t i = 0; i < kServers; ++i) {
+    sessions.push_back(std::make_unique<Session>(
+        250 + static_cast<ClientId>(i), static_cast<NodeId>(i),
+        endpoints_[i]));
+    ASSERT_TRUE(sessions.back()->connected);
+    ASSERT_TRUE(sessions.back()->write_op(0));  // accepted and served
+  }
+  const ThreadSwitches before = voluntary_switches("-shard");
+  ASSERT_EQ(before.threads, 2 * kServers);
+  for (std::size_t op = 0; op < kOps; ++op) {
+    Session& s = *sessions[op % kServers];
+    const auto object = static_cast<ObjectId>(op % kObjects);
+    ASSERT_TRUE(op % 2 == 0 ? s.write_op(object) : s.read_op(object));
+  }
+  const ThreadSwitches after = voluntary_switches("-shard");
+  EXPECT_EQ(after.threads, before.threads);
+  EXPECT_LT(after.voluntary - before.voluntary, kOps / 20)
+      << "shard threads woke for client operations";
+}
+
 TEST_F(NetLoopbackTest, DaemonsRecordTheRuntimePhases) {
   // The daemons drive their servers through the same AutomatonLoop as
   // ThreadedCluster, so they fill the same runtime metrics that
@@ -417,10 +476,10 @@ TEST_F(NetLoopbackTest, HelloDecidesWhatAConnectionMaySend) {
 
 // A PeerLink flushes its start-up queue right behind its Hello, so the
 // Hello and a peer's first protocol frames often arrive in one read. The
-// shard that reads them moves the connection to the automaton's loop after
-// the Hello; every frame already read must still be applied, in order.
-// A raw socket plays server 1, which never comes up, and sends its Hello
-// and kWrites writes in one send(2).
+// automaton's loop reads them: it must take the Hello and still apply
+// every protocol frame that came with it, in order. A raw socket plays
+// server 1, which never comes up, and sends its Hello and kWrites writes
+// in one send(2).
 TEST(NetPeerHandoffTest, FramesThatArriveWithTheHelloAreAllApplied) {
   constexpr std::uint64_t kWrites = 64;
   const std::vector<std::uint16_t> ports = reserve_loopback_ports(kServers);

@@ -1,10 +1,10 @@
 // causalec_server: one CausalEC server automaton as a real daemon process.
 //
-// One process = one node of the deployment: epoll shards that accept and
-// read client connections, the single-threaded server automaton on an
-// epoll loop of its own that also reads its peers' connections, and (with
-// --data-dir) a durable journal that survives SIGKILL and rejoins the
-// cluster on restart. Spawned n times
+// One process = one node of the deployment: epoll shards that accept
+// connections (--shards sets how many), the single-threaded server
+// automaton on an epoll loop of its own that serves every client and peer
+// connection and writes its peer links, and (with --data-dir) a durable
+// journal that survives SIGKILL and rejoins the cluster on restart. Spawned n times
 // (by tests/net_cluster_test.cpp, perfbench, or by hand) it
 // forms a full cluster over TCP.
 //

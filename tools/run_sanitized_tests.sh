@@ -23,18 +23,20 @@
 #   tools/run_sanitized_tests.sh thread -L "net|frontdoor|runtime"
 #       # the real-socket, front-door and threaded-runtime batteries
 #       # (DESIGN.md §5.3, §11, §12): frame reassembly sweep, in-process
-#       # daemons over loopback TCP, the peer-connection hand-off to the
+#       # daemons over loopback TCP that serve every connection on the
 #       # automaton loop, hash-ring properties, the frontier-gated edge
 #       # cache, cluster-config parsing, sessions through an in-process
 #       # router under the consistency checkers, the multi-process
 #       # SIGKILL/rejoin and router-restart chaos tests, and
 #       # ThreadedCluster. Every loop thread -- each server's automaton
 #       # loop in both runtimes, and the shards daemons and routers share
-#       # through net::FrontEnd -- is one runtime::EventLoop, so under tsan
-#       # this exercises the wakeup protocol, every shard and automaton
-#       # loop, peer and backend link, the automaton inbox, the shared edge
-#       # cache, and every client session thread (the forked servers are
-#       # instrumented too; tsan just cannot see across the processes)
+#       # through net::FrontEnd -- is one runtime::EventLoop, and every
+#       # connection and link has one owner thread and no lock, so under
+#       # tsan this exercises the wakeup protocol, every shard and
+#       # automaton loop, peer and backend link, the automaton inbox, the
+#       # shared edge cache, and every client session thread (the forked
+#       # servers are instrumented too; tsan just cannot see across the
+#       # processes)
 #   tools/run_sanitized_tests.sh address,undefined -L protocol
 #   tools/run_sanitized_tests.sh thread -L protocol
 #       # the automaton battery (Algorithms 1-3): causalec_test,
