@@ -135,15 +135,9 @@ void write_message(Writer& w, const sim::Message& message) {
 
 }  // namespace
 
-std::vector<std::uint8_t> serialize_message(const sim::Message& message) {
+erasure::Buffer serialize_message_frame(const sim::Message& message) {
   // wire_bytes() is the cost model's estimate of the serialized size --
   // close enough that the common messages need no reallocation.
-  Writer w(16 + message.wire_bytes());
-  write_message(w, message);
-  return w.take();
-}
-
-erasure::Buffer serialize_message_frame(const sim::Message& message) {
   Writer w(16 + message.wire_bytes());
   write_message(w, message);
   return w.take_frame();

@@ -18,24 +18,22 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "causalec/messages.h"
 #include "erasure/buffer.h"
 
 namespace causalec {
 
-/// Serializes any of the five protocol messages. Aborts on foreign types.
-std::vector<std::uint8_t> serialize_message(const sim::Message& message);
-
-/// Same bytes as serialize_message, returned as an erasure::Buffer frame
-/// with no copy out of the Writer. On a thread with a BufferPool installed
-/// (node/shard threads) the frame's arena is pool-recycled, so the
-/// steady-state send path performs no malloc.
+/// Serializes any of the protocol messages (aborts on foreign types) into
+/// one payload, returned with no copy out of the Writer: the arena also
+/// holds the payload's length prefix, so a socket writer frames it without
+/// a copy (net/frame.h). On a thread with a BufferPool installed (automaton
+/// and shard threads) the arena is pool-recycled, so the steady-state send
+/// path performs no malloc.
 erasure::Buffer serialize_message_frame(const sim::Message& message);
 
-/// Parses a frame produced by serialize_message; aborts on malformed
-/// input (the runtime owns both ends of the channel).
+/// Parses a payload produced by serialize_message_frame; aborts on
+/// malformed input (the runtime owns both ends of the channel).
 ///
 /// Zero-copy: the value/symbol payloads of the returned message alias the
 /// frame's arena (erasure::Buffer slices), so deserializing performs no

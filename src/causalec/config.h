@@ -52,12 +52,12 @@ struct ServerConfig {
   NodeId del_leader = 0;
 
   /// Try to decode a freshly registered read from the local symbol before
-  /// any response arrives. The paper only decodes on response receipt; the
+  /// it sends any inquiry. The paper only decodes on response receipt; the
   /// local attempt lets internal reads at servers whose own symbol decodes
   /// the object (e.g. uncoded/systematic servers) complete with zero
-  /// network traffic, cutting measured write cost roughly in half (see
-  /// bench_geo_sim). Reads whose inquiry target set is empty are decoded
-  /// locally regardless (liveness).
+  /// network traffic under either fan-out, cutting measured write cost
+  /// roughly in half (see bench_geo_sim). Reads whose inquiry target set
+  /// is empty are decoded locally regardless (liveness).
   bool opportunistic_local_decode = true;
 
   /// Suppress duplicate del(X, t) broadcasts from Garbage_Collection

@@ -297,7 +297,7 @@ void Server::on_message(NodeId from, sim::MessagePtr message) {
 void Server::dispatch_message(NodeId from, sim::MessagePtr message) {
   if (journal_ != nullptr && journal_->recording()) {
     const std::int64_t pt0 = m_phase_persist_ != nullptr ? wall_ns() : 0;
-    journal_->record_message(from, serialize_message(*message));
+    journal_->record_message(from, serialize_message_frame(*message).span());
     if (m_phase_persist_ != nullptr) m_phase_persist_->observe(wall_ns() - pt0);
   }
   // Handlers run in the trace context of the inbound message; outbound
@@ -627,10 +627,12 @@ bool Server::encoding_step() {
       record_del(p.object, p.highest);
       // Peers learn the tag at this server's next GC tick (DESIGN.md §2,
       // note 11). Only where every server stores X, or where the leader
-      // forwards it to everyone, can a receiver act on it sooner.
+      // forwards it to everyone, can a receiver act on it sooner: then it
+      // is announced now, and the tick's announcement is deduped.
       if (containing_servers(p.object).size() == n_ ||
           config_.del_routing == DelRouting::kViaLeader) {
-        send_del_to_containing(p.object, p.highest);
+        broadcast_del(p.object, p.highest,
+                      /*dedupe=*/config_.dedupe_del_broadcasts);
       }
     }
     changed = true;
@@ -1151,17 +1153,18 @@ void Server::register_read(PendingRead read) {
   const bool escalate = !read.broadcast;
   reads_.add(std::move(read));
 
+  // The local symbol recorded at registration may already form a recovery
+  // set (e.g. an internal read at a server whose own symbol decodes the
+  // object): such a read completes here and inquires nowhere.
+  if (config_.opportunistic_local_decode) {
+    try_decode_pending_read(opid);
+    if (reads_.find(opid) == nullptr) return;
+  }
   const PendingRead& stored = *reads_.find(opid);
   const std::vector<NodeId> targets = initial_fanout_targets(stored);
   send_val_inq_to(targets, stored);
-
-  // The local symbol recorded at registration may already form a recovery
-  // set (e.g. an internal read at a server whose own symbol decodes the
-  // object) -- complete immediately in that case. Mandatory when the
-  // fan-out chose a recovery set with no remote members.
-  if (config_.opportunistic_local_decode || targets.empty()) {
-    try_decode_pending_read(opid);
-  }
+  // Mandatory when the fan-out chose a recovery set with no remote members.
+  if (targets.empty()) try_decode_pending_read(opid);
 
   if (escalate && reads_.find(opid) != nullptr) {
     // Footnote 14: fall back to a broadcast if the chosen recovery set does
@@ -1333,29 +1336,6 @@ std::vector<NodeId> Server::initial_fanout_targets(const PendingRead& read) {
 void Server::record_del(ObjectId object, const Tag& tag) {
   dels_[object].add(id_, tag);
   flight(obs::FlightKind::kDelRecord, object, 0, &tag);
-}
-
-void Server::send_del_to_containing(ObjectId object, const Tag& tag) {
-  if (config_.del_routing == DelRouting::kViaLeader &&
-      id_ != config_.del_leader) {
-    // One hop to the leader, who forwards to everyone -- a superset of the
-    // containing servers, which only adds (harmless) DelL entries.
-    auto msg = std::make_unique<DelMessage>(object, tag, id_,
-                                            /*forward=*/true, wire_);
-    stamp_trace(*msg, active_trace_);
-    send(config_.del_leader, std::move(msg));
-    return;
-  }
-  std::vector<NodeId> targets;
-  for (NodeId j : containing_servers(object)) {
-    if (j != id_) targets.push_back(j);
-  }
-  multicast(targets, [&] {
-    auto msg = std::make_unique<DelMessage>(object, tag, id_,
-                                            /*forward=*/false, wire_);
-    stamp_trace(*msg, active_trace_);
-    return msg;
-  });
 }
 
 void Server::broadcast_del(ObjectId object, const Tag& tag, bool dedupe) {

@@ -270,7 +270,6 @@ class Server final : public sim::Actor {
 
   // del bookkeeping.
   void record_del(ObjectId object, const Tag& tag);  // own DelL entry
-  void send_del_to_containing(ObjectId object, const Tag& tag);
   void broadcast_del(ObjectId object, const Tag& tag, bool dedupe);
 
   OpId next_internal_opid();

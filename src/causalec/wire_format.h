@@ -1,9 +1,14 @@
-// Low-level wire primitives shared by the message codec (codec.cpp) and the
-// durable snapshot format (persist/snapshot.cpp).
+// Low-level wire primitives shared by the message codec (codec.cpp), the
+// client protocol (net/client_proto.cpp) and the durable formats
+// (persist/journal.cpp, persist/snapshot.cpp).
 //
 // Writer is the little-endian, length-prefixed encoder the codec has always
-// used. SafeReader is its decoding counterpart for *untrusted* input
-// (durable files that may be truncated or corrupted): instead of
+// used, and the one producer of bytes that leave a process: protocol and
+// client frames, WAL records and snapshots. Its arena starts with room for
+// the frame's u32 length prefix, which take_frame() fills in, so the socket
+// writers send a payload without copying it (net/frame.h). SafeReader is
+// its decoding counterpart for *untrusted* input (frames off a socket, and
+// durable files that may be truncated or corrupted): instead of
 // CHECK-aborting like the codec's internal reader, it latches an error and
 // degrades every subsequent accessor to a zero value, so callers validate
 // once at the end and never touch out-of-bounds memory.
@@ -29,14 +34,19 @@ inline constexpr std::size_t kTraceContextBytes = 16;
 
 class Writer {
  public:
-  /// Pre-sizes the buffer; callers pass header size + payload bytes so the
-  /// common messages serialize with a single allocation. The backing store
-  /// is an erasure::Buffer arena, so on a thread with a BufferPool
-  /// installed (node/shard threads) serialization recycles arenas instead
+  /// Bytes reserved at the front of every arena for the frame's length
+  /// prefix (net/frame.h), filled in by take_frame().
+  static constexpr std::size_t kPrefixBytes = 4;
+
+  /// Pre-sizes the arena; callers pass the payload bytes they expect so
+  /// the common messages serialize with a single allocation. The arena is
+  /// an erasure::Buffer, so on a thread with a BufferPool installed
+  /// (automaton and shard threads) serialization recycles arenas instead
   /// of malloc'ing, and take_frame() hands the result off with zero copies.
   explicit Writer(std::size_t reserve_hint = 0)
       : buf_(erasure::Buffer::alloc_uninit(
-            reserve_hint < kMinCapacity ? kMinCapacity : reserve_hint)) {}
+            kPrefixBytes +
+            (reserve_hint < kMinCapacity ? kMinCapacity : reserve_hint))) {}
 
   void u8(std::uint8_t v) {
     ensure(1);
@@ -44,27 +54,25 @@ class Writer {
   }
   void u32(std::uint32_t v) {
     ensure(4);
-    std::uint8_t* out = data() + len_;
-    for (int i = 0; i < 4; ++i) {
-      out[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    }
+    put_le(data() + len_, v, 4);
     len_ += 4;
   }
   void u64(std::uint64_t v) {
     ensure(8);
-    std::uint8_t* out = data() + len_;
-    for (int i = 0; i < 8; ++i) {
-      out[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    }
+    put_le(data() + len_, v, 8);
     len_ += 8;
+  }
+  /// The bytes as they are, with no length field in front.
+  void raw(std::span<const std::uint8_t> bytes) {
+    ensure(bytes.size());
+    if (!bytes.empty()) {
+      std::memcpy(data() + len_, bytes.data(), bytes.size());
+      len_ += bytes.size();
+    }
   }
   void bytes(std::span<const std::uint8_t> payload) {
     u32(static_cast<std::uint32_t>(payload.size()));
-    ensure(payload.size());
-    if (!payload.empty()) {
-      std::memcpy(data() + len_, payload.data(), payload.size());
-      len_ += payload.size();
-    }
+    raw(payload);
   }
   void clock(const VectorClock& vc) {
     u32(static_cast<std::uint32_t>(vc.size()));
@@ -82,19 +90,34 @@ class Writer {
     u64(ctx.trace_id);
     u64(ctx.span_id);
   }
-  std::size_t size() const { return len_; }
-  /// The encoded bytes as a plain vector (one copy out of the arena); for
-  /// callers that need owned contiguous storage, e.g. the journal.
-  std::vector<std::uint8_t> take() {
-    const std::uint8_t* p = buf_.data();
-    return std::vector<std::uint8_t>(p, p + len_);
+  /// Overwrites the u64 at payload offset `at`, for a length field written
+  /// before the bytes it counts.
+  void patch_u64(std::size_t at, std::uint64_t v) {
+    put_le(data() + kPrefixBytes + at, v, 8);
   }
-  /// The encoded bytes as a Buffer sharing the (pooled) arena -- zero-copy.
-  /// The Writer must not be written to afterwards.
-  erasure::Buffer take_frame() { return buf_.slice(0, len_); }
+  /// Payload bytes written so far.
+  std::size_t size() const { return len_ - kPrefixBytes; }
+  /// The payload written so far (valid until the next write).
+  std::span<const std::uint8_t> written() const {
+    return {buf_.data() + kPrefixBytes, size()};
+  }
+  /// The payload as a Buffer sharing the (pooled) arena -- zero-copy. Its
+  /// length goes into the reserved prefix in front of it, so a socket
+  /// writer frames it without a copy. The Writer must not be written to
+  /// afterwards.
+  erasure::Buffer take_frame() {
+    put_le(data(), size(), kPrefixBytes);
+    return buf_.slice(kPrefixBytes, size());
+  }
 
  private:
   static constexpr std::size_t kMinCapacity = 64;
+
+  static void put_le(std::uint8_t* out, std::uint64_t v, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
 
   std::uint8_t* data() { return buf_.mutable_data(); }
 
@@ -108,7 +131,7 @@ class Writer {
   }
 
   erasure::Buffer buf_;
-  std::size_t len_ = 0;
+  std::size_t len_ = kPrefixBytes;
 };
 
 /// Error-latching reader over a zero-copy frame. Collection accessors take
@@ -139,14 +162,19 @@ class SafeReader {
     }
     return v;
   }
+  /// Zero-copy: the next `len` bytes as a slice of the frame's arena, with
+  /// no length field in front (Writer::raw's counterpart).
+  erasure::Buffer raw(std::size_t len) {
+    if (!need(len)) return erasure::Buffer();
+    erasure::Buffer out = frame_.slice(pos_, len);
+    pos_ += len;
+    return out;
+  }
   /// Zero-copy: a Value aliasing the frame's arena at the current cursor.
   erasure::Value bytes(std::size_t max_len) {
     const std::uint32_t len = u32();
     if (len > max_len) fail("length field exceeds cap");
-    if (!need(len)) return erasure::Value();
-    erasure::Value out(frame_.slice(pos_, len));
-    pos_ += len;
-    return out;
+    return erasure::Value(raw(len));
   }
   VectorClock clock(std::size_t max_entries) {
     const std::uint32_t n = u32();
@@ -191,6 +219,10 @@ class SafeReader {
   bool ok() const { return error_.empty(); }
   bool done() const { return ok() && pos_ == buf_.size(); }
   std::size_t remaining() const { return ok() ? buf_.size() - pos_ : 0; }
+  /// The unread bytes, without consuming them (empty once failed).
+  std::span<const std::uint8_t> rest() const {
+    return buf_.subspan(pos_, remaining());
+  }
   const std::string& error() const { return error_; }
 
   void fail(const char* what) {

@@ -136,6 +136,19 @@ class Buffer {
     return b;
   }
 
+  /// The slice extended `n` bytes toward the front of its arena; the empty
+  /// Buffer when fewer than `n` arena bytes precede it. Those bytes are
+  /// whatever the arena holds there: the caller checks them.
+  Buffer with_front(std::size_t n) const {
+    if (arena_ == nullptr || offset_ < n) return Buffer();
+    Buffer b;
+    b.arena_ = arena_;
+    b.arena_->ref();
+    b.offset_ = offset_ - n;
+    b.size_ = size_ + n;
+    return b;
+  }
+
   const std::uint8_t* data() const {
     return arena_ != nullptr ? arena_->bytes.data() + offset_ : nullptr;
   }

@@ -5,7 +5,6 @@
 
 #include "common/expect.h"
 #include "common/logging.h"
-#include "net/frame.h"
 
 namespace causalec::frontdoor {
 
@@ -15,15 +14,15 @@ namespace {
 /// failed back to the client.
 constexpr int kMaxReadReroutes = 3;
 
-/// The frame that forwards a client's request to a backend: the same
+/// The payload that forwards a client's request to a backend: the same
 /// request under the router's opid.
 erasure::Buffer forwarded(net::WriteReq req, OpId opid) {
   req.opid = opid;
-  return net::encode_frame(net::encode_write_req(req));
+  return net::encode_write_req(req);
 }
 erasure::Buffer forwarded(net::ReadReq req, OpId opid) {
   req.opid = opid;
-  return net::encode_frame(net::encode_read_req(req));
+  return net::encode_read_req(req);
 }
 
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point start) {
@@ -147,7 +146,7 @@ bool Router::handle_client_frame(std::size_t shard,
   switch (static_cast<net::ClientMsgType>(payload.data()[0])) {
     case net::ClientMsgType::kRouterStatsReq: {
       if (!net::decode_router_stats_req(std::move(payload))) return false;
-      conn->send(net::encode_frame(net::encode_router_stats_resp(stats())));
+      conn->send(net::encode_router_stats_resp(stats()));
       return true;
     }
     case net::ClientMsgType::kWriteReq: {
@@ -186,7 +185,7 @@ void Router::handle_read(Shard& shard, net::ReadReq req,
       resp.vc = std::move(entry.clock);
       resp.cached = true;
       resp.value = std::move(entry.value);
-      conn->send(net::encode_frame(net::encode_read_resp(resp)));
+      conn->send(net::encode_read_resp(resp));
       return;
     }
     case EdgeCache::Outcome::kMiss:
@@ -218,7 +217,7 @@ void Router::forward(Shard& shard, PendingOp op) {
       }
       if (!primary) counters_.reroutes->inc();
       const OpId opid = shard.next_opid++;
-      link.link->send_frame(std::visit(
+      link.link->send(std::visit(
           [opid](const auto& req) { return forwarded(req, opid); }, op.req));
       backend_ops_[node].fetch_add(1, std::memory_order_relaxed);
       link.pending.emplace(opid, std::move(op));
@@ -285,7 +284,7 @@ void Router::handle_backend_frame(BackendLink& link,
                  resp->tag.ts);
       if (auto c = op.client_conn.lock()) {
         resp->opid = write->opid;
-        c->send(net::encode_frame(net::encode_write_resp(*resp)));
+        c->send(net::encode_write_resp(*resp));
       }
       return;
     }
@@ -306,7 +305,7 @@ void Router::handle_backend_frame(BackendLink& link,
       if (auto c = op.client_conn.lock()) {
         resp->opid = read->opid;
         resp->cached = false;
-        c->send(net::encode_frame(net::encode_read_resp(*resp)));
+        c->send(net::encode_read_resp(*resp));
       }
       return;
     }

@@ -43,15 +43,15 @@ std::optional<std::uint8_t> peek_type(const erasure::Buffer& payload) {
   return payload.data()[0];
 }
 
-std::vector<std::uint8_t> encode_hello(const Hello& m) {
+erasure::Buffer encode_hello(const Hello& m) {
   Writer w(8);
   w.u8(static_cast<std::uint8_t>(ClientMsgType::kHello));
   w.u8(static_cast<std::uint8_t>(m.role));
   w.u32(m.node);
-  return w.take();
+  return w.take_frame();
 }
 
-std::vector<std::uint8_t> encode_write_req(const WriteReq& m) {
+erasure::Buffer encode_write_req(const WriteReq& m) {
   Writer w(40 + 8 * m.frontier.size() + m.value.size());
   w.u8(static_cast<std::uint8_t>(ClientMsgType::kWriteReq));
   w.u64(m.opid);
@@ -59,42 +59,42 @@ std::vector<std::uint8_t> encode_write_req(const WriteReq& m) {
   w.u32(m.object);
   w.clock(m.frontier);
   w.bytes(m.value);
-  return w.take();
+  return w.take_frame();
 }
 
-std::vector<std::uint8_t> encode_read_req(const ReadReq& m) {
+erasure::Buffer encode_read_req(const ReadReq& m) {
   Writer w(32 + 8 * m.frontier.size());
   w.u8(static_cast<std::uint8_t>(ClientMsgType::kReadReq));
   w.u64(m.opid);
   w.u64(m.client);
   w.u32(m.object);
   w.clock(m.frontier);
-  return w.take();
+  return w.take_frame();
 }
 
-std::vector<std::uint8_t> encode_ping(const Ping& m) {
+erasure::Buffer encode_ping(const Ping& m) {
   Writer w(12);
   w.u8(static_cast<std::uint8_t>(ClientMsgType::kPing));
   w.u64(m.token);
-  return w.take();
+  return w.take_frame();
 }
 
-std::vector<std::uint8_t> encode_stats_req() {
+erasure::Buffer encode_stats_req() {
   Writer w(1);
   w.u8(static_cast<std::uint8_t>(ClientMsgType::kStatsReq));
-  return w.take();
+  return w.take_frame();
 }
 
-std::vector<std::uint8_t> encode_write_resp(const WriteResp& m) {
+erasure::Buffer encode_write_resp(const WriteResp& m) {
   Writer w(32 + 8 * (m.vc.size() + m.tag.ts.size()));
   w.u8(static_cast<std::uint8_t>(ClientMsgType::kWriteResp));
   w.u64(m.opid);
   w.tag(m.tag);
   w.clock(m.vc);
-  return w.take();
+  return w.take_frame();
 }
 
-std::vector<std::uint8_t> encode_read_resp(const ReadResp& m) {
+erasure::Buffer encode_read_resp(const ReadResp& m) {
   Writer w(48 + 8 * (m.vc.size() + m.tag.ts.size()) + m.value.size());
   w.u8(static_cast<std::uint8_t>(ClientMsgType::kReadResp));
   w.u64(m.opid);
@@ -102,18 +102,18 @@ std::vector<std::uint8_t> encode_read_resp(const ReadResp& m) {
   w.clock(m.vc);
   w.u8(m.cached ? 1 : 0);
   w.bytes(m.value);
-  return w.take();
+  return w.take_frame();
 }
 
-std::vector<std::uint8_t> encode_pong(const Pong& m) {
+erasure::Buffer encode_pong(const Pong& m) {
   Writer w(12);
   w.u8(static_cast<std::uint8_t>(ClientMsgType::kPong));
   w.u64(m.token);
   w.u8(m.ready ? 1 : 0);
-  return w.take();
+  return w.take_frame();
 }
 
-std::vector<std::uint8_t> encode_stats_resp(const StatsResp& m) {
+erasure::Buffer encode_stats_resp(const StatsResp& m) {
   Writer w(80 + 8 * (m.vc.size() + m.shard_ops.size()));
   w.u8(static_cast<std::uint8_t>(ClientMsgType::kStatsResp));
   w.u32(m.node);
@@ -127,16 +127,16 @@ std::vector<std::uint8_t> encode_stats_resp(const StatsResp& m) {
   w.u64(m.recoveries);
   w.u32(static_cast<std::uint32_t>(m.shard_ops.size()));
   for (const std::uint64_t v : m.shard_ops) w.u64(v);
-  return w.take();
+  return w.take_frame();
 }
 
-std::vector<std::uint8_t> encode_router_stats_req() {
+erasure::Buffer encode_router_stats_req() {
   Writer w(1);
   w.u8(static_cast<std::uint8_t>(ClientMsgType::kRouterStatsReq));
-  return w.take();
+  return w.take_frame();
 }
 
-std::vector<std::uint8_t> encode_router_stats_resp(const RouterStatsResp& m) {
+erasure::Buffer encode_router_stats_resp(const RouterStatsResp& m) {
   Writer w(96 + 8 * m.backend_ops.size());
   w.u8(static_cast<std::uint8_t>(ClientMsgType::kRouterStatsResp));
   w.u64(m.routed_writes);
@@ -152,7 +152,7 @@ std::vector<std::uint8_t> encode_router_stats_resp(const RouterStatsResp& m) {
   w.u64(m.ring_remaps);
   w.u32(static_cast<std::uint32_t>(m.backend_ops.size()));
   for (const std::uint64_t v : m.backend_ops) w.u64(v);
-  return w.take();
+  return w.take_frame();
 }
 
 std::optional<Hello> decode_hello(erasure::Buffer payload) {

@@ -162,18 +162,20 @@ bool fits_cluster(const ReadReq& req, std::size_t servers,
 /// The type byte of a payload frame, or nullopt when empty.
 std::optional<std::uint8_t> peek_type(const erasure::Buffer& payload);
 
-// Encoders produce the *payload* (no length prefix; see net/frame.h).
-std::vector<std::uint8_t> encode_hello(const Hello& m);
-std::vector<std::uint8_t> encode_write_req(const WriteReq& m);
-std::vector<std::uint8_t> encode_read_req(const ReadReq& m);
-std::vector<std::uint8_t> encode_ping(const Ping& m);
-std::vector<std::uint8_t> encode_stats_req();
-std::vector<std::uint8_t> encode_write_resp(const WriteResp& m);
-std::vector<std::uint8_t> encode_read_resp(const ReadResp& m);
-std::vector<std::uint8_t> encode_pong(const Pong& m);
-std::vector<std::uint8_t> encode_stats_resp(const StatsResp& m);
-std::vector<std::uint8_t> encode_router_stats_req();
-std::vector<std::uint8_t> encode_router_stats_resp(const RouterStatsResp& m);
+// Encoders produce the *payload*: Connection::send and NetClient add the
+// length prefix (net/frame.h), with no copy, into the room Writer left
+// for it in front of the payload.
+erasure::Buffer encode_hello(const Hello& m);
+erasure::Buffer encode_write_req(const WriteReq& m);
+erasure::Buffer encode_read_req(const ReadReq& m);
+erasure::Buffer encode_ping(const Ping& m);
+erasure::Buffer encode_stats_req();
+erasure::Buffer encode_write_resp(const WriteResp& m);
+erasure::Buffer encode_read_resp(const ReadResp& m);
+erasure::Buffer encode_pong(const Pong& m);
+erasure::Buffer encode_stats_resp(const StatsResp& m);
+erasure::Buffer encode_router_stats_req();
+erasure::Buffer encode_router_stats_resp(const RouterStatsResp& m);
 
 // Decoders: nullopt on malformed input (wrong type byte, truncation,
 // hostile length fields) -- never abort; remote bytes are untrusted.

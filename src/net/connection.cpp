@@ -46,9 +46,10 @@ void Connection::open(FrameHandler on_frame, CloseHandler on_close) {
                [self](std::uint32_t events) { self->handle_events(events); });
 }
 
-void Connection::send(erasure::Buffer frame) {
+void Connection::send(erasure::Buffer payload) {
   CEC_DCHECK(loop_->on_loop_thread());
-  if (frame.empty() || closed_ || write_failed_) return;
+  if (closed_ || write_failed_) return;
+  erasure::Buffer frame = framed(std::move(payload));
   if (!write_queue_.empty()) {
     // Behind a backlog: the EPOLLOUT drain writes it in turn.
     write_queue_.push_back(std::move(frame));

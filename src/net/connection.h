@@ -43,13 +43,13 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// Registers with the loop and starts reading. Loop thread only.
   void open(FrameHandler on_frame, CloseHandler on_close);
 
-  /// Write a ready-made frame (header + payload, see encode_frame). Loop
-  /// thread only. The Buffer's arena is shared, not copied, so a multicast
-  /// frame sent on n connections costs one allocation total. A write
+  /// Frames one payload (net/frame.h: framed) and writes it. Loop thread
+  /// only. The payload's arena is shared, not copied, so a multicast
+  /// payload sent on n connections costs one allocation total. A write
   /// error posts the close to the loop rather than running the close
-  /// handler inside the caller; frames sent to a closed connection are
+  /// handler inside the caller; payloads sent to a closed connection are
   /// dropped.
-  void send(erasure::Buffer frame);
+  void send(erasure::Buffer payload);
 
   /// Drops the fd and fires the close handler if the connection is still
   /// alive. Loop thread, or any thread once the loop has stopped.

@@ -6,20 +6,32 @@
 #include <cstring>
 #include <memory>
 
+#include "causalec/wire_format.h"
+
 namespace causalec::net {
 
-erasure::Buffer encode_frame(std::span<const std::uint8_t> payload) {
-  erasure::Buffer out =
-      erasure::Buffer::alloc_uninit(kFrameHeaderBytes + payload.size());
-  std::uint8_t* p = out.mutable_data();
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    p[i] = static_cast<std::uint8_t>(len >> (8 * i));
+namespace {
+
+std::uint32_t load_le32(const std::uint8_t* p) {
+  std::uint32_t v = 0;
+  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
+  return v;
+}
+
+}  // namespace
+
+static_assert(wire::Writer::kPrefixBytes == kFrameHeaderBytes,
+              "a Writer reserves exactly the frame's length prefix");
+
+erasure::Buffer framed(erasure::Buffer payload) {
+  erasure::Buffer frame = payload.with_front(kFrameHeaderBytes);
+  if (!frame.empty() && load_le32(frame.data()) == payload.size()) {
+    return frame;
   }
-  if (!payload.empty()) {
-    std::memcpy(p + kFrameHeaderBytes, payload.data(), payload.size());
-  }
-  return out;
+  // One copy, into a Writer, which writes the prefix in front of it.
+  wire::Writer copy(payload.size());
+  copy.raw(payload.span());
+  return copy.take_frame().with_front(kFrameHeaderBytes);
 }
 
 void FrameReader::feed(erasure::Buffer chunk) {
@@ -62,10 +74,7 @@ std::optional<erasure::Buffer> FrameReader::next() {
     header_have_ += drain_into(
         std::span(header_ + header_have_, kFrameHeaderBytes - header_have_));
     if (header_have_ < kFrameHeaderBytes) return std::nullopt;
-    body_len_ = 0;
-    for (int i = 3; i >= 0; --i) {
-      body_len_ = (body_len_ << 8) | header_[i];
-    }
+    body_len_ = load_le32(header_);
     if (body_len_ > kMaxFrameBytes) {
       fail("frame length exceeds kMaxFrameBytes");
       return std::nullopt;

@@ -1,10 +1,12 @@
 // Length-prefixed framing over the existing binary wire format.
 //
 // On a TCP stream every frame is `len:u32 (little-endian)` followed by
-// `len` payload bytes. The payload's first byte disambiguates the two
-// traffic classes that share a connection:
+// `len` payload bytes. Encoders produce payloads; only the socket writers
+// (Connection, NetClient) add the prefix, through framed(). The payload's
+// first byte disambiguates the two traffic classes that share a
+// connection:
 //   * bytes 1..9:  a CausalEC protocol frame (causalec/codec.h) -- the
-//     exact bytes serialize_message produces, decoded with
+//     exact bytes serialize_message_frame produces, decoded with
 //     try_deserialize_message because the peer is untrusted;
 //   * bytes >= 64: a client/control message (net/client_proto.h).
 //
@@ -41,8 +43,14 @@ inline constexpr std::size_t kMaxFrameBytes = std::size_t{64} << 20;
 /// Frame header size: the u32 length prefix.
 inline constexpr std::size_t kFrameHeaderBytes = 4;
 
-/// One arena holding `header + payload`, ready to write to a socket.
-erasure::Buffer encode_frame(std::span<const std::uint8_t> payload);
+/// The bytes a socket writer sends for one payload: its u32 length, then
+/// the payload. Connection and NetClient are the only callers; everything
+/// else hands them payloads. When the four arena bytes in front of the
+/// payload already hold its length -- every wire::Writer payload (see
+/// Writer::take_frame) and every in-arena FrameReader slice -- the result
+/// is the payload widened over them, with no copy. Any other payload is
+/// copied once into a fresh arena behind a new prefix.
+erasure::Buffer framed(erasure::Buffer payload);
 
 /// Largest single socket read: big enough that the common protocol frame
 /// (4 KiB value + tags) lands in one read and is delivered zero-copy.

@@ -5,7 +5,6 @@
 
 #include "common/expect.h"
 #include "common/logging.h"
-#include "net/frame.h"
 
 namespace causalec::net {
 
@@ -120,7 +119,7 @@ void FrontEnd::handle_frame(Inbound& in,
       *type == static_cast<std::uint8_t>(ClientMsgType::kPing)) {
     const std::optional<Ping> ping = decode_ping(std::move(payload));
     if (ping.has_value()) {
-      conn->send(encode_frame(encode_pong(Pong{ping->token, ready()})));
+      conn->send(encode_pong(Pong{ping->token, ready()}));
       return;
     }
   } else if (on_frame_(in.peer, conn, std::move(payload))) {

@@ -69,9 +69,9 @@ std::optional<RouterStatsResp> NetClient::router_stats() {
 
 template <typename Resp, typename Match>
 std::optional<Resp> NetClient::call(
-    const std::vector<std::uint8_t>& request,
-    std::optional<Resp> (*decode)(erasure::Buffer), Match match) {
-  if (!send_payload(request)) return std::nullopt;
+    erasure::Buffer request, std::optional<Resp> (*decode)(erasure::Buffer),
+    Match match) {
+  if (!send_payload(std::move(request))) return std::nullopt;
   auto frame = next_frame();
   if (!frame.has_value()) return std::nullopt;
   auto resp = decode(std::move(*frame));
@@ -82,9 +82,9 @@ std::optional<Resp> NetClient::call(
   return resp;
 }
 
-bool NetClient::send_payload(const std::vector<std::uint8_t>& payload) {
+bool NetClient::send_payload(erasure::Buffer payload) {
   if (!fd_.valid()) return false;
-  const erasure::Buffer frame = encode_frame(payload);
+  const erasure::Buffer frame = framed(std::move(payload));
   std::size_t written = 0;
   while (written < frame.size()) {
     const auto n = ::send(fd_.get(), frame.data() + written,

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "causalec/tag.h"
 #include "common/types.h"
@@ -67,10 +66,11 @@ class NetClient {
   /// Sends `request` and decodes the next frame with `decode`; a response
   /// that fails to decode or to `match` closes the connection.
   template <typename Resp, typename Match>
-  std::optional<Resp> call(const std::vector<std::uint8_t>& request,
+  std::optional<Resp> call(erasure::Buffer request,
                            std::optional<Resp> (*decode)(erasure::Buffer),
                            Match match);
-  bool send_payload(const std::vector<std::uint8_t>& payload);
+  /// Frames `payload` (net/frame.h) and writes it whole.
+  bool send_payload(erasure::Buffer payload);
   /// The next complete payload frame, or nullopt on timeout/error.
   std::optional<erasure::Buffer> next_frame();
   /// Merges `vc` into the frontier (adopts it when the frontier is empty;

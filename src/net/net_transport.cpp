@@ -7,7 +7,6 @@
 
 #include "common/expect.h"
 #include "common/logging.h"
-#include "net/frame.h"
 
 namespace causalec::net {
 
@@ -51,16 +50,16 @@ void PeerLink::shutdown() {
   if (std::shared_ptr<Connection> conn = std::move(conn_)) conn->close();
 }
 
-void PeerLink::send_frame(erasure::Buffer frame) {
+void PeerLink::send(erasure::Buffer payload) {
   if (shutdown_) return;
   if (conn_ != nullptr) {
-    conn_->send(std::move(frame));
+    conn_->send(std::move(payload));
     return;
   }
-  if (ever_established_) return;  // crash semantics: the frame is lost
+  if (ever_established_) return;  // crash semantics: the payload is lost
   // Start-up grace: queue until the first establishment.
   if (pending_.size() >= kMaxPendingFrames) pending_.pop_front();
-  pending_.push_back(std::move(frame));
+  pending_.push_back(std::move(payload));
 }
 
 void PeerLink::dial() {
@@ -90,9 +89,9 @@ void PeerLink::on_connect_ready(std::uint32_t events) {
       [this](const std::shared_ptr<Connection>& dead) { on_lost(dead); });
   // Identify ourselves: a daemon's frames are attributed to the node its
   // Hello names (the codec's frames carry no sender field; the channel
-  // does). The queued frames follow it, ahead of any later send.
-  conn_->send(encode_frame(encode_hello(hello_)));
-  for (auto& frame : pending_) conn_->send(std::move(frame));
+  // does). The queued payloads follow it, ahead of any later send.
+  conn_->send(encode_hello(hello_));
+  for (auto& payload : pending_) conn_->send(std::move(payload));
   pending_.clear();
   ever_established_ = true;
   on_liveness_(peer_, /*down=*/false);
@@ -121,33 +120,32 @@ NetTransport::NetTransport(std::vector<PeerLink*> links,
     : links_(std::move(links)), loop_(loop) {}
 
 void NetTransport::send(NodeId to, sim::MessagePtr message) {
-  send_frame(to, encode_frame(loop_->serialize(*message).span()));
+  send_to(to, loop_->serialize(*message));
 }
 
 void NetTransport::multicast(std::span<const NodeId> targets,
                              const std::function<sim::MessagePtr()>& make) {
   if (targets.empty()) return;
-  // Serialize once; every destination link sends the same frame arena.
+  // Serialize once; every destination link sends the same arena.
   const sim::MessagePtr message = make();
-  const erasure::Buffer frame =
-      encode_frame(loop_->serialize(*message).span());
-  for (NodeId to : targets) send_frame(to, frame);
+  const erasure::Buffer payload = loop_->serialize(*message);
+  for (NodeId to : targets) send_to(to, payload);
 }
 
 void NetTransport::hold() { holding_ = true; }
 
 void NetTransport::release_held() {
   holding_ = false;
-  for (auto& [link, frame] : held_) link->send_frame(std::move(frame));
+  for (auto& [link, payload] : held_) link->send(std::move(payload));
   held_.clear();
 }
 
-void NetTransport::send_frame(NodeId to, erasure::Buffer frame) {
+void NetTransport::send_to(NodeId to, erasure::Buffer payload) {
   CEC_CHECK(to < links_.size() && links_[to] != nullptr);
   if (holding_) {
-    held_.emplace_back(links_[to], std::move(frame));
+    held_.emplace_back(links_[to], std::move(payload));
   } else {
-    links_[to]->send_frame(std::move(frame));
+    links_[to]->send(std::move(payload));
   }
 }
 

@@ -12,11 +12,13 @@
 // Until the first establishment the redial delay starts at 1 ms and
 // doubles up to 100 ms, so a peer that is still binding its listener
 // costs milliseconds; after that, a lost link redials every 100 ms.
-// Frames go straight through Connection::send. Its delivery semantics
-// match the crash-stop channel model of the in-process runtimes:
-//   * before the link is first established (cluster start-up), frames are
-//     queued (bounded) so no protocol traffic is lost to boot-order races;
-//   * after an established link is lost, frames are dropped -- exactly the
+// Payloads go straight through Connection::send, which frames them. Its
+// delivery semantics match the crash-stop channel model of the in-process
+// runtimes:
+//   * before the link is first established (cluster start-up), payloads
+//     are queued (bounded) so no protocol traffic is lost to boot-order
+//     races;
+//   * after an established link is lost, payloads are dropped -- exactly the
 //     "crashed node loses its mailbox" behavior the rejoin protocol
 //     (DESIGN.md §9) is built to repair -- and the owner is told, so the
 //     automaton can set_peer_down until the link re-establishes.
@@ -60,14 +62,14 @@ class PeerLink {
   /// Loop thread, or any thread once the loop has stopped.
   void shutdown();
 
-  /// Send one ready-made frame (see delivery semantics above). Loop thread
-  /// only; multicast callers pass the same Buffer to every link, so the
-  /// arena is shared across all n-1 destinations.
-  void send_frame(erasure::Buffer frame);
+  /// Send one payload (see delivery semantics above). Loop thread only;
+  /// multicast callers pass the same Buffer to every link, so the arena is
+  /// shared across all n-1 destinations.
+  void send(erasure::Buffer payload);
 
   NodeId peer() const { return peer_; }
 
-  /// Frames queued while the link was never yet established are capped;
+  /// Payloads queued while the link was never yet established are capped;
   /// beyond this the oldest are dropped (rejoin repairs the loss).
   static constexpr std::size_t kMaxPendingFrames = 4096;
 
@@ -95,8 +97,8 @@ class PeerLink {
 };
 
 /// Transport implementation handed to the Server automaton. send/multicast
-/// serialize through the codec, wrap the bytes in one frame arena
-/// (serialize once, share everywhere), and send on the per-peer links.
+/// serialize through the codec once and send the one payload on every
+/// destination's link (the links' connections frame it without a copy).
 /// Serialization timing and the timers behind schedule_after/now belong to
 /// the automaton loop hosting the server, which also owns every link: the
 /// Server calls them only from that loop's thread, so the automaton thread
@@ -113,7 +115,7 @@ class NetTransport final : public causalec::Transport {
   void schedule_after(SimTime delta, std::function<void()> fn) override;
   SimTime now() const override;
 
-  /// Automaton thread: frames sent from here on are held until
+  /// Automaton thread: payloads sent from here on are held until
   /// release_held(), which sends them in order. NodeDaemon brackets a
   /// client write with the pair so the client's ack goes out before the
   /// write's fan-out.
@@ -121,7 +123,7 @@ class NetTransport final : public causalec::Transport {
   void release_held();
 
  private:
-  void send_frame(NodeId to, erasure::Buffer frame);
+  void send_to(NodeId to, erasure::Buffer payload);
 
   std::vector<PeerLink*> links_;
   runtime::AutomatonLoop* loop_;

@@ -5,7 +5,6 @@
 
 #include "common/expect.h"
 #include "common/logging.h"
-#include "net/frame.h"
 #include "net/socket.h"
 
 namespace causalec::net {
@@ -200,7 +199,7 @@ void NodeDaemon::serve(WriteReq req, std::shared_ptr<Connection> conn) {
   resp.opid = req.opid;
   resp.tag = tag;
   resp.vc = server_->clock();
-  conn->send(encode_frame(encode_write_resp(resp)));
+  conn->send(encode_write_resp(resp));
   transport_->release_held();
 }
 
@@ -218,7 +217,7 @@ void NodeDaemon::serve(ReadReq req, std::shared_ptr<Connection> conn) {
         resp.tag = tag;
         resp.vc = vc;
         resp.value = value;
-        conn->send(encode_frame(encode_read_resp(resp)));
+        conn->send(encode_read_resp(resp));
       });
 }
 
@@ -262,7 +261,7 @@ void NodeDaemon::handle_stats_req(std::shared_ptr<Connection> conn) {
   s.error_events = c.error1_events + c.error2_events;
   s.recoveries = c.recoveries;
   s.shard_ops = shard_ops_;
-  conn->send(encode_frame(encode_stats_resp(s)));
+  conn->send(encode_stats_resp(s));
 }
 
 }  // namespace causalec::net

@@ -71,7 +71,8 @@ struct ServerImage {
   std::vector<InqueueEntry> inqueue;
 };
 
-std::vector<std::uint8_t> encode_snapshot(const ServerImage& image);
+/// The snapshot file (format above), written in one Writer pass.
+erasure::Buffer encode_snapshot(const ServerImage& image);
 
 struct SnapshotDecodeResult {
   std::optional<ServerImage> image;

@@ -1,5 +1,6 @@
 #include "persist/journal.h"
 
+#include <optional>
 #include <utility>
 
 #include "causalec/wire_format.h"
@@ -15,58 +16,93 @@ constexpr std::size_t kRecordHeader = 1 + 4;
 constexpr std::size_t kRecordTrailer = 8;
 constexpr std::size_t kMaxRecordBody = std::size_t{1} << 30;
 
+/// A Writer sized for the whole record, holding its header; the caller
+/// writes exactly `body_len` body bytes, then seal()s it.
+wire::Writer begin_record(WalRecord::Kind kind, std::size_t body_len) {
+  wire::Writer w(kRecordHeader + body_len + kRecordTrailer);
+  w.u8(static_cast<std::uint8_t>(kind));
+  w.u32(static_cast<std::uint32_t>(body_len));
+  return w;
+}
+
+/// Appends the checksum of everything written; the record's bytes.
+erasure::Buffer seal(wire::Writer& w) {
+  w.u64(fnv1a(w.written()));
+  return w.take_frame();
+}
+
+/// The record at the reader's cursor, or nullopt when the bytes there are
+/// torn: truncated, failing their checksum, or of a shape no record has.
+std::optional<WalRecord> read_record(wire::SafeReader& wal) {
+  const std::span<const std::uint8_t> start = wal.rest();
+  const std::uint8_t kind = wal.u8();
+  const std::uint32_t body_len = wal.u32();
+  if (body_len > kMaxRecordBody) return std::nullopt;
+  wire::SafeReader body(wal.raw(body_len));
+  const std::uint64_t checksum = wal.u64();
+  if (!wal.ok() || fnv1a(start.first(kRecordHeader + body_len)) != checksum) {
+    return std::nullopt;
+  }
+  WalRecord record;
+  record.kind = static_cast<WalRecord::Kind>(kind);
+  switch (record.kind) {
+    case WalRecord::Kind::kMessage:
+      record.from = body.u32();
+      break;
+    case WalRecord::Kind::kClientWrite:
+      record.client = body.u64();
+      record.opid = body.u64();
+      record.object = body.u32();
+      break;
+    default:
+      return std::nullopt;
+  }
+  // A checksummed body too short for its kind is treated like a torn tail
+  // rather than guessed at.
+  const erasure::Buffer payload = body.raw(body.remaining());
+  if (!body.ok()) return std::nullopt;
+  record.payload.assign(payload.data(), payload.data() + payload.size());
+  return record;
+}
+
 }  // namespace
 
 Journal::Journal(Backend* backend, std::string node_key)
     : backend_(backend), key_(std::move(node_key)) {}
 
-void Journal::append_record(WalRecord::Kind kind,
-                            std::span<const std::uint8_t> body) {
-  wire::Writer w(kRecordHeader + body.size() + kRecordTrailer);
-  w.u8(static_cast<std::uint8_t>(kind));
-  w.u32(static_cast<std::uint32_t>(body.size()));
-  for (const std::uint8_t b : body) w.u8(b);
-  std::vector<std::uint8_t> record = w.take();
-  const std::uint64_t checksum = fnv1a(record);
-  for (int i = 0; i < 8; ++i) {
-    record.push_back(static_cast<std::uint8_t>(checksum >> (8 * i)));
-  }
-  backend_->append(wal_key(), record);
-}
-
 void Journal::record_message(NodeId from,
                              std::span<const std::uint8_t> frame) {
   if (!recording_) return;
-  wire::Writer body(4 + frame.size());
-  body.u32(from);
-  for (const std::uint8_t b : frame) body.u8(b);
-  const std::vector<std::uint8_t> bytes = body.take();
-  append_record(WalRecord::Kind::kMessage, bytes);
+  wire::Writer w = begin_record(WalRecord::Kind::kMessage, 4 + frame.size());
+  w.u32(from);
+  w.raw(frame);
+  backend_->append(wal_key(), seal(w).span());
 }
 
 void Journal::record_client_write(ClientId client, OpId opid, ObjectId object,
                                   std::span<const std::uint8_t> value) {
   if (!recording_) return;
-  wire::Writer body(8 + 8 + 4 + value.size());
-  body.u64(client);
-  body.u64(opid);
-  body.u32(object);
-  for (const std::uint8_t b : value) body.u8(b);
-  const std::vector<std::uint8_t> bytes = body.take();
-  append_record(WalRecord::Kind::kClientWrite, bytes);
+  wire::Writer w =
+      begin_record(WalRecord::Kind::kClientWrite, 8 + 8 + 4 + value.size());
+  w.u64(client);
+  w.u64(opid);
+  w.u32(object);
+  w.raw(value);
+  backend_->append(wal_key(), seal(w).span());
 }
 
 void Journal::save_snapshot(const ServerImage& image) {
-  backend_->put(snapshot_key(), encode_snapshot(image));
+  backend_->put(snapshot_key(), encode_snapshot(image).span());
   backend_->remove(wal_key());
 }
 
 RecoveredState Journal::load() const {
   RecoveredState out;
 
-  const auto snap = backend_->get(snapshot_key());
+  auto snap = backend_->get(snapshot_key());
   if (snap.has_value()) {
-    SnapshotDecodeResult decoded = decode_snapshot(std::span(*snap));
+    SnapshotDecodeResult decoded =
+        decode_snapshot(erasure::Buffer::adopt(std::move(*snap)));
     if (!decoded.ok()) {
       out.error = decoded.error;
       return out;
@@ -74,72 +110,16 @@ RecoveredState Journal::load() const {
     out.image = std::move(decoded.image);
   }
 
-  const auto wal = backend_->get(wal_key());
+  auto wal = backend_->get(wal_key());
   if (!wal.has_value()) return out;
-  const std::span<const std::uint8_t> bytes(*wal);
-  std::size_t pos = 0;
-  while (pos < bytes.size()) {
-    if (bytes.size() - pos < kRecordHeader + kRecordTrailer) {
+  wire::SafeReader reader(erasure::Buffer::adopt(std::move(*wal)));
+  while (reader.remaining() > 0) {
+    std::optional<WalRecord> record = read_record(reader);
+    if (!record.has_value()) {
       out.wal_torn = true;
       break;
     }
-    const auto kind_byte = bytes[pos];
-    std::uint32_t body_len = 0;
-    for (int i = 0; i < 4; ++i) {
-      body_len |= static_cast<std::uint32_t>(bytes[pos + 1 + i]) << (8 * i);
-    }
-    if (body_len > kMaxRecordBody ||
-        bytes.size() - pos < kRecordHeader + body_len + kRecordTrailer) {
-      out.wal_torn = true;
-      break;
-    }
-    const std::size_t checked_len = kRecordHeader + body_len;
-    std::uint64_t stored = 0;
-    for (int i = 0; i < 8; ++i) {
-      stored |= static_cast<std::uint64_t>(bytes[pos + checked_len + i])
-                << (8 * i);
-    }
-    if (fnv1a(bytes.subspan(pos, checked_len)) != stored) {
-      out.wal_torn = true;
-      break;
-    }
-
-    const std::span<const std::uint8_t> body =
-        bytes.subspan(pos + kRecordHeader, body_len);
-    WalRecord record;
-    bool record_ok = false;
-    if (kind_byte == static_cast<std::uint8_t>(WalRecord::Kind::kMessage) &&
-        body.size() >= 4) {
-      record.kind = WalRecord::Kind::kMessage;
-      for (int i = 0; i < 4; ++i) {
-        record.from |= static_cast<NodeId>(body[i]) << (8 * i);
-      }
-      record.payload.assign(body.begin() + 4, body.end());
-      record_ok = true;
-    } else if (kind_byte ==
-                   static_cast<std::uint8_t>(WalRecord::Kind::kClientWrite) &&
-               body.size() >= 8 + 8 + 4) {
-      record.kind = WalRecord::Kind::kClientWrite;
-      for (int i = 0; i < 8; ++i) {
-        record.client |= static_cast<ClientId>(body[i]) << (8 * i);
-      }
-      for (int i = 0; i < 8; ++i) {
-        record.opid |= static_cast<OpId>(body[8 + i]) << (8 * i);
-      }
-      for (int i = 0; i < 4; ++i) {
-        record.object |= static_cast<ObjectId>(body[16 + i]) << (8 * i);
-      }
-      record.payload.assign(body.begin() + 20, body.end());
-      record_ok = true;
-    }
-    if (!record_ok) {
-      // Checksum passed but the body shape is wrong: treat like a torn
-      // tail rather than guessing at the stream framing downstream.
-      out.wal_torn = true;
-      break;
-    }
-    out.wal.push_back(std::move(record));
-    pos += checked_len + kRecordTrailer;
+    out.wal.push_back(std::move(*record));
   }
   return out;
 }

@@ -76,9 +76,6 @@ class Journal {
   std::string wal_key() const { return key_ + ".wal"; }
 
  private:
-  void append_record(WalRecord::Kind kind,
-                     std::span<const std::uint8_t> body);
-
   Backend* backend_;
   std::string key_;
   bool recording_ = true;

@@ -10,6 +10,7 @@ namespace {
 
 constexpr std::uint8_t kMagic[8] = {'C', 'E', 'C', 'S', 'N', 'A', 'P', '\0'};
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8;  // magic + version + body_len
+constexpr std::size_t kBodyLenOffset = 8 + 4;
 constexpr std::size_t kTrailerBytes = 8;         // checksum
 
 // Caps applied before any allocation driven by an untrusted length field.
@@ -29,50 +30,43 @@ std::uint64_t fnv1a(std::span<const std::uint8_t> data) {
   return h;
 }
 
-std::vector<std::uint8_t> encode_snapshot(const ServerImage& image) {
-  wire::Writer body;
-  body.u32(image.node);
-  body.u32(image.num_servers);
-  body.u32(image.num_objects);
-  body.u32(image.value_bytes);
-  body.clock(image.vc);
-  body.bytes(image.m_val);
-  body.tagvec(image.m_tags);
-  body.tagvec(image.tmax);
-  body.tagvec(image.last_del_broadcast_all);
-  body.u64(image.internal_opid_counter);
-  body.u32(static_cast<std::uint32_t>(image.history.size()));
+erasure::Buffer encode_snapshot(const ServerImage& image) {
+  wire::Writer w;
+  w.raw(kMagic);
+  w.u32(kSnapshotVersion);
+  w.u64(0);  // body_len, patched once the body is written
+  w.u32(image.node);
+  w.u32(image.num_servers);
+  w.u32(image.num_objects);
+  w.u32(image.value_bytes);
+  w.clock(image.vc);
+  w.bytes(image.m_val);
+  w.tagvec(image.m_tags);
+  w.tagvec(image.tmax);
+  w.tagvec(image.last_del_broadcast_all);
+  w.u64(image.internal_opid_counter);
+  w.u32(static_cast<std::uint32_t>(image.history.size()));
   for (const auto& e : image.history) {
-    body.u32(e.object);
-    body.tag(e.tag);
-    body.bytes(e.value);
+    w.u32(e.object);
+    w.tag(e.tag);
+    w.bytes(e.value);
   }
-  body.u32(static_cast<std::uint32_t>(image.dels.size()));
+  w.u32(static_cast<std::uint32_t>(image.dels.size()));
   for (const auto& e : image.dels) {
-    body.u32(e.object);
-    body.u32(e.server);
-    body.tag(e.tag);
+    w.u32(e.object);
+    w.u32(e.server);
+    w.tag(e.tag);
   }
-  body.u32(static_cast<std::uint32_t>(image.inqueue.size()));
+  w.u32(static_cast<std::uint32_t>(image.inqueue.size()));
   for (const auto& e : image.inqueue) {
-    body.u32(e.origin);
-    body.u32(e.object);
-    body.tag(e.tag);
-    body.bytes(e.value);
+    w.u32(e.origin);
+    w.u32(e.object);
+    w.tag(e.tag);
+    w.bytes(e.value);
   }
-  const std::vector<std::uint8_t> body_bytes = body.take();
-
-  wire::Writer out(kHeaderBytes + body_bytes.size() + kTrailerBytes);
-  for (const std::uint8_t b : kMagic) out.u8(b);
-  out.u32(kSnapshotVersion);
-  out.u64(body_bytes.size());
-  for (const std::uint8_t b : body_bytes) out.u8(b);
-  std::vector<std::uint8_t> file = out.take();
-  const std::uint64_t checksum = fnv1a(file);
-  for (int i = 0; i < 8; ++i) {
-    file.push_back(static_cast<std::uint8_t>(checksum >> (8 * i)));
-  }
-  return file;
+  w.patch_u64(kBodyLenOffset, w.size() - kHeaderBytes);
+  w.u64(fnv1a(w.written()));
+  return w.take_frame();
 }
 
 SnapshotDecodeResult decode_snapshot(std::span<const std::uint8_t> bytes) {
@@ -96,10 +90,8 @@ SnapshotDecodeResult decode_snapshot(erasure::Buffer frame) {
   }
   // Verify the checksum before trusting any other field.
   const std::size_t checked_len = all.size() - kTrailerBytes;
-  std::uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i) {
-    stored |= static_cast<std::uint64_t>(all[checked_len + i]) << (8 * i);
-  }
+  const std::uint64_t stored =
+      wire::SafeReader(frame.slice(checked_len, kTrailerBytes)).u64();
   if (fnv1a(all.subspan(0, checked_len)) != stored) {
     return reject("checksum mismatch (corrupted or truncated)");
   }

@@ -516,6 +516,40 @@ TEST(CausalEcTest, DelTrafficFollowsTheGcTickNotTheWriteRate) {
   EXPECT_LE(dels(2), base);
 }
 
+TEST(CausalEcTest, FullReplicationAnnouncesEachEncodedTagOnce) {
+  // Every server stores every object, so a re-encode is announced to every
+  // peer at once, and the GC tick after it has nothing new to announce.
+  auto cluster = run_write_bursts(
+      erasure::make_replication(5, 3, kValueBytes), 1, 3 * kGcPeriod);
+  const std::size_t n = cluster->num_servers();
+  std::uint64_t reencodes = 0;
+  for (NodeId s = 0; s < n; ++s) {
+    reencodes += cluster->server(s).counters().reencodes;
+  }
+  EXPECT_GT(reencodes, 0u);
+  EXPECT_EQ(cluster->sim().stats().by_type["del"].count,
+            (n - 1) * reencodes);
+}
+
+TEST(CausalEcTest, LocallyDecodableInternalReadsInquireNowhere) {
+  // Under full replication a server's own symbol is every object, so the
+  // internal reads that fetch a collected version complete from it, with
+  // broadcast fan-out too: no val_inq or val_resp crosses the network.
+  ClusterConfig config;
+  ASSERT_EQ(config.server.fanout, ReadFanout::kBroadcast);
+  ASSERT_TRUE(config.server.opportunistic_local_decode);
+  auto cluster = run_write_bursts(
+      erasure::make_replication(5, 3, kValueBytes), 1, 3 * kGcPeriod);
+  std::uint64_t internal_reads = 0;
+  for (NodeId s = 0; s < cluster->num_servers(); ++s) {
+    internal_reads += cluster->server(s).counters().internal_reads_started;
+  }
+  EXPECT_GT(internal_reads, 0u);
+  auto& by_type = cluster->sim().stats().by_type;
+  EXPECT_EQ(by_type["val_inq"].count, 0u);
+  EXPECT_EQ(by_type["val_resp"].count, 0u);
+}
+
 TEST(CausalEcTest, HistoryDrainsWithinThreeGcPeriodsOfTheLastWrite) {
   // The last version of X reaches every server after one link latency; each
   // storing server announces it at its next tick (< one period), every

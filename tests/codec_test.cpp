@@ -1,6 +1,8 @@
 // Round-trip tests for the binary message codec.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "causalec/codec.h"
 #include "common/random.h"
 #include "erasure/buffer.h"
@@ -32,6 +34,13 @@ Value random_value(Rng& rng, std::size_t bytes) {
   return v;
 }
 
+/// A message's serialized bytes as an owned vector, for tests that edit
+/// them.
+std::vector<std::uint8_t> bytes_of(const sim::Message& m) {
+  const erasure::Buffer payload = serialize_message_frame(m);
+  return {payload.data(), payload.data() + payload.size()};
+}
+
 WireModel model() {
   ServerConfig config;
   return WireModel::make(config, 5, 3);
@@ -40,7 +49,7 @@ WireModel model() {
 TEST(CodecTest, AppRoundTrip) {
   Rng rng(1);
   AppMessage original(2, random_value(rng, 64), random_tag(rng, 5), model());
-  const auto bytes = serialize_message(original);
+  const auto bytes = serialize_message_frame(original);
   const auto restored = deserialize_message(bytes);
   const auto* app = dynamic_cast<const AppMessage*>(restored.get());
   ASSERT_NE(app, nullptr);
@@ -53,7 +62,7 @@ TEST(CodecTest, AppRoundTrip) {
 TEST(CodecTest, DelRoundTrip) {
   Rng rng(2);
   DelMessage original(1, random_tag(rng, 5), 3, true, model());
-  const auto restored = deserialize_message(serialize_message(original));
+  const auto restored = deserialize_message(serialize_message_frame(original));
   const auto* del = dynamic_cast<const DelMessage*>(restored.get());
   ASSERT_NE(del, nullptr);
   EXPECT_EQ(del->object, 1u);
@@ -67,7 +76,7 @@ TEST(CodecTest, ValInqRoundTrip) {
   Rng rng(3);
   ValInqMessage original(kLocalhost, 9001, 2, random_tagvec(rng, 3, 5),
                          model());
-  const auto restored = deserialize_message(serialize_message(original));
+  const auto restored = deserialize_message(serialize_message_frame(original));
   const auto* inq = dynamic_cast<const ValInqMessage*>(restored.get());
   ASSERT_NE(inq, nullptr);
   EXPECT_EQ(inq->client, kLocalhost);
@@ -80,7 +89,7 @@ TEST(CodecTest, ValRespRoundTrip) {
   Rng rng(4);
   ValRespMessage original(7, 42, 0, random_value(rng, 128),
                           random_tagvec(rng, 3, 5), model());
-  const auto restored = deserialize_message(serialize_message(original));
+  const auto restored = deserialize_message(serialize_message_frame(original));
   const auto* resp = dynamic_cast<const ValRespMessage*>(restored.get());
   ASSERT_NE(resp, nullptr);
   EXPECT_EQ(resp->value, original.value);
@@ -92,7 +101,7 @@ TEST(CodecTest, ValRespEncodedRoundTrip) {
   ValRespEncodedMessage original(7, 42, 1, random_value(rng, 256),
                                  random_tagvec(rng, 3, 5),
                                  random_tagvec(rng, 3, 5), model());
-  const auto restored = deserialize_message(serialize_message(original));
+  const auto restored = deserialize_message(serialize_message_frame(original));
   const auto* enc =
       dynamic_cast<const ValRespEncodedMessage*>(restored.get());
   ASSERT_NE(enc, nullptr);
@@ -104,7 +113,7 @@ TEST(CodecTest, ValRespEncodedRoundTrip) {
 
 TEST(CodecTest, EmptyValueAndZeroTags) {
   AppMessage original(0, Value{}, Tag::zero(4), model());
-  const auto restored = deserialize_message(serialize_message(original));
+  const auto restored = deserialize_message(serialize_message_frame(original));
   const auto* app = dynamic_cast<const AppMessage*>(restored.get());
   ASSERT_NE(app, nullptr);
   EXPECT_TRUE(app->value.empty());
@@ -121,7 +130,7 @@ TEST(CodecTest, RandomizedRoundTripSweep) {
         AppMessage m(static_cast<ObjectId>(rng.next_below(k)),
                      random_value(rng, rng.next_below(512)),
                      random_tag(rng, n), model());
-        const auto r = deserialize_message(serialize_message(m));
+        const auto r = deserialize_message(serialize_message_frame(m));
         const auto* app = dynamic_cast<const AppMessage*>(r.get());
         ASSERT_NE(app, nullptr);
         EXPECT_EQ(app->value, m.value);
@@ -133,7 +142,7 @@ TEST(CodecTest, RandomizedRoundTripSweep) {
                      random_tag(rng, n),
                      static_cast<NodeId>(rng.next_below(n)),
                      rng.next_bool(0.5), model());
-        const auto r = deserialize_message(serialize_message(m));
+        const auto r = deserialize_message(serialize_message_frame(m));
         const auto* del = dynamic_cast<const DelMessage*>(r.get());
         ASSERT_NE(del, nullptr);
         EXPECT_EQ(del->tag, m.tag);
@@ -145,7 +154,7 @@ TEST(CodecTest, RandomizedRoundTripSweep) {
         ValInqMessage m(rng.next_u64(), rng.next_u64(),
                         static_cast<ObjectId>(rng.next_below(k)),
                         random_tagvec(rng, k, n), model());
-        const auto r = deserialize_message(serialize_message(m));
+        const auto r = deserialize_message(serialize_message_frame(m));
         const auto* inq = dynamic_cast<const ValInqMessage*>(r.get());
         ASSERT_NE(inq, nullptr);
         EXPECT_EQ(inq->wanted, m.wanted);
@@ -156,7 +165,7 @@ TEST(CodecTest, RandomizedRoundTripSweep) {
                          static_cast<ObjectId>(rng.next_below(k)),
                          random_value(rng, rng.next_below(512)),
                          random_tagvec(rng, k, n), model());
-        const auto r = deserialize_message(serialize_message(m));
+        const auto r = deserialize_message(serialize_message_frame(m));
         const auto* resp = dynamic_cast<const ValRespMessage*>(r.get());
         ASSERT_NE(resp, nullptr);
         EXPECT_EQ(resp->value, m.value);
@@ -169,7 +178,7 @@ TEST(CodecTest, RandomizedRoundTripSweep) {
                                 random_value(rng, rng.next_below(512)),
                                 random_tagvec(rng, k, n),
                                 random_tagvec(rng, k, n), model());
-        const auto r = deserialize_message(serialize_message(m));
+        const auto r = deserialize_message(serialize_message_frame(m));
         const auto* enc =
             dynamic_cast<const ValRespEncodedMessage*>(r.get());
         ASSERT_NE(enc, nullptr);
@@ -189,7 +198,7 @@ TEST(CodecTest, RandomizedRoundTripSweep) {
 // ---------------------------------------------------------------------------
 
 erasure::Buffer frame_of(const sim::Message& m) {
-  return erasure::Buffer::adopt(serialize_message(m));
+  return serialize_message_frame(m);
 }
 
 /// True when `v`'s bytes live inside `frame`'s arena (no copy was made).
@@ -291,7 +300,7 @@ TEST(CodecZeroCopy, MutatingOneDecodedValueLeavesSiblingsIntact) {
 TEST(CodecDeathTest, TruncatedBufferAborts) {
   Rng rng(7);
   AppMessage m(0, random_value(rng, 32), random_tag(rng, 3), model());
-  auto bytes = serialize_message(m);
+  auto bytes = bytes_of(m);
   bytes.resize(bytes.size() / 2);
   EXPECT_DEATH(deserialize_message(bytes), "truncated");
 }
@@ -299,7 +308,7 @@ TEST(CodecDeathTest, TruncatedBufferAborts) {
 TEST(CodecDeathTest, TrailingBytesAbort) {
   Rng rng(8);
   AppMessage m(0, random_value(rng, 8), random_tag(rng, 3), model());
-  auto bytes = serialize_message(m);
+  auto bytes = bytes_of(m);
   bytes.push_back(0xFF);
   EXPECT_DEATH(deserialize_message(bytes), "trailing");
 }

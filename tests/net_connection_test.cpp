@@ -93,7 +93,7 @@ class ConnectionTest : public ::testing::Test {
   void send_frames(std::size_t from, std::size_t to) {
     on_loop([this, from, to] {
       for (std::size_t i = from; i < to; ++i) {
-        conn_->send(encode_frame(payload_for(i)));
+        conn_->send(erasure::Buffer::adopt(payload_for(i)));
       }
     });
   }
@@ -173,8 +173,8 @@ TEST_F(ConnectionTest, CloseMidBacklogFiresTheHandlerOnce) {
   EXPECT_LT(read_frames(kFrames), kFrames);
 
   on_loop([this] {
-    conn_->close();                             // a second close is a no-op
-    conn_->send(encode_frame(payload_for(0)));  // dropped: closed
+    conn_->close();  // a second close is a no-op
+    conn_->send(erasure::Buffer::adopt(payload_for(0)));  // dropped: closed
   });
   EXPECT_EQ(backlog(), 0u);
   EXPECT_EQ(closes_.load(), 1);

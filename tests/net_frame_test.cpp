@@ -114,6 +114,10 @@ std::vector<Buffer> reassemble_split(const Buffer& frame, std::size_t split) {
   return payloads;
 }
 
+std::vector<std::uint8_t> bytes_of(const Buffer& b) {
+  return {b.data(), b.data() + b.size()};
+}
+
 bool payload_equals(const Buffer& payload,
                     const std::vector<std::uint8_t>& expected) {
   return payload.size() == expected.size() &&
@@ -125,8 +129,9 @@ bool payload_equals(const Buffer& payload,
 
 void run_split_sweep(bool traced) {
   for (const auto& message : sample_messages(traced)) {
-    const std::vector<std::uint8_t> expected = serialize_message(*message);
-    const Buffer frame = encode_frame(expected);
+    const Buffer payload = serialize_message_frame(*message);
+    const std::vector<std::uint8_t> expected = bytes_of(payload);
+    const Buffer frame = framed(payload);
     for (std::size_t split = 0; split <= frame.size(); ++split) {
       const std::vector<Buffer> payloads = reassemble_split(frame, split);
       ASSERT_EQ(payloads.size(), 1u)
@@ -140,7 +145,7 @@ void run_split_sweep(bool traced) {
           try_deserialize_message(payloads[0], &error);
       ASSERT_NE(decoded, nullptr)
           << message->type_name() << " split at " << split << ": " << error;
-      EXPECT_EQ(serialize_message(*decoded), expected)
+      EXPECT_EQ(bytes_of(serialize_message_frame(*decoded)), expected)
           << message->type_name() << " split at " << split;
       EXPECT_STREQ(decoded->type_name(), message->type_name());
       EXPECT_EQ(decoded->trace.trace_id, message->trace.trace_id);
@@ -159,8 +164,9 @@ TEST(NetFrameSweep, TraceContextTrailerSurvivesEverySplit) {
 
 TEST(NetFrameSweep, ByteAtATimeReassembly) {
   for (const auto& message : sample_messages(/*traced=*/true)) {
-    const std::vector<std::uint8_t> expected = serialize_message(*message);
-    const Buffer frame = encode_frame(expected);
+    const Buffer payload = serialize_message_frame(*message);
+    const std::vector<std::uint8_t> expected = bytes_of(payload);
+    const Buffer frame = framed(payload);
     FrameReader reader;
     std::vector<Buffer> payloads;
     for (std::size_t i = 0; i < frame.size(); ++i) {
@@ -180,8 +186,9 @@ TEST(NetFrameCoalesced, AllTypesInOneChunkDecodeInOrder) {
   std::vector<std::vector<std::uint8_t>> expected;
   std::vector<std::uint8_t> stream;
   for (const auto& m : messages) {
-    expected.push_back(serialize_message(*m));
-    const Buffer frame = encode_frame(expected.back());
+    const Buffer payload = serialize_message_frame(*m);
+    expected.push_back(bytes_of(payload));
+    const Buffer frame = framed(payload);
     stream.insert(stream.end(), frame.data(), frame.data() + frame.size());
   }
   FrameReader reader;
@@ -213,8 +220,9 @@ TEST(NetFrameCoalesced, CoalescedStreamSplitAtEveryBoundary) {
        {static_cast<const sim::Message*>(&app),
         static_cast<const sim::Message*>(&del),
         static_cast<const sim::Message*>(&inq)}) {
-    expected.push_back(serialize_message(*m));
-    const Buffer frame = encode_frame(expected.back());
+    const Buffer payload = serialize_message_frame(*m);
+    expected.push_back(bytes_of(payload));
+    const Buffer frame = framed(payload);
     stream.insert(stream.end(), frame.data(), frame.data() + frame.size());
   }
   const Buffer whole = Buffer::adopt(std::move(stream));
@@ -234,7 +242,7 @@ TEST(NetFrameZeroCopy, WholeFrameInOneChunkAliasesTheChunkArena) {
   Rng rng(8);
   const AppMessage app(0, random_value(rng, 64), random_tag(rng, 5),
                        model());
-  const Buffer frame = encode_frame(serialize_message(app));
+  const Buffer frame = framed(serialize_message_frame(app));
   FrameReader reader;
   reader.feed(frame);
   const std::uint64_t before = Buffer::alloc_stats().allocations;
@@ -244,6 +252,62 @@ TEST(NetFrameZeroCopy, WholeFrameInOneChunkAliasesTheChunkArena) {
       << "completed frame inside one chunk must be a zero-copy slice";
   EXPECT_GE(payload->data(), frame.data());
   EXPECT_LE(payload->data() + payload->size(), frame.data() + frame.size());
+}
+
+// -- Framing: only the socket writers add the prefix ------------------------
+//
+// A wire::Writer leaves room for the length prefix in front of its payload,
+// so framed() widens the payload's slice over it instead of copying; only a
+// payload with something else in front of it is copied.
+
+TEST(NetFrameFraming, WriterPayloadFramesInPlaceWithoutAnArena) {
+  Rng rng(14);
+  WriteResp m;
+  m.opid = 9;
+  m.tag = random_tag(rng, 5);
+  m.vc = random_clock(rng, 5);
+  const Buffer payload = encode_write_resp(m);
+  const Buffer::AllocStats before = Buffer::alloc_stats();
+  const Buffer frame = framed(payload);
+  const Buffer::AllocStats after = Buffer::alloc_stats();
+  EXPECT_EQ(after.allocations - before.allocations, 0u);
+  EXPECT_EQ(after.recycled - before.recycled, 0u);
+  EXPECT_EQ(frame.data() + kFrameHeaderBytes, payload.data());
+  EXPECT_EQ(frame.size(), kFrameHeaderBytes + payload.size());
+  FrameReader reader;
+  reader.feed(frame);
+  const auto out = reader.next();
+  ASSERT_TRUE(out.has_value());
+  EXPECT_TRUE(payload_equals(*out, bytes_of(payload)));
+}
+
+TEST(NetFrameFraming, ReceivedPayloadFramesInPlace) {
+  // Two frames in one read: each payload the reader slices out still has
+  // its own prefix in front of it.
+  const Buffer chunk = Buffer::adopt(
+      {2, 0, 0, 0, 0x43, 0x01, 3, 0, 0, 0, 0x44, 0x02, 0x03});
+  FrameReader reader;
+  reader.feed(chunk);
+  for (const std::size_t at : {0u, 6u}) {
+    const auto payload = reader.next();
+    ASSERT_TRUE(payload.has_value());
+    const Buffer frame = framed(*payload);
+    EXPECT_EQ(frame.data(), chunk.data() + at);
+    EXPECT_EQ(frame.size(), kFrameHeaderBytes + payload->size());
+  }
+}
+
+TEST(NetFrameFraming, PayloadWithoutItsPrefixIsCopiedBehindOne) {
+  const std::vector<std::uint8_t> want = {3, 0, 0, 0, 0x45, 0x01, 0x02};
+  // Hand-built: nothing in front of the payload in its arena.
+  const Buffer bare = Buffer::adopt({0x45, 0x01, 0x02});
+  EXPECT_EQ(bytes_of(framed(bare)), want);
+  // Four bytes in front that are not the payload's length.
+  const Buffer arena = Buffer::adopt({9, 9, 9, 9, 9, 0x45, 0x01, 0x02});
+  const Buffer inside = arena.slice(5, 3);
+  const Buffer frame = framed(inside);
+  EXPECT_EQ(bytes_of(frame), want);
+  EXPECT_NE(frame.data() + kFrameHeaderBytes, inside.data());
 }
 
 // -- Malformed input --------------------------------------------------------
@@ -265,7 +329,7 @@ TEST(NetFrameMalformed, OversizedLengthPrefixFailsTheReader) {
 TEST(NetFrameMalformed, TruncatedBodyStaysPendingWithoutFailing) {
   Rng rng(9);
   const DelMessage del(0, random_tag(rng, 5), 1, false, model());
-  const Buffer frame = encode_frame(serialize_message(del));
+  const Buffer frame = framed(serialize_message_frame(del));
   FrameReader reader;
   reader.feed(frame.slice(0, frame.size() - 3));
   EXPECT_FALSE(reader.next().has_value());
@@ -278,8 +342,8 @@ TEST(NetFrameMalformed, TruncatedBodyStaysPendingWithoutFailing) {
 
 TEST(NetFrameMalformed, BadTypeByteNeverAborts) {
   Rng rng(10);
-  auto bytes = serialize_message(
-      AppMessage(0, random_value(rng, 16), random_tag(rng, 3), model()));
+  auto bytes = bytes_of(serialize_message_frame(
+      AppMessage(0, random_value(rng, 16), random_tag(rng, 3), model())));
   bytes[0] = 57;  // not a protocol type byte
   std::string error;
   EXPECT_EQ(try_deserialize_message(Buffer::adopt(std::move(bytes)), &error),
@@ -290,7 +354,7 @@ TEST(NetFrameMalformed, BadTypeByteNeverAborts) {
 TEST(NetFrameMalformed, TruncatedMessagePayloadNeverAborts) {
   Rng rng(11);
   for (const auto& message : sample_messages(/*traced=*/false)) {
-    auto bytes = serialize_message(*message);
+    auto bytes = bytes_of(serialize_message_frame(*message));
     // Every strict prefix must decode to null, not crash. (Prefixes that
     // happen to parse as a shorter valid encoding do not exist in this
     // format: every field is length-checked.)
@@ -308,8 +372,8 @@ TEST(NetFrameMalformed, TruncatedMessagePayloadNeverAborts) {
 
 TEST(NetFrameMalformed, TrailingGarbageNeverAborts) {
   Rng rng(12);
-  auto bytes = serialize_message(
-      DelMessage(0, random_tag(rng, 4), 1, false, model()));
+  auto bytes = bytes_of(serialize_message_frame(
+      DelMessage(0, random_tag(rng, 4), 1, false, model())));
   bytes.push_back(0x5A);  // not a full 16-byte trace trailer
   std::string error;
   EXPECT_EQ(try_deserialize_message(Buffer::adopt(std::move(bytes)), &error),
@@ -409,18 +473,18 @@ struct ProtoCase {
 };
 
 template <typename M>
-ProtoCase make_case(const M& m, std::vector<std::uint8_t> (*encode)(const M&),
+ProtoCase make_case(const M& m, Buffer (*encode)(const M&),
                     std::optional<M> (*decode)(Buffer),
                     std::vector<CountField> counts = {}) {
-  return {encode(m),
+  return {bytes_of(encode(m)),
           [decode](Buffer b) { return text(decode(std::move(b))); },
           describe(m), std::move(counts)};
 }
 
-ProtoCase make_empty_case(std::vector<std::uint8_t> (*encode)(),
-                          bool (*decode)(Buffer)) {
-  return {encode(), [decode](Buffer b) { return text(decode(std::move(b))); },
-          "ok", {}};
+ProtoCase make_empty_case(Buffer (*encode)(), bool (*decode)(Buffer)) {
+  return {bytes_of(encode()),
+          [decode](Buffer b) { return text(decode(std::move(b))); }, "ok",
+          {}};
 }
 
 /// Every client/control message type, with non-empty clocks, values,
@@ -587,7 +651,8 @@ TEST(NetClientProto, MalformedFramesDecodeToNullopt) {
     }
   }
   // A Hello naming a role that does not exist.
-  std::vector<std::uint8_t> hello = encode_hello(Hello{PeerRole::kClient, 0});
+  std::vector<std::uint8_t> hello =
+      bytes_of(encode_hello(Hello{PeerRole::kClient, 0}));
   hello[1] = 2;
   EXPECT_FALSE(decode_hello(Buffer::adopt(std::move(hello))).has_value());
 }

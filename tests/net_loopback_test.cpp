@@ -356,14 +356,13 @@ TEST_F(NetLoopbackTest, MalformedPeerFrameIsDroppedNotFatal) {
   Hello hello;
   hello.role = PeerRole::kServer;
   hello.node = 1;
-  const std::vector<std::uint8_t> app = serialize_message(
+  const erasure::Buffer app = serialize_message_frame(
       AppMessage(0, erasure::Value(kValueBytes, 7),
                  Tag(VectorClock(kServers), 1), WireModel{}));
-  const std::vector<std::uint8_t> truncated(app.begin(),
-                                            app.begin() + app.size() / 2);
-  ASSERT_LT(truncated.front(), kClientProtoBase);
+  const erasure::Buffer truncated = app.slice(0, app.size() / 2);
+  ASSERT_LT(truncated.data()[0], kClientProtoBase);
   for (const erasure::Buffer& frame :
-       {encode_frame(encode_hello(hello)), encode_frame(truncated)}) {
+       {framed(encode_hello(hello)), framed(truncated)}) {
     ASSERT_EQ(::send(fd.get(), frame.data(), frame.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(frame.size()));
   }
@@ -394,8 +393,7 @@ TEST_F(NetLoopbackTest, FanOutDoesNotDependOnTheAck) {
     req.object = s;  // server s writes object s
     req.value = value_for(req.client, 0);
     for (const erasure::Buffer& frame :
-         {encode_frame(encode_hello(hello)),
-          encode_frame(encode_write_req(req))}) {
+         {framed(encode_hello(hello)), framed(encode_write_req(req))}) {
       ASSERT_EQ(::send(fd.get(), frame.data(), frame.size(), MSG_NOSIGNAL),
                 static_cast<ssize_t>(frame.size()));
     }
@@ -442,7 +440,7 @@ TEST_F(NetLoopbackTest, HelloDecidesWhatAConnectionMaySend) {
     std::vector<std::uint8_t> bytes;
     for (const auto& payload :
          {encode_hello(c.hello), encode_ping(Ping{77})}) {
-      const erasure::Buffer frame = encode_frame(payload);
+      const erasure::Buffer frame = framed(payload);
       bytes.insert(bytes.end(), frame.data(), frame.data() + frame.size());
       if (!c.ping) break;
     }
@@ -498,18 +496,17 @@ TEST(NetPeerHandoffTest, FramesThatArriveWithTheHelloAreAllApplied) {
   ASSERT_TRUE(await_ready({peers[0]}, 10s));
 
   std::vector<std::uint8_t> bytes;
-  const auto append = [&bytes](std::span<const std::uint8_t> payload) {
-    const erasure::Buffer frame = encode_frame(payload);
+  const auto append = [&bytes](const erasure::Buffer& payload) {
+    const erasure::Buffer frame = framed(payload);
     bytes.insert(bytes.end(), frame.data(), frame.data() + frame.size());
   };
   append(encode_hello(Hello{PeerRole::kServer, 1}));
   for (std::uint64_t seq = 1; seq <= kWrites; ++seq) {
     VectorClock ts(kServers);
     ts.set(1, seq);
-    append(serialize_message(AppMessage(static_cast<ObjectId>(seq % kObjects),
-                                        value_for(900, seq),
-                                        Tag(std::move(ts), 900),
-                                        WireModel{})));
+    append(serialize_message_frame(
+        AppMessage(static_cast<ObjectId>(seq % kObjects), value_for(900, seq),
+                   Tag(std::move(ts), 900), WireModel{})));
   }
   const auto addr = parse_host_port(peers[0]);
   ASSERT_TRUE(addr.has_value());
@@ -592,8 +589,8 @@ TEST_F(NetParkingTest, ParkedRequestsAreBoundedInCountAndTime) {
   ScopedFd fd = connect_tcp_blocking(addr->first, addr->second, 2000);
   ASSERT_TRUE(fd.valid());
   std::vector<std::uint8_t> burst;
-  const auto append = [&burst](const std::vector<std::uint8_t>& payload) {
-    const erasure::Buffer frame = encode_frame(payload);
+  const auto append = [&burst](const erasure::Buffer& payload) {
+    const erasure::Buffer frame = framed(payload);
     burst.insert(burst.end(), frame.data(), frame.data() + frame.size());
   };
   append(encode_hello(Hello{PeerRole::kClient, 0}));

@@ -51,6 +51,12 @@ ServerImage make_image() {
   return img;
 }
 
+/// encode_snapshot's bytes as an owned vector, for tests that edit them.
+std::vector<std::uint8_t> snapshot_bytes(const ServerImage& img) {
+  const erasure::Buffer file = encode_snapshot(img);
+  return {file.data(), file.data() + file.size()};
+}
+
 void expect_images_equal(const ServerImage& a, const ServerImage& b) {
   EXPECT_EQ(a.node, b.node);
   EXPECT_EQ(a.num_servers, b.num_servers);
@@ -144,7 +150,7 @@ constexpr std::uint8_t kGoldenSnapshot[] = {
 };
 
 TEST(SnapshotGoldenTest, EncodingMatchesCommittedBytes) {
-  const std::vector<std::uint8_t> encoded = encode_snapshot(make_image());
+  const std::vector<std::uint8_t> encoded = snapshot_bytes(make_image());
   ASSERT_EQ(encoded.size(), sizeof(kGoldenSnapshot))
       << "snapshot size changed -- bump kSnapshotVersion";
   for (std::size_t i = 0; i < encoded.size(); ++i) {
@@ -162,10 +168,59 @@ TEST(SnapshotGoldenTest, CommittedBytesDecode) {
   expect_images_equal(make_image(), *result.image);
 }
 
+// Two WAL records, byte for byte: record_message(2, {AA BB CC}) and then
+// record_client_write(77, 5, 1, {1 2 3 4}). Each is kind:u8, body_len:u32,
+// the body, and the FNV-1a u64 of everything before it. A mismatch means
+// the on-disk log format changed under existing data directories.
+constexpr std::uint8_t kGoldenMessageRecord[] = {
+    0x01, 0x07, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0xAA,
+    0xBB, 0xCC, 0x3E, 0xAA, 0x8C, 0xB8, 0x2E, 0x6C, 0x2D, 0xB1,
+};
+constexpr std::uint8_t kGoldenClientWriteRecord[] = {
+    0x02, 0x18, 0x00, 0x00, 0x00, 0x4D, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x02, 0x03, 0x04, 0xF8,
+    0xDD, 0xCE, 0x6E, 0xE0, 0x40, 0x8D, 0x5F,
+};
+const std::vector<std::uint8_t> kGoldenFrame = {0xAA, 0xBB, 0xCC};
+const std::vector<std::uint8_t> kGoldenValue = {1, 2, 3, 4};
+
+TEST(JournalGoldenTest, RecordsMatchCommittedBytes) {
+  MemoryBackend backend;
+  Journal journal(&backend, "s0");
+  journal.record_message(2, kGoldenFrame);
+  journal.record_client_write(77, 5, 1, kGoldenValue);
+  std::vector<std::uint8_t> expected(std::begin(kGoldenMessageRecord),
+                                     std::end(kGoldenMessageRecord));
+  expected.insert(expected.end(), std::begin(kGoldenClientWriteRecord),
+                  std::end(kGoldenClientWriteRecord));
+  const auto wal = backend.get(journal.wal_key());
+  ASSERT_TRUE(wal.has_value());
+  EXPECT_EQ(*wal, expected);
+}
+
+TEST(JournalGoldenTest, CommittedBytesDecode) {
+  MemoryBackend backend;
+  Journal journal(&backend, "s0");
+  backend.append(journal.wal_key(), kGoldenMessageRecord);
+  backend.append(journal.wal_key(), kGoldenClientWriteRecord);
+  const RecoveredState state = journal.load();
+  EXPECT_FALSE(state.wal_torn);
+  ASSERT_EQ(state.wal.size(), 2u);
+  EXPECT_EQ(state.wal[0].kind, WalRecord::Kind::kMessage);
+  EXPECT_EQ(state.wal[0].from, 2u);
+  EXPECT_EQ(state.wal[0].payload, kGoldenFrame);
+  EXPECT_EQ(state.wal[1].kind, WalRecord::Kind::kClientWrite);
+  EXPECT_EQ(state.wal[1].client, 77u);
+  EXPECT_EQ(state.wal[1].opid, 5u);
+  EXPECT_EQ(state.wal[1].object, 1u);
+  EXPECT_EQ(state.wal[1].payload, kGoldenValue);
+}
+
 TEST(SnapshotTest, RoundTripPreservesEveryField) {
   const ServerImage img = make_image();
   const SnapshotDecodeResult result = decode_snapshot(
-      erasure::Buffer::adopt(encode_snapshot(img)));
+      encode_snapshot(img));
   ASSERT_TRUE(result.ok()) << result.error;
   expect_images_equal(img, *result.image);
 }
@@ -180,7 +235,7 @@ TEST(SnapshotTest, EmptyImageRoundTrips) {
   img.tmax = {Tag::zero(1)};
   img.last_del_broadcast_all = {Tag::zero(1)};
   const SnapshotDecodeResult result = decode_snapshot(
-      erasure::Buffer::adopt(encode_snapshot(img)));
+      encode_snapshot(img));
   ASSERT_TRUE(result.ok()) << result.error;
   expect_images_equal(img, *result.image);
 }
@@ -189,7 +244,7 @@ TEST(SnapshotTest, EmptyImageRoundTrips) {
 // (the FNV-1a trailer covers magic..body; a flip in the trailer itself
 // mismatches the recomputed sum) and must never crash or trip a sanitizer.
 TEST(SnapshotCorruptionTest, EveryBitFlipIsRejected) {
-  const std::vector<std::uint8_t> good = encode_snapshot(make_image());
+  const std::vector<std::uint8_t> good = snapshot_bytes(make_image());
   ASSERT_TRUE(decode_snapshot(std::span<const std::uint8_t>(good)).ok());
   for (std::size_t byte = 0; byte < good.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
@@ -205,7 +260,7 @@ TEST(SnapshotCorruptionTest, EveryBitFlipIsRejected) {
 }
 
 TEST(SnapshotCorruptionTest, EveryTruncationIsRejected) {
-  const std::vector<std::uint8_t> good = encode_snapshot(make_image());
+  const std::vector<std::uint8_t> good = snapshot_bytes(make_image());
   for (std::size_t len = 0; len < good.size(); ++len) {
     const SnapshotDecodeResult result = decode_snapshot(
         std::span<const std::uint8_t>(good.data(), len));
@@ -214,7 +269,7 @@ TEST(SnapshotCorruptionTest, EveryTruncationIsRejected) {
 }
 
 TEST(SnapshotCorruptionTest, WrongVersionIsRejectedWithClearError) {
-  std::vector<std::uint8_t> bytes = encode_snapshot(make_image());
+  std::vector<std::uint8_t> bytes = snapshot_bytes(make_image());
   bytes[8] = 0x7F;  // version field (little-endian u32 after the magic)
   // Recompute the trailer so only the version is wrong.
   const std::uint64_t sum = fnv1a(
@@ -233,7 +288,7 @@ TEST(SnapshotCorruptionTest, GarbageInputsAreRejected) {
   EXPECT_FALSE(decode_snapshot(std::span<const std::uint8_t>()).ok());
   const std::vector<std::uint8_t> zeros(64, 0);
   EXPECT_FALSE(decode_snapshot(std::span<const std::uint8_t>(zeros)).ok());
-  std::vector<std::uint8_t> huge = encode_snapshot(make_image());
+  std::vector<std::uint8_t> huge = snapshot_bytes(make_image());
   huge[12] = 0xFF;  // body_len low byte -> inconsistent with actual size
   EXPECT_FALSE(decode_snapshot(std::span<const std::uint8_t>(huge)).ok());
 }

@@ -128,7 +128,8 @@ TEST(ServerUnitTest, GcTickAnnouncesTheEncodedTagToEveryPeer) {
 
 TEST(ServerUnitTest, ReplicationKeepsTheDelAtEncode) {
   // Every server stores X, so no server waits for a non-storing peer's
-  // announcement: the re-encode announces itself to every peer at once.
+  // announcement: the re-encode announces itself to every peer at once,
+  // and the next GC tick does not announce it again.
   ServerFixture f(erasure::make_replication(5, 3, 16), 0);
   const Tag t = f.server.client_write(9, 1, 1, val257(4));
   std::vector<NodeId> targets;
@@ -139,6 +140,9 @@ TEST(ServerUnitTest, ReplicationKeepsTheDelAtEncode) {
     }
   }
   EXPECT_EQ(targets, (std::vector<NodeId>{1, 2, 3, 4}));
+  f.transport.clear();
+  f.server.run_garbage_collection();
+  EXPECT_TRUE(f.transport.of_type<DelMessage>().empty());
 }
 
 TEST(ServerUnitTest, WireSizesFollowTheModel) {
@@ -392,17 +396,22 @@ TEST(ServerUnitTest, LeaderRoutedDelsAreForwardedWithOrigin) {
 }
 
 TEST(ServerUnitTest, LeaderItselfBroadcastsDirectly) {
+  // The leader announces its own encoded tag to every peer at encode, as
+  // it forwards everyone else's, so its GC tick has nothing to add.
   ServerConfig config;
   config.del_routing = DelRouting::kViaLeader;
   config.del_leader = 3;
   ServerFixture f(erasure::make_paper_5_3(16), 3, config);
   f.server.client_write(9, 1, 1, val257(4));
   const auto dels = f.transport.of_type<DelMessage>();
-  ASSERT_EQ(dels.size(), 2u);  // containing servers of X2 minus self
+  ASSERT_EQ(dels.size(), 4u);  // every server but self
   for (const auto* msg : dels) {
     EXPECT_FALSE(msg->forward);
     EXPECT_EQ(msg->origin, 3u);
   }
+  f.transport.clear();
+  f.server.run_garbage_collection();
+  EXPECT_TRUE(f.transport.of_type<DelMessage>().empty());
 }
 
 TEST(ServerUnitTest, StorageStatsReflectState) {

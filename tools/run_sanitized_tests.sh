@@ -20,9 +20,10 @@
 #       # this exercises the shared-mutex plan cache -- one class, one
 #       # instance for decode plans and one for repair plans -- from
 #       # concurrent lookup threads
-#   tools/run_sanitized_tests.sh thread -L "net|frontdoor|runtime"
-#       # the real-socket, front-door and threaded-runtime batteries
-#       # (DESIGN.md §5.3, §11, §12): frame reassembly sweep, in-process
+#   tools/run_sanitized_tests.sh thread -L "net|frontdoor|runtime|wire"
+#       # the real-socket, front-door, threaded-runtime and codec batteries
+#       # (DESIGN.md §5.3, §11, §12): codec round trips and copy counts,
+#       # frame reassembly sweep and in-place framing, in-process
 #       # daemons over loopback TCP that serve every connection on the
 #       # automaton loop, hash-ring properties, the frontier-gated edge
 #       # cache, cluster-config parsing, sessions through an in-process
@@ -37,6 +38,10 @@
 #       # shared edge cache, and every client session thread (the forked
 #       # servers are instrumented too; tsan just cannot see across the
 #       # processes)
+#   tools/run_sanitized_tests.sh address,undefined -L "net|wire|recovery"
+#       # every encoder and decoder: the codec, the socket framing (which
+#       # reads the four bytes in front of a payload in its arena), and the
+#       # WAL and snapshot formats with their corruption sweeps
 #   tools/run_sanitized_tests.sh address,undefined -L protocol
 #   tools/run_sanitized_tests.sh thread -L protocol
 #       # the automaton battery (Algorithms 1-3): causalec_test,
@@ -46,8 +51,8 @@
 #       # after any change to how the Server encodes, announces dels or
 #       # collects garbage
 #   tools/run_sanitized_tests.sh --net-smoke
-#       # fast path: the net, frontdoor and runtime labels, asan+ubsan
-#       # then tsan
+#       # fast path: the net, frontdoor, runtime and wire labels,
+#       # asan+ubsan then tsan
 #
 # After an unfiltered run, each config additionally reruns the GF kernel
 # differential suite once per tier available on this machine (scalar, then
@@ -66,9 +71,10 @@ cd "$(dirname "$0")/.."
 configs=()
 if [[ $# -ge 1 && $1 == --net-smoke ]]; then
   # Fast path: the real-socket, front-door and threaded-runtime batteries,
-  # which share one loop class, under both sanitizer configs.
+  # which share one loop class, and the codec they all send through, under
+  # both sanitizer configs.
   shift
-  set -- -L "net|frontdoor|runtime" "$@"
+  set -- -L "net|frontdoor|runtime|wire" "$@"
   configs=("address,undefined" "thread")
 elif [[ $# -ge 1 && $1 != -* ]]; then
   configs=("$1")
