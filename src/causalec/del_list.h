@@ -46,6 +46,15 @@ class DelList {
     return floor;
   }
 
+  /// max(S) > tag, without building max(S): every server has an entry
+  /// above `tag`. GC asks this on every DelL insertion.
+  bool floor_above(const Tag& tag) const {
+    for (const auto& tags : per_server_) {
+      if (tags.empty() || !(*tags.rbegin() > tag)) return false;
+    }
+    return true;
+  }
+
   /// max(U) over the subset R: nullopt when some member of R has announced
   /// nothing.
   std::optional<Tag> floor_of(std::span<const NodeId> servers) const {

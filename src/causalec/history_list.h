@@ -8,9 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
+#include <span>
 
 #include "causalec/tag.h"
 #include "erasure/value.h"
@@ -64,15 +64,25 @@ class HistoryList {
     return std::prev(it)->first;
   }
 
-  /// Remove entries matching the predicate; returns count removed.
-  std::size_t erase_if(const std::function<bool(const Tag&)>& pred) {
+  /// Erase every entry below `bound` -- through it when `inclusive` --
+  /// except the tags in `keep`, which must be sorted ascending (duplicates
+  /// and tags outside the prefix are fine); returns the count removed. The
+  /// erased entries form a prefix of the tag order, so the walk costs
+  /// O(removed + keep) and never visits the versions above `bound`.
+  std::size_t erase_prefix(const Tag& bound, bool inclusive,
+                           std::span<const Tag* const> keep) {
+    const auto end =
+        inclusive ? entries_.upper_bound(bound) : entries_.lower_bound(bound);
     std::size_t removed = 0;
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (pred(it->first)) {
+    auto it = entries_.begin();
+    auto kept = keep.begin();
+    while (it != end) {
+      while (kept != keep.end() && **kept < it->first) ++kept;
+      if (kept != keep.end() && **kept == it->first) {
+        ++it;
+      } else {
         it = entries_.erase(it);
         ++removed;
-      } else {
-        ++it;
       }
     }
     return removed;

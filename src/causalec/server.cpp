@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <set>
 #include <sstream>
 
 #include "causalec/codec.h"
@@ -350,6 +349,7 @@ void Server::handle_app(NodeId from, const AppMessage& msg) {
 void Server::handle_del(NodeId from, const DelMessage& msg) {
   (void)from;
   dels_[msg.object].add(msg.origin, msg.tag);
+  collect_if_floor_rose(msg.object);
   // Appendix G variant (ii): the leader fans forwarded dels out to
   // everyone on the origin's behalf.
   if (msg.forward && id_ == config_.del_leader) {
@@ -664,41 +664,7 @@ void Server::run_garbage_collection() {
   const SimTime obs_t0 = obs_now();
   std::uint64_t total_removed = 0;
   for (ObjectId x = 0; x < k_; ++x) {
-    // tmax[X] = max(S) (Alg. 3 lines 36-37); monotone by construction.
-    if (const auto floor = dels_[x].floor_all()) {
-      if (*floor > tmax_[x]) tmax_[x] = *floor;
-    }
-    CEC_DCHECK(tmax_[x] <= m_tags_[x]);  // invariant (Sec. 3)
-
-    // Protected tags T (line 39): requested tags of *any* pending read.
-    std::set<Tag> protected_tags;
-    for (const auto& read : reads_.all()) {
-      if (read.requested[x] < m_tags_[x]) {
-        protected_tags.insert(read.requested[x]);
-      }
-    }
-    const auto not_protected = [&](const Tag& t) {
-      return protected_tags.count(t) == 0;
-    };
-
-    std::size_t removed = 0;
-    const Tag tm = tmax_[x];
-    if (tm == m_tags_[x] && dels_[x].has_exact_from_all(m_tags_[x]) &&
-        lists_[x].highest_tag() <= m_tags_[x]) {
-      // Line 40-41: full cleanup, including the currently-encoded version.
-      removed = lists_[x].erase_if(
-          [&](const Tag& t) { return t <= tm && not_protected(t); });
-    } else if (tm < m_tags_[x] && !code_->contains(id_, x)) {
-      // Line 42-43.
-      removed = lists_[x].erase_if(
-          [&](const Tag& t) { return t <= tm && not_protected(t); });
-    } else {
-      // Line 44: strict inequality for stored objects.
-      removed = lists_[x].erase_if(
-          [&](const Tag& t) { return t < tm && not_protected(t); });
-    }
-    counters_.history_entries_collected += removed;
-    total_removed += removed;
+    total_removed += collect(x, /*tick=*/true);
 
     // Lines 45-48: a containing server announces its own encoded tag to
     // everyone; non-containing servers take max(U) over those entries
@@ -710,12 +676,45 @@ void Server::run_garbage_collection() {
     if (config_.compact_del_lists) dels_[x].compact(tmax_[x]);
   }
   flight(obs::FlightKind::kGc, static_cast<std::uint32_t>(total_removed));
-  if (m_gc_collected_ != nullptr) m_gc_collected_->inc(total_removed);
   if (tracer_ != nullptr) {
     tracer_->complete("gc", id_, obs_t0, transport_->now() - obs_t0,
                       {{"removed", total_removed}});
   }
   run_internal_actions();
+}
+
+std::size_t Server::collect(ObjectId x, bool tick) {
+  // tmax[X] = max(S) (Alg. 3 lines 36-37); monotone by construction.
+  if (dels_[x].floor_above(tmax_[x])) tmax_[x] = *dels_[x].floor_all();
+  const Tag& tm = tmax_[x];
+  CEC_DCHECK(tm <= m_tags_[x]);  // invariant (Sec. 3)
+
+  // Protected tags T (line 39): requested tags of any pending read.
+  keep_.clear();
+  for (const auto& read : reads_.all()) {
+    if (read.requested[x] < m_tags_[x]) keep_.push_back(&read.requested[x]);
+  }
+  std::sort(keep_.begin(), keep_.end(),
+            [](const Tag* a, const Tag* b) { return *a < *b; });
+
+  // Lines 40-41, at the tick only: once every server announced exactly the
+  // encoded tag and nothing newer is held, erase through tmax[X], the
+  // encoded version included; internal reads would re-fetch it if it went
+  // at the floor (DESIGN.md §2, note 12). Lines 42-43: a server that does
+  // not store X and has moved past tmax[X] erases through it too. Line 44:
+  // otherwise strictly below it.
+  const bool full = tick && tm == m_tags_[x] &&
+                    dels_[x].has_exact_from_all(tm) &&
+                    lists_[x].highest_tag() <= tm;
+  const bool through = full || (tm < m_tags_[x] && !code_->contains(id_, x));
+  const std::size_t removed = lists_[x].erase_prefix(tm, through, keep_);
+  counters_.history_entries_collected += removed;
+  if (m_gc_collected_ != nullptr && removed > 0) m_gc_collected_->inc(removed);
+  return removed;
+}
+
+void Server::collect_if_floor_rose(ObjectId x) {
+  if (dels_[x].floor_above(tmax_[x])) collect(x, /*tick=*/false);
 }
 
 // ---------------------------------------------------------------------------
@@ -810,8 +809,7 @@ bool Server::restore_from_journal() {
   muted_ = true;
   for (const auto& record : recovered.wal) {
     if (record.kind == persist::WalRecord::Kind::kMessage) {
-      on_message(record.from,
-                 deserialize_message(std::span(record.payload)));
+      on_message(record.from, deserialize_message(record.payload));
     } else {
       client_write(record.client, record.opid, record.object,
                    erasure::Value(record.payload));
@@ -1017,6 +1015,7 @@ void Server::handle_recover_push(NodeId from, const RecoverPushMessage& msg) {
        })) {
     lists_[e.object].insert(e.tag, e.value);
   }
+  for (ObjectId x = 0; x < k_; ++x) collect_if_floor_rose(x);
 
   if (recovering_ && msg.epoch == recovery_epoch_) {
     ++counters_.rejoin_pushes_received;
@@ -1336,6 +1335,7 @@ std::vector<NodeId> Server::initial_fanout_targets(const PendingRead& read) {
 void Server::record_del(ObjectId object, const Tag& tag) {
   dels_[object].add(id_, tag);
   flight(obs::FlightKind::kDelRecord, object, 0, &tag);
+  collect_if_floor_rose(object);
 }
 
 void Server::broadcast_del(ObjectId object, const Tag& tag, bool dedupe) {

@@ -140,7 +140,10 @@ class Server final : public sim::Actor {
   /// after every message receipt; exposed for tests.
   void run_internal_actions();
 
-  /// Garbage_Collection (Alg. 3). Drive from a periodic timer.
+  /// Garbage_Collection (Alg. 3). Drive from a periodic timer. Versions
+  /// below tmax[X] also leave as soon as a DelL entry raises max(S)
+  /// (DESIGN.md §2, note 12); the tick adds the encoded version itself, the
+  /// announcements and DelL compaction.
   void run_garbage_collection();
 
   // -- Crash recovery (DESIGN.md §9) ---------------------------------------
@@ -268,6 +271,14 @@ class Server final : public sim::Actor {
   /// repair counters as a side effect.
   std::vector<NodeId> initial_fanout_targets(const PendingRead& read);
 
+  // Garbage collection (Alg. 3 lines 36-44).
+  /// Raise tmax[X] to max(S) and erase the versions below it that no
+  /// pending read protects; at the tick also the encoded version once every
+  /// server announced it (lines 40-41). Returns the count removed.
+  std::size_t collect(ObjectId object, bool tick);
+  /// collect() between ticks, when a DelL entry lifted max(S) past tmax[X].
+  void collect_if_floor_rose(ObjectId object);
+
   // del bookkeeping.
   void record_del(ObjectId object, const Tag& tag);  // own DelL entry
   void broadcast_del(ObjectId object, const Tag& tag, bool dedupe);
@@ -343,6 +354,7 @@ class Server final : public sim::Actor {
   std::vector<NodeId> others_;                   // every node but this one
   // Last tag broadcast to *all* nodes per object (del dedupe, DESIGN note 6).
   TagVector last_del_broadcast_all_;
+  std::vector<const Tag*> keep_;  // collect()'s protected tags, reused
   ServerCounters counters_;
   bool in_internal_actions_ = false;
 

@@ -59,9 +59,8 @@ std::optional<WalRecord> read_record(wire::SafeReader& wal) {
   }
   // A checksummed body too short for its kind is treated like a torn tail
   // rather than guessed at.
-  const erasure::Buffer payload = body.raw(body.remaining());
+  record.payload = body.raw(body.remaining());
   if (!body.ok()) return std::nullopt;
-  record.payload.assign(payload.data(), payload.data() + payload.size());
   return record;
 }
 

@@ -4,8 +4,9 @@
 // client writes it accepted. On restart, load() returns the snapshot plus
 // the WAL suffix; the server restores the image and re-dispatches the
 // records with its own sends suppressed, which deterministically reproduces
-// the pre-crash state (modulo GC, which only shrinks state and re-runs
-// anyway).
+// the pre-crash state -- collections at the del floor included, since they
+// run inside the dispatch of the del that raises it -- except what GC ticks
+// removed: ticks are not journaled, only shrink state and run again.
 //
 // WAL records are individually checksummed and the tail is allowed to be
 // torn: a crash mid-append loses at most the record being written, which the
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "erasure/buffer.h"
 #include "persist/backend.h"
 #include "persist/image.h"
 
@@ -34,8 +36,10 @@ struct WalRecord {
   ClientId client = 0;  // kClientWrite
   OpId opid = 0;        // kClientWrite
   ObjectId object = 0;  // kClientWrite
-  /// kMessage: the serialized frame; kClientWrite: the written value.
-  std::vector<std::uint8_t> payload;
+  /// kMessage: the serialized frame; kClientWrite: the written value. A
+  /// slice of the WAL arena load() adopted: replay decodes it in place, and
+  /// whatever it keeps pins that arena (DESIGN.md §9).
+  erasure::Buffer payload;
 };
 
 struct RecoveredState {

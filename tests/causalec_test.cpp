@@ -566,6 +566,23 @@ TEST(CausalEcTest, HistoryDrainsWithinThreeGcPeriodsOfTheLastWrite) {
   }
 }
 
+TEST(CausalEcTest, SupersededVersionsLeaveWithinOneGcPeriod) {
+  // One GC period and three link latencies after the last burst, every
+  // storing server has announced the last version of each object and every
+  // non-storing server has answered: the del completing the floor has
+  // collected every superseded version at each server, and at most the
+  // encoded version of each object waits for the next tick (DESIGN.md §2,
+  // note 12).
+  auto code = erasure::make_systematic_rs(5, 3, kValueBytes);
+  const std::size_t k = code->num_objects();
+  auto cluster = run_write_bursts(code, 1,
+                                  kGcPeriod + 3 * kLinkLatency + kMillisecond);
+  for (NodeId s = 0; s < cluster->num_servers(); ++s) {
+    EXPECT_LE(cluster->server(s).storage().history_entries, k)
+        << "server " << s;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Randomized stress: random codes, ops, delays. The strict Error1/Error2
 // checks and storage convergence act as oracles.

@@ -83,6 +83,9 @@ TEST(DelListPropertyTest, MatchesBruteForceUnderRandomInserts) {
       if (del.floor_all()) {
         EXPECT_TRUE(*del.floor_all() == *mirror.floor_all());
       }
+      const Tag& below = universe[rng.next_below(universe.size())];
+      EXPECT_EQ(del.floor_above(below),
+                mirror.floor_all().has_value() && *mirror.floor_all() > below);
       // U: the floor over a random subset (recovery-set shape).
       std::vector<NodeId> subset;
       for (NodeId s = 0; s < n; ++s) {
@@ -199,8 +202,8 @@ TEST(HistoryListPropertyTest, ZeroTagIsVirtual) {
   EXPECT_EQ(*value, erasure::Value(8, 0));  // all-zeros, not 0xAB
   EXPECT_TRUE(list.highest_tag() == zero);
 
-  // erase_if never touches the virtual entry.
-  list.erase_if([](const Tag&) { return true; });
+  // Erasing through the zero tag never touches the virtual entry.
+  EXPECT_EQ(list.erase_prefix(zero, /*inclusive=*/true, {}), 0u);
   EXPECT_TRUE(list.contains(zero));
 }
 
@@ -220,7 +223,7 @@ TEST(HistoryListPropertyTest, MatchesBruteForceUnderInsertsAndPrunes) {
       } else if (!mirror.empty()) {
         // Prune below a random threshold, as GC does with tmax.
         const Tag& below = universe[rng.next_below(universe.size())];
-        list.erase_if([&below](const Tag& t) { return t < below; });
+        list.erase_prefix(below, /*inclusive=*/false, {});
         for (auto it = mirror.begin(); it != mirror.end();) {
           it = (*it < below) ? mirror.erase(it) : std::next(it);
         }
@@ -242,6 +245,60 @@ TEST(HistoryListPropertyTest, MatchesBruteForceUnderInsertsAndPrunes) {
         if (got) {
           EXPECT_TRUE(*got == *want);
         }
+      }
+    }
+  }
+}
+
+TEST(HistoryListPropertyTest, PrefixEraseMatchesBruteForce) {
+  // GC's one erase primitive against the brute-force rule: remove every
+  // t < bound (t <= bound when inclusive) that is not protected.
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    const std::size_t n = 4;
+    const auto universe = make_tag_universe(n, 12);
+    Rng rng(seed * 7919);
+    HistoryList list(n, 8);
+    std::set<Tag> mirror;
+
+    for (int step = 0; step < 200; ++step) {
+      if (rng.next_bool(0.6)) {
+        const Tag& tag = universe[rng.next_below(universe.size())];
+        list.insert(tag, erasure::Value(8, static_cast<std::uint8_t>(step)));
+        mirror.insert(tag);
+        continue;
+      }
+      const Tag& bound = universe[rng.next_below(universe.size())];
+      const bool inclusive = rng.next_bool(0.5);
+      // Protected tags as ReadL yields them: any tags, some repeated, some
+      // above the bound or absent from the list, sorted ascending.
+      std::vector<const Tag*> keep;
+      const std::size_t count = rng.next_below(5);
+      for (std::size_t i = 0; i < count; ++i) {
+        keep.push_back(&universe[rng.next_below(universe.size())]);
+      }
+      std::sort(keep.begin(), keep.end(),
+                [](const Tag* a, const Tag* b) { return *a < *b; });
+      const auto is_kept = [&](const Tag& t) {
+        return std::any_of(keep.begin(), keep.end(),
+                           [&](const Tag* k) { return *k == t; });
+      };
+
+      std::size_t want_removed = 0;
+      for (auto it = mirror.begin(); it != mirror.end();) {
+        const bool below = inclusive ? *it <= bound : *it < bound;
+        if (below && !is_kept(*it)) {
+          it = mirror.erase(it);
+          ++want_removed;
+        } else {
+          ++it;
+        }
+      }
+      EXPECT_EQ(list.erase_prefix(bound, inclusive, keep), want_removed);
+      ASSERT_EQ(list.size(), mirror.size());
+      auto got = list.entries().begin();
+      for (const Tag& tag : mirror) {
+        EXPECT_TRUE(got->first == tag);
+        ++got;
       }
     }
   }

@@ -51,6 +51,11 @@ ServerImage make_image() {
   return img;
 }
 
+/// A WAL record's payload bytes (a slice of the loaded WAL arena).
+std::vector<std::uint8_t> bytes_of(const erasure::Buffer& payload) {
+  return {payload.data(), payload.data() + payload.size()};
+}
+
 /// encode_snapshot's bytes as an owned vector, for tests that edit them.
 std::vector<std::uint8_t> snapshot_bytes(const ServerImage& img) {
   const erasure::Buffer file = encode_snapshot(img);
@@ -209,12 +214,12 @@ TEST(JournalGoldenTest, CommittedBytesDecode) {
   ASSERT_EQ(state.wal.size(), 2u);
   EXPECT_EQ(state.wal[0].kind, WalRecord::Kind::kMessage);
   EXPECT_EQ(state.wal[0].from, 2u);
-  EXPECT_EQ(state.wal[0].payload, kGoldenFrame);
+  EXPECT_EQ(bytes_of(state.wal[0].payload), kGoldenFrame);
   EXPECT_EQ(state.wal[1].kind, WalRecord::Kind::kClientWrite);
   EXPECT_EQ(state.wal[1].client, 77u);
   EXPECT_EQ(state.wal[1].opid, 5u);
   EXPECT_EQ(state.wal[1].object, 1u);
-  EXPECT_EQ(state.wal[1].payload, kGoldenValue);
+  EXPECT_EQ(bytes_of(state.wal[1].payload), kGoldenValue);
 }
 
 TEST(SnapshotTest, RoundTripPreservesEveryField) {
@@ -353,12 +358,12 @@ TEST(JournalTest, WalRoundTripAndSnapshotTruncation) {
   ASSERT_EQ(state.wal.size(), 2u);
   EXPECT_EQ(state.wal[0].kind, WalRecord::Kind::kMessage);
   EXPECT_EQ(state.wal[0].from, 2u);
-  EXPECT_EQ(state.wal[0].payload, frame);
+  EXPECT_EQ(bytes_of(state.wal[0].payload), frame);
   EXPECT_EQ(state.wal[1].kind, WalRecord::Kind::kClientWrite);
   EXPECT_EQ(state.wal[1].client, 77u);
   EXPECT_EQ(state.wal[1].opid, 5u);
   EXPECT_EQ(state.wal[1].object, 1u);
-  EXPECT_EQ(state.wal[1].payload, value);
+  EXPECT_EQ(bytes_of(state.wal[1].payload), value);
 
   journal.save_snapshot(make_image());
   state = journal.load();

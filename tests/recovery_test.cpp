@@ -16,6 +16,7 @@
 #include "erasure/codes.h"
 #include "obs/metrics.h"
 #include "persist/backend.h"
+#include "persist/journal.h"
 #include "runtime/threaded_cluster.h"
 #include "sim/latency.h"
 
@@ -407,6 +408,56 @@ TEST(RecoveryTest, ReplayReproducesReencodeThroughInternalRead) {
   cluster.settle();
   EXPECT_EQ(parity.counters().error2_events, 0u);
   EXPECT_EQ(parity.codeword_tag(0), written);
+}
+
+// Replay decodes each WAL record in place (DESIGN.md §9): frames and
+// client-write values are slices of the one arena Journal::load adopts, so
+// restoring twice the records allocates no further payload arena.
+TEST(RecoveryTest, WalReplayAllocatesNoPayloadArenaPerRecord) {
+  struct NullTransport final : Transport {
+    void send(NodeId, sim::MessagePtr) override {}
+    void schedule_after(SimTime, std::function<void()>) override {}
+    SimTime now() const override { return 0; }
+  };
+  const auto restore_allocations = [](std::uint64_t records) {
+    const auto code = erasure::make_systematic_rs(5, 3, 8);
+    const WireModel wm = WireModel::make({}, 5, 3);
+    persist::MemoryBackend backend;
+    persist::Journal journal(&backend, "s0");
+    NullTransport transport;
+    {
+      // Server 0 stores neither X1 nor X2: each record only lands in L[X].
+      Server live(0, code, {}, &transport);
+      live.attach_journal(&journal);
+      for (std::uint64_t i = 1; i <= records; ++i) {
+        VectorClock vc(5);
+        vc.set(1, i);
+        live.on_message(1, std::make_unique<AppMessage>(
+                               2, Value(8, static_cast<std::uint8_t>(i)),
+                               Tag(vc, 7), wm));
+        live.client_write(9, i, 1, Value(8, static_cast<std::uint8_t>(i)));
+      }
+    }
+    Server restarted(0, code, {}, &transport);
+    restarted.attach_journal(&journal);
+    const auto allocations_in = [](const auto& step) {
+      const std::uint64_t before = erasure::Buffer::alloc_stats().allocations;
+      step();
+      return erasure::Buffer::alloc_stats().allocations - before;
+    };
+    const std::uint64_t restore =
+        allocations_in([&] { EXPECT_TRUE(restarted.restore_from_journal()); });
+    // The closing checkpoint's snapshot arena grows with the state; take
+    // out what encoding that same state again costs.
+    const std::uint64_t snapshot = allocations_in(
+        [&] { persist::encode_snapshot(restarted.capture_image()); });
+    EXPECT_EQ(restarted.history(1).size(), records);
+    EXPECT_EQ(restarted.history(2).size(), records);
+    EXPECT_EQ(*restarted.history(1).lookup(restarted.history(1).highest_tag()),
+              Value(8, static_cast<std::uint8_t>(records)));
+    return restore - snapshot;
+  };
+  EXPECT_EQ(restore_allocations(16), restore_allocations(8));
 }
 
 // Satellite: the obs wiring. server.recoveries / server.catchup_bytes /

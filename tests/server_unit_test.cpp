@@ -319,6 +319,62 @@ TEST(ServerUnitTest, GcKeepsVersionsProtectedByPendingReads) {
   EXPECT_EQ(f.server.history(1).size(), 1u);  // v2 retained
 }
 
+TEST(ServerUnitTest, DelCompletingTheFloorCollectsSupersededVersionsAtOnce) {
+  // Server 1 stores X2 and encodes its second write over its first. The del
+  // that completes max(S) removes the superseded version in the same step;
+  // the encoded version stays for the GC tick (DESIGN.md §2, note 12).
+  ServerFixture f(erasure::make_paper_5_3(16), 1);
+  const Tag t1 = f.server.client_write(5, 1, 1, val257(3));
+  const Tag t2 = f.server.client_write(5, 2, 1, val257(4));
+  ASSERT_EQ(f.server.codeword_tag(1), t2);
+  ASSERT_EQ(f.server.history(1).size(), 2u);
+  const WireModel wm = WireModel::make({}, 5, 3);
+  for (NodeId j : {0u, 2u, 3u}) {
+    f.server.on_message(j, std::make_unique<DelMessage>(1, t2, j, false, wm));
+  }
+  EXPECT_EQ(f.server.history(1).size(), 2u);  // server 4 has not announced
+  EXPECT_TRUE(f.server.tmax(1).is_zero());
+  f.server.on_message(4, std::make_unique<DelMessage>(1, t2, 4, false, wm));
+  EXPECT_EQ(f.server.tmax(1), t2);
+  EXPECT_FALSE(f.server.history(1).contains(t1));
+  EXPECT_TRUE(f.server.history(1).contains(t2));
+  EXPECT_EQ(f.server.counters().history_entries_collected, 1u);
+  EXPECT_EQ(f.server.counters().gc_runs, 0u);
+  f.server.run_garbage_collection();
+  EXPECT_EQ(f.server.history(1).size(), 0u);
+  EXPECT_EQ(f.server.counters().history_entries_collected, 2u);
+}
+
+TEST(ServerUnitTest, NonStoringServerAnnouncesMaxUInTheStepThatRaisesIt) {
+  // Server 0 does not store X2; servers 1, 3 and 4 do. The del that
+  // completes their announcements raises M.tagvec[X2] to max(U), and the
+  // same step announces it to every peer, with no GC tick.
+  ServerFixture f(erasure::make_paper_5_3(16), 0);
+  const WireModel wm = WireModel::make({}, 5, 3);
+  VectorClock vc(5);
+  vc.set(1, 1);
+  const Tag t(vc, 42);
+  f.server.on_message(1, std::make_unique<AppMessage>(1, val257(1), t, wm));
+  for (NodeId j : {1u, 3u}) {
+    f.server.on_message(j, std::make_unique<DelMessage>(1, t, j, false, wm));
+  }
+  EXPECT_TRUE(f.server.codeword_tag(1).is_zero());
+  EXPECT_TRUE(f.transport.of_type<DelMessage>().empty());
+  f.server.on_message(4, std::make_unique<DelMessage>(1, t, 4, false, wm));
+  EXPECT_EQ(f.server.codeword_tag(1), t);
+  std::vector<NodeId> targets;
+  for (const auto& s : f.transport.sent) {
+    const auto* del = dynamic_cast<const DelMessage*>(s.message.get());
+    ASSERT_NE(del, nullptr);
+    EXPECT_EQ(del->object, 1u);
+    EXPECT_EQ(del->tag, t);
+    EXPECT_EQ(del->origin, 0u);
+    targets.push_back(s.to);
+  }
+  EXPECT_EQ(targets, (std::vector<NodeId>{1, 2, 3, 4}));
+  EXPECT_EQ(f.server.counters().gc_runs, 0u);
+}
+
 TEST(ServerUnitTest, DelBroadcastDedupe) {
   ServerConfig dedupe_on;
   dedupe_on.dedupe_del_broadcasts = true;

@@ -142,7 +142,7 @@ TEST(HistoryListTest, InsertLookupHighest) {
   EXPECT_EQ(*list.lookup(t1), (erasure::Value{1, 1, 1, 1}));
 }
 
-TEST(HistoryListTest, HighestLeqAndEraseIf) {
+TEST(HistoryListTest, HighestLeqAndErasePrefix) {
   HistoryList list(2, 1);
   const auto t1 = tag({1, 0});
   const auto t2 = tag({1, 1});
@@ -153,8 +153,7 @@ TEST(HistoryListTest, HighestLeqAndEraseIf) {
   EXPECT_EQ(*list.highest_leq(t2), t2);
   EXPECT_EQ(*list.highest_leq(tag({2, 1})), t2);
   EXPECT_EQ(*list.highest_leq(t3), t3);
-  const auto removed =
-      list.erase_if([&](const Tag& t) { return t < t3; });
+  const auto removed = list.erase_prefix(t3, /*inclusive=*/false, {});
   EXPECT_EQ(removed, 2u);
   EXPECT_EQ(list.size(), 1u);
   EXPECT_FALSE(list.highest_leq(t1).has_value());

@@ -47,9 +47,9 @@
 #       # the automaton battery (Algorithms 1-3): causalec_test,
 #       # server_unit_test, gc_property_test, consistency_test, chaos_test,
 #       # fault_injection_test, inqueue_liveness_test,
-#       # cluster_integration_test and the chaos_smoke fuzz sweep; run it
-#       # after any change to how the Server encodes, announces dels or
-#       # collects garbage
+#       # cluster_integration_test, the chaos_smoke fuzz sweep and the
+#       # transient_storage_smoke residency gate; run it after any change
+#       # to how the Server encodes, announces dels or collects garbage
 #   tools/run_sanitized_tests.sh --net-smoke
 #       # fast path: the net, frontdoor, runtime and wire labels,
 #       # asan+ubsan then tsan
