@@ -1,6 +1,7 @@
 #include "erasure/arena_pool.h"
 
 #include <bit>
+#include <utility>
 
 #include "common/expect.h"
 
@@ -181,6 +182,13 @@ BufferPool::~BufferPool() {
 }
 
 void BufferPool::install() { *pool_detail::tls_pool() = core_; }
+
+BufferPool::ScopedInstall::ScopedInstall(BufferPool& pool)
+    : previous_(std::exchange(*pool_detail::tls_pool(), pool.core_)) {}
+
+BufferPool::ScopedInstall::~ScopedInstall() {
+  *pool_detail::tls_pool() = std::move(previous_);
+}
 
 void BufferPool::uninstall() {
   std::shared_ptr<PoolCore>* current = pool_detail::tls_pool();

@@ -135,15 +135,17 @@ class BufferPool {
   /// Clears the current thread's pool (no-op if another pool is current).
   void uninstall();
 
+  /// Makes `pool` the current thread's allocator for the scope's
+  /// lifetime, then puts back whatever pool the thread had before.
   class ScopedInstall {
    public:
-    explicit ScopedInstall(BufferPool& pool) : pool_(pool) { pool_.install(); }
-    ~ScopedInstall() { pool_.uninstall(); }
+    explicit ScopedInstall(BufferPool& pool);
+    ~ScopedInstall();
     ScopedInstall(const ScopedInstall&) = delete;
     ScopedInstall& operator=(const ScopedInstall&) = delete;
 
    private:
-    BufferPool& pool_;
+    std::shared_ptr<PoolCore> previous_;
   };
 
   PoolCounters counters() const { return core_->counters(); }

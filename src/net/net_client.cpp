@@ -9,6 +9,7 @@
 namespace causalec::net {
 
 bool NetClient::connect(const std::string& host_port, int timeout_ms) {
+  erasure::BufferPool::ScopedInstall pooled(pool_);
   const auto addr = parse_host_port(host_port);
   if (!addr.has_value()) return false;
   fd_ = connect_tcp_blocking(addr->first, addr->second, timeout_ms);
@@ -28,6 +29,7 @@ void NetClient::advance_frontier(const VectorClock& vc) {
 
 std::optional<WriteResp> NetClient::write(OpId opid, ObjectId object,
                                           erasure::Value value) {
+  erasure::BufferPool::ScopedInstall pooled(pool_);
   WriteReq req;
   req.opid = opid;
   req.client = client_;
@@ -41,6 +43,7 @@ std::optional<WriteResp> NetClient::write(OpId opid, ObjectId object,
 }
 
 std::optional<ReadResp> NetClient::read(OpId opid, ObjectId object) {
+  erasure::BufferPool::ScopedInstall pooled(pool_);
   ReadReq req;
   req.opid = opid;
   req.client = client_;
@@ -53,16 +56,19 @@ std::optional<ReadResp> NetClient::read(OpId opid, ObjectId object) {
 }
 
 std::optional<Pong> NetClient::ping(std::uint64_t token) {
+  erasure::BufferPool::ScopedInstall pooled(pool_);
   return call(encode_ping(Ping{token}), decode_pong,
               [token](const Pong& r) { return r.token == token; });
 }
 
 std::optional<StatsResp> NetClient::stats() {
+  erasure::BufferPool::ScopedInstall pooled(pool_);
   return call(encode_stats_req(), decode_stats_resp,
               [](const StatsResp&) { return true; });
 }
 
 std::optional<RouterStatsResp> NetClient::router_stats() {
+  erasure::BufferPool::ScopedInstall pooled(pool_);
   return call(encode_router_stats_req(), decode_router_stats_resp,
               [](const RouterStatsResp&) { return true; });
 }

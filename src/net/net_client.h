@@ -15,6 +15,11 @@
 //
 // Responses carry the serving node's vector clock at the response point, so
 // a caller can record consistency-checkable OpRecords (see client_proto.h).
+//
+// Each client owns an erasure::BufferPool, installed on the calling thread
+// for the length of every call and then replaced by whatever pool the
+// thread had: a request's Writer arena and the arenas its response is read
+// into recycle across calls instead of costing two mallocs per operation.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +28,7 @@
 
 #include "causalec/tag.h"
 #include "common/types.h"
+#include "erasure/arena_pool.h"
 #include "erasure/value.h"
 #include "net/client_proto.h"
 #include "net/frame.h"
@@ -81,8 +87,9 @@ class NetClient {
   ClientId client_;
   int io_timeout_ms_ = 10'000;
   VectorClock frontier_;
+  erasure::BufferPool pool_;
   ScopedFd fd_;
-  FrameReader reader_;
+  FrameReader reader_;  // declared after pool_: it holds pooled arenas
 };
 
 }  // namespace causalec::net

@@ -115,44 +115,4 @@ void PeerLink::retry_later() {
   loop_->schedule_after(delay, [this] { dial(); });
 }
 
-NetTransport::NetTransport(std::vector<PeerLink*> links,
-                           runtime::AutomatonLoop* loop)
-    : links_(std::move(links)), loop_(loop) {}
-
-void NetTransport::send(NodeId to, sim::MessagePtr message) {
-  send_to(to, loop_->serialize(*message));
-}
-
-void NetTransport::multicast(std::span<const NodeId> targets,
-                             const std::function<sim::MessagePtr()>& make) {
-  if (targets.empty()) return;
-  // Serialize once; every destination link sends the same arena.
-  const sim::MessagePtr message = make();
-  const erasure::Buffer payload = loop_->serialize(*message);
-  for (NodeId to : targets) send_to(to, payload);
-}
-
-void NetTransport::hold() { holding_ = true; }
-
-void NetTransport::release_held() {
-  holding_ = false;
-  for (auto& [link, payload] : held_) link->send(std::move(payload));
-  held_.clear();
-}
-
-void NetTransport::send_to(NodeId to, erasure::Buffer payload) {
-  CEC_CHECK(to < links_.size() && links_[to] != nullptr);
-  if (holding_) {
-    held_.emplace_back(links_[to], std::move(payload));
-  } else {
-    links_[to]->send(std::move(payload));
-  }
-}
-
-void NetTransport::schedule_after(SimTime delta, std::function<void()> fn) {
-  loop_->schedule_after(delta, std::move(fn));
-}
-
-SimTime NetTransport::now() const { return runtime::AutomatonLoop::now(); }
-
 }  // namespace causalec::net

@@ -1,20 +1,21 @@
-// NetTransport: the Transport seam (causalec/server.h) over real TCP.
+// PeerLink: one outbound protocol link over real TCP.
 //
 // Outbound topology: every daemon *dials* every peer and sends its protocol
 // frames on its own outbound links only; accepted connections are
 // receive-only for protocol traffic. This gives each ordered channel a
 // single writer and makes "who is connected to whom" trivial to reason
-// about after crashes.
+// about after crashes. A daemon's Server sends through its AutomatonLoop's
+// outbox (runtime/automaton_loop.h), whose round end hands each link its
+// payloads in send order; frontdoor::Router dials its backends with
+// PeerLink too.
 //
-// PeerLink is one such outbound link; frontdoor::Router dials its backends
-// with it too. One loop thread owns it: it dials, re-dials, watches and
-// writes the link (a daemon's automaton loop, or the router's shard).
-// Until the first establishment the redial delay starts at 1 ms and
-// doubles up to 100 ms, so a peer that is still binding its listener
-// costs milliseconds; after that, a lost link redials every 100 ms.
-// Payloads go straight through Connection::send, which frames them. Its
-// delivery semantics match the crash-stop channel model of the in-process
-// runtimes:
+// One loop thread owns a link: it dials, re-dials, watches and writes it
+// (a daemon's automaton loop, or the router's shard). Until the first
+// establishment the redial delay starts at 1 ms and doubles up to 100 ms,
+// so a peer that is still binding its listener costs milliseconds; after
+// that, a lost link redials every 100 ms. Payloads go straight through
+// Connection::send, which frames them. Its delivery semantics match the
+// crash-stop channel model of the in-process runtimes:
 //   * before the link is first established (cluster start-up), payloads
 //     are queued (bounded) so no protocol traffic is lost to boot-order
 //     races;
@@ -29,16 +30,12 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "causalec/server.h"
+#include "common/types.h"
 #include "erasure/buffer.h"
 #include "net/client_proto.h"
 #include "net/connection.h"
-#include "runtime/automaton_loop.h"
 #include "runtime/event_loop.h"
 
 namespace causalec::net {
@@ -94,41 +91,6 @@ class PeerLink {
   std::deque<erasure::Buffer> pending_;  // pre-first-establishment queue
   bool ever_established_ = false;
   bool shutdown_ = false;
-};
-
-/// Transport implementation handed to the Server automaton. send/multicast
-/// serialize through the codec once and send the one payload on every
-/// destination's link (the links' connections frame it without a copy).
-/// Serialization timing and the timers behind schedule_after/now belong to
-/// the automaton loop hosting the server, which also owns every link: the
-/// Server calls them only from that loop's thread, so the automaton thread
-/// is the only sender of protocol frames and every link is FIFO.
-class NetTransport final : public causalec::Transport {
- public:
-  /// `links[j]` is the link to node j (null at the self index). `loop`
-  /// must outlive the transport.
-  NetTransport(std::vector<PeerLink*> links, runtime::AutomatonLoop* loop);
-
-  void send(NodeId to, sim::MessagePtr message) override;
-  void multicast(std::span<const NodeId> targets,
-                 const std::function<sim::MessagePtr()>& make) override;
-  void schedule_after(SimTime delta, std::function<void()> fn) override;
-  SimTime now() const override;
-
-  /// Automaton thread: payloads sent from here on are held until
-  /// release_held(), which sends them in order. NodeDaemon brackets a
-  /// client write with the pair so the client's ack goes out before the
-  /// write's fan-out.
-  void hold();
-  void release_held();
-
- private:
-  void send_to(NodeId to, erasure::Buffer payload);
-
-  std::vector<PeerLink*> links_;
-  runtime::AutomatonLoop* loop_;
-  bool holding_ = false;
-  std::vector<std::pair<PeerLink*, erasure::Buffer>> held_;
 };
 
 }  // namespace causalec::net

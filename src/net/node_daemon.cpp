@@ -59,10 +59,16 @@ NodeDaemon::NodeDaemon(erasure::CodePtr code, NodeDaemonConfig config)
         [this](NodeId who, bool down) { server_->set_peer_down(who, down); }));
     link_ptrs_[peer] = links_.back().get();
   }
-  transport_ = std::make_unique<NetTransport>(link_ptrs_, &loop_);
+  // The Server sends through the loop's outbox; each round's end hands a
+  // peer's batch to its link, one frame at a time, in send order.
+  loop_.set_peer_sink([this](NodeId to,
+                             std::span<runtime::AutomatonLoop::Envelope> batch) {
+    CEC_CHECK(to < link_ptrs_.size() && link_ptrs_[to] != nullptr);
+    for (auto& out : batch) link_ptrs_[to]->send(std::move(out.frame));
+  });
   server_ = std::make_unique<causalec::Server>(config_.node, code_,
                                                config_.server,
-                                               transport_.get());
+                                               &loop_.transport());
   // A round may have advanced the clock (applied writes, anti-entropy), so
   // parked requests get one retry after each.
   loop_.set_post_batch([this] { retry_parked(); });
@@ -186,12 +192,8 @@ void NodeDaemon::handle_request(Req req, std::shared_ptr<Connection> conn) {
 
 void NodeDaemon::serve(WriteReq req, std::shared_ptr<Connection> conn) {
   const OpId opid = next_daemon_opid();
-  // Alg. 1 answers the client in the step that sends the write's app
-  // messages, so the ack goes out first and the n-1 peer frames leave the
-  // client's critical path. They are released whatever became of the ack.
-  // Each peer channel stays FIFO: this thread is the only sender of
-  // protocol frames, and the held ones go out before its next send.
-  transport_->hold();
+  // The ack goes out now; the write's app messages wait in the round's
+  // outbox (runtime/automaton_loop.h), off the client's critical path.
   const Tag tag =
       server_->client_write(req.client, opid, req.object,
                             std::move(req.value));
@@ -200,7 +202,6 @@ void NodeDaemon::serve(WriteReq req, std::shared_ptr<Connection> conn) {
   resp.tag = tag;
   resp.vc = server_->clock();
   conn->send(encode_write_resp(resp));
-  transport_->release_held();
 }
 
 void NodeDaemon::serve(ReadReq req, std::shared_ptr<Connection> conn) {

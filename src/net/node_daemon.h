@@ -14,7 +14,8 @@
 //     and snapshot timers, phase metrics -- and serves every connection:
 //     it runs the Hello, answers Pings, decodes and serves client requests
 //     (parked ones are retried after every round) and dispatches peer
-//     protocol frames, and it dials and writes the outbound peer links. A
+//     protocol frames, and it dials the outbound peer links and writes
+//     each round's protocol frames to them when the round ends. A
 //     client request is a step of the automaton, with no thread between
 //     the socket and the Server.
 //
@@ -115,7 +116,8 @@ class NodeDaemon {
   /// Serves `req` when the clock dominates its frontier, else parks it.
   template <typename Req>
   void handle_request(Req req, std::shared_ptr<Connection> conn);
-  /// Acks the write before its peer fan-out (DESIGN.md §11).
+  /// Acks the write at once; its peer fan-out leaves at the end of the
+  /// round (DESIGN.md §11).
   void serve(WriteReq req, std::shared_ptr<Connection> conn);
   void serve(ReadReq req, std::shared_ptr<Connection> conn);
   void handle_stats_req(std::shared_ptr<Connection> conn);
@@ -135,7 +137,6 @@ class NodeDaemon {
   std::vector<std::uint64_t> shard_ops_;
   std::vector<std::unique_ptr<PeerLink>> links_;
   std::vector<PeerLink*> link_ptrs_;  // indexed by NodeId; self = null
-  std::unique_ptr<NetTransport> transport_;
   std::unique_ptr<causalec::Server> server_;
 
   std::unique_ptr<persist::DirBackend> backend_;

@@ -21,7 +21,9 @@ AutomatonLoop::AutomatonLoop(NodeId id, const obs::ObsHooks& obs,
     m_mailbox_depth_ =
         &metrics->gauge("runtime.mailbox_depth.s" + std::to_string(id));
   }
+  metrics_ = obs.metrics;
   loop_.set_after_round([this] { end_round(); });
+  loop_.set_round_end([this] { flush_outbox(); });
 }
 
 AutomatonLoop::~AutomatonLoop() { stop(); }
@@ -55,33 +57,30 @@ void AutomatonLoop::stop() {
   loop_.stop();
   inbox_due_ = false;
   unsettled_ = 0;
+  outbox_.clear();
+  for (auto& sends : sends_) sends.clear();
 }
 
 void AutomatonLoop::post(std::function<void()> task) {
   loop_.post(std::move(task));
 }
 
-void AutomatonLoop::deliver_frame(NodeId from, erasure::Buffer frame) {
-  enqueue(Inbound{from, std::move(frame), nullptr,
-                  m_queue_wait_ != nullptr ? now() : 0});
-}
-
-void AutomatonLoop::deliver_message(NodeId from, sim::MessagePtr message) {
-  enqueue(Inbound{from, {}, std::move(message),
-                  m_queue_wait_ != nullptr ? now() : 0});
-}
-
-void AutomatonLoop::enqueue(Inbound in) {
+void AutomatonLoop::deliver(NodeId from, std::span<Envelope> batch) {
+  if (batch.empty()) return;
+  const SimTime enqueued_at = m_queue_wait_ != nullptr ? now() : 0;
   bool first = false;
   {
     std::lock_guard<std::mutex> lock(inbox_mu_);
     if (!inbox_open_) return;
     first = inbox_.empty();
-    inbox_.push_back(std::move(in));
+    for (Envelope& in : batch) {
+      inbox_.push_back(Inbound{from, std::move(in.frame), std::move(in.message),
+                               enqueued_at});
+    }
   }
-  // One task per batch wakes the loop and marks the inbox due; the batch,
-  // with every frame that joins it meanwhile, is drained at the end of
-  // that round, after the round's tasks.
+  // One task per inbox batch wakes the loop and marks the inbox due; the
+  // batch, with every message that joins it meanwhile, is drained at the
+  // end of that round, after the round's tasks.
   if (first) loop_.post([this] { inbox_due_ = true; });
 }
 
@@ -99,7 +98,7 @@ void AutomatonLoop::drain_inbox() {
       message = decode(in.from, std::move(in.frame));
       if (message == nullptr) continue;
     }
-    deliver(in.from, std::move(message));
+    dispatch(in.from, std::move(message));
   }
   draining_.clear();
 }
@@ -112,10 +111,10 @@ void AutomatonLoop::dispatch_frame(NodeId from, erasure::Buffer frame) {
         (EventLoop::Clock::now() - loop_.round_start()).count()));
   }
   sim::MessagePtr message = decode(from, std::move(frame));
-  if (message != nullptr) deliver(from, std::move(message));
+  if (message != nullptr) dispatch(from, std::move(message));
 }
 
-void AutomatonLoop::deliver(NodeId from, sim::MessagePtr message) {
+void AutomatonLoop::dispatch(NodeId from, sim::MessagePtr message) {
   if (tracer_ != nullptr) trace_deliver(from, *message);
   server_->dispatch_message(from, std::move(message));
   ++unsettled_;
@@ -137,6 +136,58 @@ void AutomatonLoop::end_round() {
     server_->run_internal_actions();
   }
   if (post_batch_) post_batch_();
+}
+
+void AutomatonLoop::OutboxTransport::send(NodeId to,
+                                          sim::MessagePtr message) {
+  loop_->queue(std::span(&to, 1), std::move(message));
+}
+
+void AutomatonLoop::OutboxTransport::multicast(
+    std::span<const NodeId> targets,
+    const std::function<sim::MessagePtr()>& make) {
+  if (!loop_->serialize_) {
+    for (NodeId to : targets) send(to, make());
+    return;
+  }
+  // One message for every target: serialized once at the flush, and every
+  // target's batch shares the frame's arena.
+  if (!targets.empty()) loop_->queue(targets, make());
+}
+
+void AutomatonLoop::queue(std::span<const NodeId> targets,
+                          sim::MessagePtr message) {
+  CEC_DCHECK(loop_.on_loop_thread());
+  const auto index = static_cast<std::uint32_t>(outbox_.size());
+  outbox_.push_back(Envelope{{}, std::move(message)});
+  for (NodeId to : targets) {
+    CEC_DCHECK(to != id_);
+    if (to >= sends_.size()) sends_.resize(to + 1);
+    sends_[to].push_back(index);
+  }
+}
+
+void AutomatonLoop::flush_outbox() {
+  if (outbox_.empty()) return;
+  if (serialize_) {
+    for (Envelope& out : outbox_) out.frame = serialize(*out.message);
+  }
+  const bool noted = tracer_ != nullptr || metrics_ != nullptr;
+  for (NodeId to = 0; to < sends_.size(); ++to) {
+    std::vector<std::uint32_t>& sends = sends_[to];
+    if (sends.empty()) continue;
+    for (const std::uint32_t index : sends) {
+      Envelope& out = outbox_[index];
+      if (noted) note_send(to, *out.message);
+      // Without the codec every entry has one target and moves out whole.
+      batch_.push_back(serialize_ ? Envelope{out.frame, nullptr}
+                                  : std::move(out));
+    }
+    sends.clear();
+    if (peer_sink_) peer_sink_(to, batch_);
+    batch_.clear();
+  }
+  outbox_.clear();
 }
 
 void AutomatonLoop::collect_garbage() {
@@ -181,6 +232,30 @@ sim::MessagePtr AutomatonLoop::decode(NodeId from, erasure::Buffer frame) {
                    << from << ": " << error;
   }
   return message;
+}
+
+void AutomatonLoop::note_send(NodeId to, const sim::Message& message) {
+  const std::size_t bytes = message.wire_bytes();
+  if (metrics_ != nullptr) {
+    const char* type = message.type_name();
+    metrics_->counter("net.messages").inc();
+    metrics_->counter("net.bytes").inc(bytes);
+    metrics_->counter(std::string("net.messages.") + type).inc();
+    metrics_->counter(std::string("net.bytes.") + type).inc(bytes);
+  }
+  if (tracer_ != nullptr) {
+    const SimTime now_ns = now();
+    tracer_->instant("msg.send", id_, now_ns,
+                     {{"to", std::uint64_t{to}},
+                      {"type", message.type_name()},
+                      {"bytes", std::uint64_t{bytes}}});
+    if (message.trace.traced()) {
+      // A multicast shares one span id: one start, one finish per receiver.
+      tracer_->flow_start(std::string("flow.") + message.type_name(), id_,
+                          now_ns, message.trace.span_id,
+                          {{"trace", message.trace.trace_id}});
+    }
+  }
 }
 
 void AutomatonLoop::trace_deliver(NodeId from, const sim::Message& message) {

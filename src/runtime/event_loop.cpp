@@ -236,6 +236,7 @@ void EventLoop::run(const std::function<void()>& on_thread_start) {
     }
     if (after_round_) after_round_();
     fire_due_timers();
+    if (round_end_) round_end_();
   }
   loop_thread_.store(std::thread::id{}, std::memory_order_relaxed);
 }

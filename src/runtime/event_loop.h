@@ -12,8 +12,9 @@
 //
 // One round: wait (timed to the nanosecond up to the earliest timer, at
 // most 500 ms) -> posted tasks in FIFO order, the ones that woke the loop
-// included -> fd handlers -> the after-round hook -> due timers. All of
-// them run on the loop thread; post() is the only cross-thread entry.
+// included -> fd handlers -> the after-round hook -> due timers -> the
+// round-end hook. All of them run on the loop thread; post() is the only
+// cross-thread entry.
 //
 // A wakeup costs one syscall, and only when the loop is asleep or about to
 // sleep: the loop stores how it sleeps in `sleep_` (seq_cst) before it
@@ -93,6 +94,12 @@ class EventLoop {
     after_round_ = std::move(hook);
   }
 
+  /// Runs on the loop thread as the last step of every round, after its
+  /// due timers. Set before start().
+  void set_round_end(std::function<void()> hook) {
+    round_end_ = std::move(hook);
+  }
+
   /// Loop thread only: when the current round's wait returned.
   Clock::time_point round_start() const { return round_start_; }
 
@@ -128,6 +135,7 @@ class EventLoop {
   bool running_ = false;  // guarded by post_mu_: posts are accepted
 
   std::function<void()> after_round_;
+  std::function<void()> round_end_;
   // Loop-thread state (or the stopping/starting thread while stopped).
   std::map<int, FdHandler> handlers_;
   std::vector<Timer> timers_;

@@ -4,23 +4,33 @@
 #include <future>
 
 #include "common/expect.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "runtime/automaton_loop.h"
 
 namespace causalec::runtime {
 
 /// One server node: its Server automaton driven by an AutomatonLoop thread.
+/// The Server sends through the loop's outbox; each round's end hands a
+/// peer's whole batch to that peer's inbox in one push.
 class ThreadedCluster::Node {
  public:
   Node(NodeId id, erasure::CodePtr code, const ThreadedClusterConfig& config,
        ThreadedCluster* cluster)
-      : id_(id),
-        cluster_(cluster),
-        transport_(this),
-        server_(id, std::move(code), config.server, &transport_),
-        loop_(id, config.server.obs, config.gc_period,
-              config.snapshot_period) {}
+      : loop_(id, config.server.obs, config.gc_period,
+              config.snapshot_period),
+        server_(id, std::move(code), config.server, &loop_.transport()) {
+    loop_.set_peer_sink(
+        [cluster, id](NodeId to,
+                      std::span<AutomatonLoop::Envelope> batch) {
+          CEC_CHECK(to < cluster->nodes_.size());
+          Node& peer = *cluster->nodes_[to];
+          // A crashed node's batch is lost with its NIC.
+          if (peer.accepting()) peer.loop_.deliver(id, batch);
+        },
+        config.serialize_messages);
+  }
+
+  /// The loop thread goes before the Server it drives.
+  ~Node() { loop_.stop(); }
 
   void start() { loop_.start(server_); }
 
@@ -44,7 +54,8 @@ class ThreadedCluster::Node {
     loop_.post([this] { server_.begin_rejoin(); });
   }
 
-  /// Run `fn` on the node thread and wait for its result.
+  /// Run `fn` on the node thread and wait for its result. The answer is
+  /// given inside the round; the messages the round sent leave at its end.
   template <typename Fn>
   auto call(Fn&& fn) -> decltype(fn()) {
     using Result = decltype(fn());
@@ -60,37 +71,10 @@ class ThreadedCluster::Node {
   AutomatonLoop& loop() { return loop_; }
 
  private:
-  class NodeTransport final : public Transport {
-   public:
-    explicit NodeTransport(Node* node) : node_(node) {}
-
-    void send(NodeId to, sim::MessagePtr message) override {
-      node_->cluster_->route(node_->id_, to, std::move(message));
-    }
-
-    void multicast(std::span<const NodeId> targets,
-                   const std::function<sim::MessagePtr()>& make) override {
-      node_->cluster_->multicast_route(node_->id_, targets, make);
-    }
-
-    void schedule_after(SimTime delta_ns,
-                        std::function<void()> fn) override {
-      node_->loop_.schedule_after(delta_ns, std::move(fn));
-    }
-
-    SimTime now() const override { return AutomatonLoop::now(); }
-
-   private:
-    Node* node_;
-  };
-
-  NodeId id_;
-  ThreadedCluster* cluster_;
-  NodeTransport transport_;
+  AutomatonLoop loop_;
   Server server_;
-  AutomatonLoop loop_;  // declared last: joins before server_ dies
-  /// False between stop() and recover_and_restart(): peers' frames for
-  /// this node are dropped at the router, like a dead NIC.
+  /// False between stop() and recover_and_restart(): peers' batches for
+  /// this node are dropped, like a dead NIC.
   std::atomic<bool> accepting_{true};
 };
 
@@ -126,62 +110,6 @@ ThreadedCluster::~ThreadedCluster() {
 }
 
 std::size_t ThreadedCluster::num_servers() const { return nodes_.size(); }
-
-void ThreadedCluster::note_send(NodeId from, NodeId to,
-                                const sim::Message& message) {
-  const std::size_t bytes = message.wire_bytes();
-  if (obs::MetricsRegistry* metrics = config_.obs.metrics) {
-    const char* type = message.type_name();
-    metrics->counter("net.messages").inc();
-    metrics->counter("net.bytes").inc(bytes);
-    metrics->counter(std::string("net.messages.") + type).inc();
-    metrics->counter(std::string("net.bytes.") + type).inc(bytes);
-  }
-  if (obs::Tracer* tracer = config_.obs.tracer) {
-    const SimTime now_ns = AutomatonLoop::now();
-    tracer->instant("msg.send", from, now_ns,
-                    {{"to", std::uint64_t{to}},
-                     {"type", message.type_name()},
-                     {"bytes", std::uint64_t{bytes}}});
-    if (message.trace.traced()) {
-      // A multicast shares one span id: one start, one finish per receiver.
-      tracer->flow_start(std::string("flow.") + message.type_name(), from,
-                         now_ns, message.trace.span_id,
-                         {{"trace", message.trace.trace_id}});
-    }
-  }
-}
-
-void ThreadedCluster::route(NodeId from, NodeId to, sim::MessagePtr message) {
-  CEC_CHECK(to < nodes_.size());
-  note_send(from, to, *message);
-  if (!nodes_[to]->accepting()) return;  // crashed node: frame is lost
-  if (config_.serialize_messages) {
-    nodes_[to]->loop().deliver_frame(from,
-                                     nodes_[from]->loop().serialize(*message));
-  } else {
-    nodes_[to]->loop().deliver_message(from, std::move(message));
-  }
-}
-
-void ThreadedCluster::multicast_route(
-    NodeId from, std::span<const NodeId> targets,
-    const std::function<sim::MessagePtr()>& make) {
-  if (targets.empty()) return;
-  if (!config_.serialize_messages) {
-    for (NodeId to : targets) route(from, to, make());
-    return;
-  }
-  // Serialize once; every destination mailbox shares the frame's arena.
-  const sim::MessagePtr message = make();
-  const erasure::Buffer frame = nodes_[from]->loop().serialize(*message);
-  for (NodeId to : targets) {
-    CEC_CHECK(to < nodes_.size());
-    note_send(from, to, *message);
-    if (!nodes_[to]->accepting()) continue;  // crashed node: frame is lost
-    nodes_[to]->loop().deliver_frame(from, frame);
-  }
-}
 
 void ThreadedCluster::stop_node(NodeId id) {
   CEC_CHECK(id < nodes_.size());

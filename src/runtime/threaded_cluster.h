@@ -4,7 +4,9 @@
 // deployed with one AutomatonLoop thread per server node (the driver
 // NodeDaemon shares): batched mailboxes as channels, wall-clock GC and
 // snapshot timers, and (optionally) every message passed through the
-// binary codec so real bytes cross the node boundary.
+// binary codec so real bytes cross the node boundary. A node's messages
+// leave at the end of the loop round that sent them, one inbox push per
+// peer (DESIGN.md §5.3).
 //
 // The client API is thread-safe and marshals every operation onto the
 // owning node's thread (the automaton itself is single-threaded by
@@ -15,7 +17,6 @@
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -36,7 +37,7 @@ struct ThreadedClusterConfig {
 
   /// Observability sinks shared by every node thread: servers record spans
   /// and server.* metrics (timestamps are steady-clock wall time), and the
-  /// router records msg.send / msg.deliver events plus net.* counters.
+  /// node loops record msg.send / msg.deliver events plus net.* counters.
   /// The registry and tracer are thread-safe, so one instance serves all
   /// nodes. Also copied into `server.obs`.
   obs::ObsHooks obs;
@@ -62,7 +63,8 @@ class ThreadedCluster {
   std::size_t num_servers() const;
 
   /// Blocking write at server `at`; returns once the server acknowledged
-  /// (Property (I): the server-side work is local and immediate).
+  /// (Property (I): the server-side work is local and immediate). The ack
+  /// comes before the write's app messages leave for the other servers.
   Tag write(NodeId at, ClientId client, ObjectId object,
             erasure::Value value);
 
@@ -100,17 +102,6 @@ class ThreadedCluster {
 
  private:
   class Node;
-
-  /// Channel between nodes: optionally passes through the codec.
-  void route(NodeId from, NodeId to, sim::MessagePtr message);
-
-  /// Broadcast channel: when serializing, encodes the frame once and shares
-  /// the bytes across every destination mailbox.
-  void multicast_route(NodeId from, std::span<const NodeId> targets,
-                       const std::function<sim::MessagePtr()>& make);
-
-  /// Per-hop observability (net.* counters, msg.send trace event).
-  void note_send(NodeId from, NodeId to, const sim::Message& message);
 
   erasure::CodePtr code_;
   ThreadedClusterConfig config_;

@@ -2,10 +2,12 @@
 // runtimes share (DESIGN.md §5.3): what a stopped loop does with tasks,
 // frames and timers, what stop() throws away, when the post-batch hook
 // runs, that a client write behind a batch of frames tags them, that an
-// inbox batch waits for the round's tasks, and that a burst of frames
-// from other threads is dispatched in full. The loop
-// drives a real Server whose outbound traffic goes nowhere; peer messages
-// are app writes, so the server's clock counts the ones it applied.
+// inbox batch waits for the round's tasks, that a burst of frames from
+// other threads is dispatched in full, and how a round's outbox leaves:
+// one batch per peer in send order, at the end of the round, the GC
+// tick's round included. The fixture's loop drives a real Server whose
+// outbound traffic goes nowhere; peer messages are app writes, so the
+// server's clock counts the ones it applied.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +15,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "causalec/messages.h"
 #include "causalec/server.h"
 #include "erasure/codes.h"
+#include "obs/trace.h"
 #include "runtime/automaton_loop.h"
 
 namespace causalec::runtime {
@@ -58,6 +62,19 @@ sim::MessagePtr app_from(NodeId from, std::uint64_t seq) {
 
 erasure::Buffer app_frame(NodeId from, std::uint64_t seq) {
   return serialize_message_frame(*app_from(from, seq));
+}
+
+/// One serialized frame from `from`, delivered as a batch of one.
+void deliver_frame(AutomatonLoop& loop, NodeId from, erasure::Buffer frame) {
+  AutomatonLoop::Envelope in{std::move(frame), nullptr};
+  loop.deliver(from, std::span(&in, 1));
+}
+
+/// One in-memory message from `from`, delivered as a batch of one.
+void deliver_message(AutomatonLoop& loop, NodeId from,
+                     sim::MessagePtr message) {
+  AutomatonLoop::Envelope in{{}, std::move(message)};
+  loop.deliver(from, std::span(&in, 1));
 }
 
 class AutomatonLoopTest : public ::testing::Test {
@@ -148,8 +165,8 @@ TEST_F(AutomatonLoopTest, StopDiscardsQueuedTasksFramesAndTimers) {
     // Queue one of each behind this task, then hold the loop here until
     // stop() has begun, so none of them can run before the stop.
     loop_.post([&] { tasks.fetch_add(1); });
-    loop_.deliver_frame(1, app_frame(1, 1));
-    loop_.deliver_message(2, app_from(2, 1));
+    deliver_frame(loop_, 1, app_frame(1, 1));
+    deliver_message(loop_, 2, app_from(2, 1));
     loop_.schedule_after(std::chrono::nanoseconds(200ms).count(),
                          [&] { timers.fetch_add(1); });
     queued.set_value();
@@ -174,7 +191,7 @@ TEST_F(AutomatonLoopTest, StopDiscardsQueuedTasksFramesAndTimers) {
   EXPECT_EQ(clock_of(2), 0u);
 
   // The restarted loop carries on with fresh traffic.
-  loop_.deliver_frame(1, app_frame(1, 1));
+  deliver_frame(loop_, 1, app_frame(1, 1));
   EXPECT_TRUE(await_clock(1, 1));
 }
 
@@ -232,7 +249,7 @@ TEST_F(AutomatonLoopTest, PostBatchHookRunsAfterEveryBatch) {
     loop_.post([&] { ++tasks_run; });
     ASSERT_TRUE(hook_saw(i, static_cast<std::uint64_t>(i - 1)))
         << "task " << i;
-    loop_.deliver_frame(1, app_frame(1, static_cast<std::uint64_t>(i)));
+    deliver_frame(loop_, 1, app_frame(1, static_cast<std::uint64_t>(i)));
     ASSERT_TRUE(hook_saw(i, static_cast<std::uint64_t>(i))) << "frame " << i;
   }
 }
@@ -277,7 +294,7 @@ TEST_F(AutomatonLoopTest, InboxBatchIsDispatchedAfterTheRoundsTasks) {
   loop_.post([&] {
     // The batch's task and the probe are queued for the same round.
     for (std::uint64_t seq = 1; seq <= kFrames; ++seq) {
-      loop_.deliver_frame(1, app_frame(1, seq));
+      deliver_frame(loop_, 1, app_frame(1, seq));
     }
     loop_.post([&] { pending.set_value(server_.inqueue().size()); });
   });
@@ -292,12 +309,12 @@ TEST_F(AutomatonLoopTest, BurstFromOtherThreadsIsDispatchedInFull) {
   // each other and a stream of tasks.
   std::thread frames([&] {
     for (std::uint64_t seq = 1; seq <= kBurst; ++seq) {
-      loop_.deliver_frame(1, app_frame(1, seq));
+      deliver_frame(loop_, 1, app_frame(1, seq));
     }
   });
   std::thread messages([&] {
     for (std::uint64_t seq = 1; seq <= kBurst; ++seq) {
-      loop_.deliver_message(2, app_from(2, seq));
+      deliver_message(loop_, 2, app_from(2, seq));
     }
   });
   std::atomic<int> tasks{0};
@@ -311,6 +328,126 @@ TEST_F(AutomatonLoopTest, BurstFromOtherThreadsIsDispatchedInFull) {
   EXPECT_EQ(tasks.load(), 1000);
   const ServerCounters counters = on_loop([&] { return server_.counters(); });
   EXPECT_EQ(counters.error1_events + counters.error2_events, 0u);
+}
+
+TEST_F(AutomatonLoopTest, RoundHandsEachPeerOneBatchInSendOrder) {
+  // Two tasks of one round send to peers 1 and 2. Nothing leaves before
+  // the round ends; then peer 1 gets one batch of its three messages in
+  // send order, and peer 2 one batch holding the multicast, whose frame
+  // both peers share.
+  struct Batch {
+    NodeId to;
+    std::vector<erasure::Buffer> frames;
+  };
+  std::mutex mu;
+  std::vector<Batch> batches;
+  loop_.set_peer_sink(
+      [&](NodeId to, std::span<AutomatonLoop::Envelope> batch) {
+        Batch got{to, {}};
+        for (AutomatonLoop::Envelope& out : batch) {
+          EXPECT_EQ(out.message, nullptr);
+          got.frames.push_back(std::move(out.frame));
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        batches.push_back(std::move(got));
+      });
+  loop_.start(server_);
+  Transport& transport = loop_.transport();
+  std::promise<std::size_t> left_during_round;
+  loop_.post([&] {
+    loop_.post([&] {
+      transport.send(1, app_from(3, 1));
+      const NodeId both[] = {1, 2};
+      transport.multicast(both, [] { return app_from(3, 2); });
+    });
+    loop_.post([&] {
+      transport.send(1, app_from(3, 3));
+      std::lock_guard<std::mutex> lock(mu);
+      left_during_round.set_value(batches.size());
+    });
+  });
+  EXPECT_EQ(left_during_round.get_future().get(), 0u);
+  sync();  // the next round: the last one's flush is done
+
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(batches.size(), 2u);
+  const auto seq_of = [](const erasure::Buffer& frame) {
+    const sim::MessagePtr message = deserialize_message(frame);
+    const auto* app = dynamic_cast<const AppMessage*>(message.get());
+    return app != nullptr ? app->tag.ts[3] : 0;
+  };
+  EXPECT_EQ(batches[0].to, 1u);
+  ASSERT_EQ(batches[0].frames.size(), 3u);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(seq_of(batches[0].frames[i]), i + 1) << "message " << i;
+  }
+  EXPECT_EQ(batches[1].to, 2u);
+  ASSERT_EQ(batches[1].frames.size(), 1u);
+  EXPECT_EQ(seq_of(batches[1].frames[0]), 2u);
+  // One serialization per multicast.
+  EXPECT_EQ(batches[0].frames[1].data(), batches[1].frames[0].data());
+}
+
+TEST(AutomatonLoopOutboxTest, IdleGcTickDeliversItsDelsWithinOnePeriod) {
+  // Server 0 stores object 0 but not every server does, so it announces a
+  // peer's write of it only at its next GC tick (DESIGN.md §2 note 11).
+  // The loop is otherwise idle: its next round is a GC period away. The
+  // tick's dels must leave in the tick's own round, not wait for that
+  // next round.
+  constexpr auto kGcPeriod = 100ms;
+  obs::Tracer tracer;
+  obs::ObsHooks hooks;
+  hooks.tracer = &tracer;
+  AutomatonLoop loop(/*id=*/0, hooks, kGcPeriod, /*snapshot_period=*/1s);
+  ServerConfig config;
+  config.obs = hooks;
+  Server server(0, erasure::make_systematic_rs(kServers, kObjects, kValueBytes),
+                config, &loop.transport());
+  std::mutex mu;
+  std::vector<SimTime> dels_sent;  // when each del left
+  loop.set_peer_sink(
+      [&](NodeId, std::span<AutomatonLoop::Envelope> batch) {
+        for (AutomatonLoop::Envelope& out : batch) {
+          if (dynamic_cast<const DelMessage*>(
+                  deserialize_message(out.frame).get()) != nullptr) {
+            std::lock_guard<std::mutex> lock(mu);
+            dels_sent.push_back(AutomatonLoop::now());
+          }
+        }
+      });
+  loop.start(server);
+  VectorClock ts(kServers);
+  ts.set(1, 1);
+  deliver_frame(loop, 1,
+                serialize_message_frame(AppMessage(
+                    /*object=*/0, erasure::Value(kValueBytes, 0x5A),
+                    Tag(std::move(ts), 101), WireModel{})));
+  const auto deadline = std::chrono::steady_clock::now() + 10 * kGcPeriod;
+  while (std::chrono::steady_clock::now() < deadline) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (!dels_sent.empty()) break;
+    }
+    std::this_thread::sleep_for(1ms);
+  }
+  loop.stop();
+
+  ASSERT_FALSE(dels_sent.empty()) << "no del left the loop";
+  std::vector<obs::TraceEvent> ticks;
+  for (const obs::TraceEvent& e : tracer.events()) {
+    if (e.name == "gc" && e.phase == 'X') ticks.push_back(e);
+  }
+  for (const SimTime sent : dels_sent) {
+    // The latest tick that ended before the del left made it.
+    const obs::TraceEvent* made_by = nullptr;
+    for (const obs::TraceEvent& tick : ticks) {
+      if (tick.ts_ns + tick.dur_ns <= sent) made_by = &tick;
+    }
+    ASSERT_NE(made_by, nullptr);
+    EXPECT_LT(sent - (made_by->ts_ns + made_by->dur_ns),
+              std::chrono::nanoseconds(kGcPeriod).count() / 2)
+        << "a del waited for a later round";
+  }
 }
 
 }  // namespace

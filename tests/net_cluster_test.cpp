@@ -3,7 +3,8 @@
 // src/consistency checkers, and a SIGKILL + exec-restart cycle mid-writes
 // must rejoin and converge (vc-equality oracle) -- the crash-recovery path
 // exercised across true process boundaries, where no in-process test can
-// cheat.
+// cheat. With the daemons out of process, this process's arena counters
+// also count a client alone.
 //
 // The server binary path arrives via the CAUSALEC_SERVER_BIN compile
 // definition (see tests/CMakeLists.txt).
@@ -18,6 +19,7 @@
 
 #include "consistency/causal_checker.h"
 #include "consistency/history.h"
+#include "erasure/buffer.h"
 #include "net/net_client.h"
 #include "net/process_cluster.h"
 
@@ -266,6 +268,41 @@ TEST(NetCluster, SurvivesSigkillMidWritesAndRejoins) {
   // Final reads include the restarted victim: after rejoin it must serve
   // the globally largest write tags like everyone else.
   run_checkers(history, final_reads(cluster));
+  EXPECT_EQ(cluster.total_error_events(), 0u);
+}
+
+TEST(NetCluster, ClientRecyclesItsArenasAcrossCalls) {
+  // The daemons run in their own processes, so this process's arena
+  // counters (Buffer::alloc_stats) count the client alone. A NetClient
+  // installs its own BufferPool for every call, so once warm, each
+  // request's Writer arena and each response's read arena come from its
+  // free lists. Without the pool a client takes two fresh arenas per
+  // operation, and with one of the two pooled it still takes one.
+  constexpr int kWarmup = 200;
+  constexpr int kRoundTrips = 1000;
+  constexpr double kMaxFreshArenasPerOp = 0.01;
+  ProcessCluster cluster(cluster_config(/*persistence=*/false));
+  ASSERT_TRUE(cluster.start());
+  ASSERT_TRUE(cluster.await_ready(15s));
+  NetClient client(900);
+  ASSERT_TRUE(client.connect(cluster.endpoint(0), 2000));
+  client.set_io_timeout_ms(8000);
+  const erasure::Value value = value_for(900, 0);
+  OpId opid = 0;
+  const auto round_trip = [&] {
+    ASSERT_TRUE(client.write(++opid, 0, value).has_value());
+    ASSERT_TRUE(client.read(++opid, 0).has_value());
+  };
+  for (int i = 0; i < kWarmup; ++i) round_trip();
+  const auto before = erasure::Buffer::alloc_stats();
+  for (int i = 0; i < kRoundTrips; ++i) round_trip();
+  const auto after = erasure::Buffer::alloc_stats();
+  const double fresh_per_op =
+      static_cast<double>(after.allocations - before.allocations) /
+      (2.0 * kRoundTrips);
+  EXPECT_LT(fresh_per_op, kMaxFreshArenasPerOp)
+      << (after.recycled - before.recycled) << " arenas recycled";
+  ASSERT_TRUE(cluster.await_convergence(20s));
   EXPECT_EQ(cluster.total_error_events(), 0u);
 }
 

@@ -7,11 +7,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "erasure/buffer.h"
 #include "erasure/codes.h"
+#include "obs/trace.h"
 #include "runtime/threaded_cluster.h"
 
 namespace causalec::runtime {
@@ -219,6 +222,52 @@ TEST(ThreadedRuntimeTest, WarmDataPathRecyclesPayloadArenas) {
       << (after.recycled - before.recycled) << " arenas recycled";
   ASSERT_TRUE(cluster.await_convergence(10000ms));
   EXPECT_EQ(cluster.total_error_events(), 0u);
+}
+
+TEST(ThreadedRuntimeTest, WriteIsAnsweredBeforeItsAppsLeave) {
+  // A write's app messages wait in its round's outbox, so on the writer's
+  // lane every send of them comes after the end of the write's span (the
+  // server answers at the span's end). A runtime that sent them from
+  // inside the write would record them within the span.
+  obs::Tracer tracer;
+  ThreadedClusterConfig config;
+  config.obs.tracer = &tracer;
+  ThreadedCluster cluster(erasure::make_systematic_rs(5, 3, kValueBytes),
+                          config);
+  constexpr int kWrites = 20;
+  for (int i = 0; i < kWrites; ++i) {
+    cluster.write(static_cast<NodeId>(i % 5), /*client=*/1 + i % 5,
+                  static_cast<ObjectId>(i % 3),
+                  val(static_cast<std::uint8_t>(i)));
+  }
+  ASSERT_TRUE(cluster.await_convergence(5000ms));
+
+  const auto trace_of = [](const obs::TraceEvent& e) {
+    for (const obs::TraceArg& arg : e.args) {
+      if (arg.key == "trace") return arg.value;
+    }
+    return std::string();
+  };
+  const std::vector<obs::TraceEvent> events = tracer.events();
+  std::map<std::string, const obs::TraceEvent*> writes;  // by trace id
+  for (const obs::TraceEvent& e : events) {
+    if (e.name == "write" && e.phase == 'X') writes[trace_of(e)] = &e;
+  }
+  ASSERT_EQ(writes.size(), static_cast<std::size_t>(kWrites));
+  std::map<std::string, int> sends;
+  for (const obs::TraceEvent& e : events) {
+    if (e.name != "flow.app" || e.phase != 's') continue;
+    const auto write = writes.find(trace_of(e));
+    ASSERT_NE(write, writes.end());
+    const obs::TraceEvent& span = *write->second;
+    EXPECT_EQ(e.node, span.node);
+    EXPECT_GE(e.ts_ns, span.ts_ns + span.dur_ns)
+        << "an app left inside its write's span";
+    ++sends[write->first];
+  }
+  for (const auto& [trace, write] : writes) {
+    EXPECT_EQ(sends[trace], 4) << "write " << trace;
+  }
 }
 
 TEST(ThreadedRuntimeTest, DirectMessagePassingModeWorksToo) {
